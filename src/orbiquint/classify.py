@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import covergraphs, parity, resolve
-from .covergraphs import BaseShape
+from .covergraphs import R_OPTIONS, BaseShape
 from .orbiscroll import adjunction_degree, frac, frac_str, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
 from .resolve import AkSing, geometric_genus, pa_hirzebruch
@@ -48,9 +48,6 @@ class Table1Row:
 # the first component is the one with more branch points
 _TYPE_SHAPES = {1: BaseShape.I, 2: BaseShape.II, 3: BaseShape.II,
                 4: BaseShape.III, 5: BaseShape.III}
-
-# orbinode orders per graph type
-R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
 
 
 def _branch_pairs() -> dict[int, tuple[int, int]]:

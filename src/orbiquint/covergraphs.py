@@ -18,9 +18,11 @@ and nonnegative integral Riemann-Hurwitz branch counts.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 MARKED = ("0", "1", "inf")
@@ -88,12 +90,40 @@ class Component:
                 return prof
         return None
 
+    def to_json_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "side": self.side,
+            "degree": self.degree,
+            "genus": self.genus,
+            "redundant": self.redundant,
+            "profiles": {p: list(prof.parts) for p, prof in self.profiles},
+            "beta": self.beta,
+        }
+
 
 @dataclass(frozen=True)
 class NodeEdge:
     main_id: str
     tail_id: str
     local_degree: int
+
+    def to_json_dict(self) -> dict:
+        return {"main": self.main_id, "tail": self.tail_id, "local": self.local_degree}
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _json_fragment(item: Component | NodeEdge) -> str:
+    """One list element of ``CoverGraph.to_json``, at its nesting depth."""
+    text = json.dumps(item.to_json_dict(), indent=2, sort_keys=True)
+    return "    " + text.replace("\n", "\n    ")
+
+
+def _json_list(items: tuple) -> str:
+    """A list valued under a top-level key, as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(map(_json_fragment, items)) + "\n  ]"
 
 
 @dataclass(frozen=True)
@@ -160,26 +190,22 @@ class CoverGraph:
             "type": self.type_index,
             "params": list(self.params),
             "r_options": list(self.r_options),
-            "components": [
-                {
-                    "id": c.id,
-                    "side": c.side,
-                    "degree": c.degree,
-                    "genus": c.genus,
-                    "redundant": c.redundant,
-                    "profiles": {p: list(prof.parts) for p, prof in c.profiles},
-                    "beta": c.beta,
-                }
-                for c in self.components
-            ],
-            "edges": [
-                {"main": e.main_id, "tail": e.tail_id, "local": e.local_degree}
-                for e in self.node_edges
-            ],
+            "components": [c.to_json_dict() for c in self.components],
+            "edges": [e.to_json_dict() for e in self.node_edges],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        """Byte-identical to ``json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True)``, assembled from memoised per-component and
+        per-edge fragments."""
+        # json lays out the scalar fields; the fragments replace the empty lists
+        skeleton = replace(self, components=(), node_edges=()).to_json_dict()
+        text = json.dumps(skeleton, indent=2, sort_keys=True)
+        head, _, rest = text.partition('"components": []')
+        mid, _, tail = rest.partition('"edges": []')
+        comps = _json_list(self.components)
+        edges = _json_list(self.node_edges)
+        return f'{head}"components": {comps}{mid}"edges": {edges}{tail}'
 
     def to_dot(self, include_redundant: bool = False) -> str:
         lines = ["graph cover {"]
@@ -217,8 +243,10 @@ def generic_branch_count(d: int) -> int:
     if d < 1:
         raise ShapeError("d must be >= 1")
     count = 5 * d - 2
-    # Riemann-Hurwitz sanity: -2 = -12d + 3d + 4d + (5d - 2).
-    assert -2 == -12 * d + 3 * d + 4 * d + count
+    # Riemann-Hurwitz for the rational cover with all 2s over 0, all 3s over 1
+    rh = _component_beta(6 * d, 0, _profiles_for(("0", "1"), 6 * d), ())
+    if rh != count:
+        raise ShapeError(f"Riemann-Hurwitz gives {rh} branch points, expected {count}")
     return count
 
 
@@ -289,10 +317,7 @@ def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
         k2 = total_degree - k1
         if {k1 % 6, k2 % 6} != {c1, c2}:
             continue
-        try:
-            locs = _split_locals(shape, (k1, k2))
-        except ShapeError:
-            continue
+        locs = _split_locals(shape, (k1, k2))
         if any((k - l) % u or k < l for k, l in zip((k1, k2), locs)):
             continue
         if (k1, k2) in _EXCLUDED_SPLITS.get((shape, total_degree), set()):
@@ -308,12 +333,21 @@ def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
 
 
 def _component_beta(
-    degree: int, genus: int, profiles: Iterable[RamProfile], node_locals: Iterable[int]
+    degree: int, genus: int, profiles: Iterable[tuple[str, RamProfile]],
+    node_locals: Iterable[int],
 ) -> int:
     """Moving branch count from Riemann-Hurwitz over a rational base."""
-    ram = sum(p.ram for p in profiles) + sum(l - 1 for l in node_locals)
-    beta = 2 * genus - 2 + 2 * degree - ram
-    return beta
+    ram = sum(p.ram for _, p in profiles) + sum(l - 1 for l in node_locals)
+    return 2 * genus - 2 + 2 * degree - ram
+
+
+def _node_fibers(edges: Iterable[NodeEdge]) -> defaultdict[tuple[str, str], list[int]]:
+    """Node local degrees of each component, keyed by (side, id)."""
+    fibers: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    for e in edges:
+        fibers["main", e.main_id].append(e.local_degree)
+        fibers["tail", e.tail_id].append(e.local_degree)
+    return fibers
 
 
 def _profiles_for(side_marked: tuple[str, ...], degree: int) -> list[tuple[str, RamProfile]]:
@@ -336,7 +370,7 @@ def _make_component(
     genus: int = 0,
 ) -> Component:
     profiles = tuple(_profiles_for(marked, degree))
-    beta = _component_beta(degree, genus, [p for _, p in profiles], node_locals)
+    beta = _component_beta(degree, genus, profiles, node_locals)
     if beta < 0:
         raise ShapeError(f"negative branch count for component {cid}")
     return Component(cid, side, degree, genus, redundant, profiles, beta)
@@ -353,46 +387,41 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
     shape = graph.shape
     u = shape.redundant_degree
     tmark = shape.tail_marked
+    by_id = {c.id: c for c in reversed(graph.components)}  # first of each id wins
     comps = [c for c in graph.components if not (c.side == "tail" and c.redundant)]
-    edges = [
-        e
-        for e in graph.node_edges
-        if not graph.component(e.tail_id).redundant
-    ]
+    edges = [e for e in graph.node_edges if not by_id[e.tail_id].redundant]
+    used = _node_fibers(edges)
+    # every redundant tail is this component under another id
+    template = _make_component(
+        "R", "tail", u, (tmark,) if tmark else (), [u], redundant=True
+    )
     new_comps: list[Component] = []
     new_edges: list[NodeEdge] = []
-    n = 0
     for main in sorted(graph.mains(), key=lambda c: c.id):
-        used = sum(e.local_degree for e in edges if e.main_id == main.id)
-        residual = main.degree - used
+        residual = main.degree - sum(used["main", main.id])
         if residual < 0 or residual % u:
             raise ShapeError(
                 f"no integral redundant completion: component {main.id} has "
                 f"residual node-fiber degree {residual} (redundant degree {u})"
             )
         for _ in range(residual // u):
-            n += 1
-            cid = f"R{n}"
-            comp = _make_component(
-                cid, "tail", u, (tmark,) if tmark else (), [u], redundant=True
+            cid = f"R{len(new_comps) + 1}"
+            new_comps.append(
+                Component(cid, "tail", u, 0, True, template.profiles, template.beta)
             )
-            new_comps.append(comp)
             new_edges.append(NodeEdge(main.id, cid, u))
     all_edges = tuple(edges + new_edges)
-    final: list[Component] = []
-    for c in comps + new_comps:
-        locs = [
-            e.local_degree
-            for e in all_edges
-            if (c.side == "main" and e.main_id == c.id)
-            or (c.side == "tail" and e.tail_id == c.id)
-        ]
-        beta = _component_beta(
-            c.degree, c.genus, [p for _, p in c.profiles], locs
-        )
+    fibers = _node_fibers(all_edges)
+
+    def rebeta(c: Component) -> Component:
+        beta = _component_beta(c.degree, c.genus, c.profiles, fibers[c.side, c.id])
         if beta < 0:
             raise ShapeError(f"negative branch count for component {c.id}")
-        final.append(replace(c, beta=beta))
+        return c if beta == c.beta else replace(c, beta=beta)
+
+    final = [rebeta(c) for c in comps]
+    # a stamped tail whose only node edge is its own keeps the template's beta
+    final += [c if len(fibers["tail", c.id]) == 1 else rebeta(c) for c in new_comps]
     return replace(graph, components=tuple(final), node_edges=all_edges)
 
 
@@ -413,16 +442,12 @@ def check_cover(graph: CoverGraph) -> list[str]:
             diags.append(f"total degree over {side} is {deg}, expected {total}")
 
     # node fibers: every component's node locals must sum to its degree
+    fibers = _node_fibers(graph.node_edges)
     for c in graph.components:
-        locs = [
-            e.local_degree
-            for e in graph.node_edges
-            if (c.side == "main" and e.main_id == c.id)
-            or (c.side == "tail" and e.tail_id == c.id)
-        ]
-        if sum(locs) != c.degree:
+        fiber_degree = sum(fibers[c.side, c.id])
+        if fiber_degree != c.degree:
             diags.append(
-                f"node fiber of {c.id} sums to {sum(locs)}, expected {c.degree}"
+                f"node fiber of {c.id} sums to {fiber_degree}, expected {c.degree}"
             )
 
     # marked-point profiles
@@ -438,16 +463,9 @@ def check_cover(graph: CoverGraph) -> list[str]:
             if (c.profile_over(pt) is not None) != (c.side == expected_sides[pt]):
                 diags.append(f"profile over {pt} on wrong side for {c.id}")
 
-    # per-component Riemann-Hurwitz
+    # per-component Riemann-Hurwitz: beta = 2g - 2 + 2 deg - ram
     for c in graph.components:
-        locs = [
-            e.local_degree
-            for e in graph.node_edges
-            if (c.side == "main" and e.main_id == c.id)
-            or (c.side == "tail" and e.tail_id == c.id)
-        ]
-        ram = sum(prof.ram for _, prof in c.profiles) + sum(l - 1 for l in locs)
-        two_g = 2 - 2 * c.degree + ram + c.beta
+        two_g = c.beta - _component_beta(c.degree, 0, c.profiles, fibers[c.side, c.id])
         if two_g % 2:
             diags.append(f"non-integral genus for {c.id}")
         elif two_g // 2 != c.genus:
@@ -463,10 +481,8 @@ def check_cover(graph: CoverGraph) -> list[str]:
     if len(nonred) > 1:
         diags.append("more than one non-redundant tail component")
     for c in graph.tails():
-        if c.redundant:
-            locs = [e for e in graph.node_edges if e.tail_id == c.id]
-            if c.beta != 0 or len(locs) != 1:
-                diags.append(f"component {c.id} marked redundant but ramified")
+        if c.redundant and (c.beta != 0 or len(fibers[c.side, c.id]) != 1):
+            diags.append(f"component {c.id} marked redundant but ramified")
     return diags
 
 
@@ -474,47 +490,26 @@ def check_cover(graph: CoverGraph) -> list[str]:
 # Enumeration
 
 
-def _skeleton_shape123(
-    d: int, shape: BaseShape, split: tuple[int, int], type_index: int,
-    r_options: tuple[int, ...],
+def _skeleton(
+    d: int, shape: BaseShape, degrees: tuple[int, ...], locals_: tuple[int, ...],
+    tail_degree: int, type_index: int, *, params: tuple[int, ...] = (),
+    r_options: tuple[int, ...] = (),
 ) -> CoverGraph:
-    e = 3 if shape is BaseShape.III else 2
-    locs = _split_locals(shape, split)
+    """Main components, the non-redundant tail E, and their redundant completion."""
     mains = [
         _make_component(f"M{i+1}", "main", k, shape.main_marked, [l])
-        for i, (k, l) in enumerate(zip(split, locs))
+        for i, (k, l) in enumerate(zip(degrees, locals_))
     ]
     tmark = shape.tail_marked
-    tail = _make_component("E", "tail", e, (tmark,) if tmark else (), locs)
-    edges = [NodeEdge(m.id, "E", l) for m, l in zip(mains, locs)]
-    graph = CoverGraph(
-        d, shape, tuple(mains + [tail]), tuple(edges),
-        type_index=type_index, r_options=r_options,
-    )
-    return complete_redundant(graph)
-
-
-def _skeleton_shape4(
-    d: int, main_degrees: tuple[int, ...], locals_: tuple[int, ...],
-    type_index: int,
-) -> CoverGraph:
-    shape = BaseShape.IV
-    mains = [
-        _make_component(f"M{i+1}", "main", k, shape.main_marked, [l])
-        for i, (k, l) in enumerate(zip(main_degrees, locals_))
-    ]
-    tdeg = sum(locals_)
-    tail = _make_component("E", "tail", tdeg, ("inf",), locals_)
+    tail = _make_component("E", "tail", tail_degree, (tmark,) if tmark else (), locals_)
     edges = [NodeEdge(m.id, "E", l) for m, l in zip(mains, locals_)]
-    graph = CoverGraph(
-        d, shape, tuple(mains + [tail]), tuple(edges),
-        type_index=type_index, params=locals_,
-    )
-    return complete_redundant(graph)
+    return complete_redundant(CoverGraph(
+        d, shape, tuple(mains + [tail]), tuple(edges), type_index, params, r_options
+    ))
 
 
-# r options stated for the one-tail types at d=3.
-_R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
+# Orbinode orders r stated for the one-tail types at d=3.
+R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
 
 
 def enumerate_boundary_types(d: int) -> list[BoundaryType]:
@@ -528,17 +523,21 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     # shapes I-III: forced (e, s) via the moduli filter, then degree splits
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
         step = {"I": 1, "II": 2, "III": 3}[shape.value]
+        tail_degree = max(step, 2)
         feasible = [
             (e, s)
-            for e in range(max(step, 2), total + 1, step)
+            for e in range(tail_degree, total + 1, step)
             for s in range(2, e + 1)
             if tail_moduli_filter(shape, e, s)
         ]
-        assert feasible == [(max(step, 2), 2)], feasible
+        if feasible != [(tail_degree, 2)]:
+            raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
+                             f"{feasible}, expected only {[(tail_degree, 2)]}")
         for split in degree_splits(shape, total):
             index += 1
-            graph = _skeleton_shape123(
-                d, shape, split, index, _R_OPTIONS.get(index, ())
+            graph = _skeleton(
+                d, shape, split, _split_locals(shape, split), tail_degree, index,
+                r_options=R_OPTIONS.get(index, ()),
             )
             families.append(BoundaryType(index, shape, (), (graph,)))
 
@@ -554,12 +553,11 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     for degrees in main_splits:
         index += 1
         ranges = tuple((1, 5 * k // 6 - 1) for k in degrees)
-        graphs = []
-        for locals_ in itertools.product(
-            *[range(lo, hi + 1) for lo, hi in ranges]
-        ):
-            graphs.append(_skeleton_shape4(d, degrees, locals_, index))
-        families.append(BoundaryType(index, BaseShape.IV, ranges, tuple(graphs)))
+        graphs = tuple(
+            _skeleton(d, BaseShape.IV, degrees, locals_, sum(locals_), index, params=locals_)
+            for locals_ in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges])
+        )
+        families.append(BoundaryType(index, BaseShape.IV, ranges, graphs))
     return families
 
 

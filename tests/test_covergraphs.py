@@ -1,8 +1,15 @@
+import ast
+import functools
+import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from orbiquint import covergraphs
 from orbiquint.covergraphs import (
     BaseShape,
     RamProfile,
@@ -109,3 +116,65 @@ def test_to_dot_contains_components():
     dot = g.to_dot()
     for comp in g.mains():
         assert comp.id in dot
+
+
+@functools.cache
+def _graphs(d):
+    return tuple(g for f in enumerate_boundary_types(d) for g in f.graphs)
+
+
+def test_to_json_matches_to_json_dict():
+    mutants = [m for g in _graphs(3) for m in perturbations(g)]
+    for g in [*_graphs(3), *_graphs(4), *_graphs(5), *mutants]:
+        assert g.to_json() == json.dumps(g.to_json_dict(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("d, digest", [
+    (3, "a817958a50ecc26880fa47a6b994d1a76792905ec84738ea490953506590f27a"),
+    (4, "ac10a5cea45ec919d6c8171b92eb79cc8d421e6f8251545077e24aecbd960062"),
+])
+def test_to_json_bytes_pinned(d, digest):
+    text = "".join(g.to_json() for g in _graphs(d))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_complete_redundant_idempotent_and_order_free(data):
+    g = data.draw(st.sampled_from(_graphs(3) + _graphs(4)))
+    comps = data.draw(st.permutations(g.components))
+    if data.draw(st.booleans()):  # also drop the redundant tails and their edges
+        comps = [c for c in comps if not c.redundant]
+    kept = {c.id for c in comps}
+    edges = data.draw(st.permutations([e for e in g.node_edges if e.tail_id in kept]))
+    again = complete_redundant(replace(g, components=tuple(comps), node_edges=tuple(edges)))
+    assert Counter(again.components) == Counter(g.components)
+    assert Counter(again.node_edges) == Counter(g.node_edges)
+
+
+def test_enumeration_rejects_extra_feasible_tail(monkeypatch):
+    real = covergraphs.tail_moduli_filter
+    monkeypatch.setattr(
+        covergraphs, "tail_moduli_filter",
+        lambda shape, e, s: real(shape, e, s) or (shape, e, s) == (BaseShape.II, 4, 3),
+    )
+    with pytest.raises(ShapeError, match="tail-moduli filter admits"):
+        enumerate_boundary_types(3)
+
+
+def test_covergraphs_has_no_assert():
+    # invariants must raise, so that they still run under python -O
+    source = Path(covergraphs.__file__).read_text()
+    asserts = [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+    assert asserts == []
+
+
+def test_complete_redundant_stamped_tail_sharing_an_id():
+    # the stamped tail R1 inherits the node fiber of a non-redundant tail
+    # named R1; with local degree 2 there its branch count goes negative
+    g = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
+    comps = tuple(replace(c, id="R1") if c.id == "E" else c
+                  for c in g.components if not c.redundant)
+    edges = tuple(replace(e, tail_id="R1") for e in g.node_edges if e.tail_id == "E")
+    with pytest.raises(ShapeError, match="negative branch count for component R1"):
+        complete_redundant(replace(g, components=comps, node_edges=edges))
