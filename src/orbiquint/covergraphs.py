@@ -196,8 +196,10 @@ class CoverGraph:
 
     def to_json(self) -> str:
         """Byte-identical to ``json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True)``, assembled from memoised per-component and
-        per-edge fragments."""
+        sort_keys=True)`` when every field holds its annotated type, as
+        this module builds them (``1 == True`` and ``2 == 2.0`` share a
+        fragment).  Fragments are memoised by value because the graphs of
+        one enumeration share most tails, mains and edges."""
         # json lays out the scalar fields; the fragments replace the empty lists
         skeleton = replace(self, components=(), node_edges=()).to_json_dict()
         text = json.dumps(skeleton, indent=2, sort_keys=True)
@@ -243,10 +245,9 @@ def generic_branch_count(d: int) -> int:
     if d < 1:
         raise ShapeError("d must be >= 1")
     count = 5 * d - 2
-    # Riemann-Hurwitz for the rational cover with all 2s over 0, all 3s over 1
-    rh = _component_beta(6 * d, 0, _profiles_for(("0", "1"), 6 * d), ())
-    if rh != count:
-        raise ShapeError(f"Riemann-Hurwitz gives {rh} branch points, expected {count}")
+    # Riemann-Hurwitz sanity: -2 = -12d + 3d + 4d + (5d - 2).
+    if -2 != -12 * d + 3 * d + 4 * d + count:
+        raise ShapeError(f"Riemann-Hurwitz does not balance at d = {d}")
     return count
 
 
@@ -419,10 +420,8 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
             raise ShapeError(f"negative branch count for component {c.id}")
         return c if beta == c.beta else replace(c, beta=beta)
 
-    final = [rebeta(c) for c in comps]
-    # a stamped tail whose only node edge is its own keeps the template's beta
-    final += [c if len(fibers["tail", c.id]) == 1 else rebeta(c) for c in new_comps]
-    return replace(graph, components=tuple(final), node_edges=all_edges)
+    final = tuple(rebeta(c) for c in comps + new_comps)
+    return replace(graph, components=final, node_edges=all_edges)
 
 
 def check_cover(graph: CoverGraph) -> list[str]:
