@@ -10,11 +10,19 @@ Modules:
   cli         -- command-line front end
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from . import classify, cli, covergraphs, orbiscroll, parity, recillas, resolve
+__version__ = "0.1.0"
 
 __all__ = [
     "classify", "cli", "covergraphs", "orbiscroll", "parity", "recillas",
     "resolve", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Submodules load on first use (PEP 562), so importing one module, or
+    # the package itself, does not pay for the other six.
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,6 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import covergraphs, parity, resolve
@@ -107,62 +108,59 @@ def component_genus_adjunction(r: int, m: Fraction, a: Fraction, b: int) -> int:
     return int(two_g) // 2
 
 
-def _candidate_twists(r: int, b: int) -> list[Fraction]:
-    """Nonnegative twists a with denominator exactly r, passing the
-    smoothness criterion (a <= b/12 or a = b/6)."""
-    out = []
-    for k in range(0, r * b // 6 + 1):
-        a = Fraction(k, r)
-        if a.denominator != r:
-            continue
-        if tetragonal_branch_relation(a, b).smooth_ok:
-            out.append(a)
-    return out
+def _candidate_numerators(r: int, b: int) -> list[int]:
+    """Numerators k = r*a of the nonnegative twists a with denominator
+    exactly r, passing the smoothness criterion (a <= b/12 or a = b/6)."""
+    return [
+        k for k in range(r * b // 6 + 1)
+        if gcd(k, r) == 1
+        and tetragonal_branch_relation(Fraction(k, r), b).smooth_ok
+    ]
 
 
 def table1() -> list[Table1Row]:
-    """The 16 possibilities for the one-node types (1)-(5)."""
+    """The 16 possibilities for the one-node types (1)-(5).
+
+    The sign/twist search runs over the integer numerators k = r*a: the
+    signed pair (s1*k1, s2*k2) gives |v1 + v2| = 1 exactly when
+    |s1*k1 + s2*k2| = r.  Fractions are built only for the surviving rows.
+    """
     rows: list[Table1Row] = []
     pairs = _branch_pairs()
     n = 0
     for t in range(1, 6):
         b1, b2 = pairs[t]
-        found: list[tuple[int, Fraction, Fraction]] = []
+        found: set[tuple[int, int, int]] = set()  # (r, k1, k2), signed
         for r in R_OPTIONS[t]:
-            if (Fraction(r * b1, 6)).denominator != 1 or (
-                Fraction(r * b2, 6)
-            ).denominator != 1:
+            if (r * b1) % 6 or (r * b2) % 6:
                 continue
-            seen = set()
-            for a1, a2 in itertools.product(
-                _candidate_twists(r, b1), _candidate_twists(r, b2)
+            for k1, k2 in itertools.product(
+                _candidate_numerators(r, b1), _candidate_numerators(r, b2)
             ):
                 for s1, s2 in itertools.product((1, -1), repeat=2):
-                    if (a1 == 0 and s1 < 0) or (a2 == 0 and s2 < 0):
+                    if (k1 == 0 and s1 < 0) or (k2 == 0 and s2 < 0):
                         continue
-                    v = (s1 * a1, s2 * a2)
-                    if abs(v[0] + v[1]) != 1:
+                    if abs(s1 * k1 + s2 * k2) != r:
                         continue
-                    seen.add(_canonical_pair(v, symmetric=(b1 == b2)))
-            found.extend((r, v1, v2) for v1, v2 in seen)
-        found.sort()
-        for r, v1, v2 in found:
+                    found.add((r, *_canonical_pair(
+                        (s1 * k1, s2 * k2), symmetric=(b1 == b2))))
+        # for a fixed r, numerators order exactly as the twists k/r do
+        for r, k1, k2 in sorted(found):
             n += 1
+            v1, v2 = Fraction(k1, r), Fraction(k2, r)
             m1 = tetragonal_branch_relation(abs(v1), b1).m
             m2 = tetragonal_branch_relation(abs(v2), b2).m
             rows.append(
                 Table1Row(
                     n, t, r, v1, v2, m1, m2,
                     component_genus(r, b1), component_genus(r, b2),
-                    abs(v1) == Fraction(b1, 6), abs(v2) == Fraction(b2, 6),
+                    6 * abs(k1) == r * b1, 6 * abs(k2) == r * b2,
                 )
             )
     return rows
 
 
-def _canonical_pair(
-    v: tuple[Fraction, Fraction], symmetric: bool
-) -> tuple[Fraction, Fraction]:
+def _canonical_pair(v: tuple[int, int], symmetric: bool) -> tuple[int, int]:
     def sign_canon(p):
         first = p[0] if p[0] != 0 else p[1]
         return (-p[0], -p[1]) if first < 0 else p
@@ -317,7 +315,8 @@ ROW_TO_THEOREM = {1: 13, 3: 9, 4: 9, 7: 6, 8: 1, 11: 6, 12: 10}
 
 def classify_type_1_5() -> list[DivisorRecord]:
     rows = table1()
-    assert len(rows) == 16
+    if len(rows) != 16:
+        raise ClassifyError(f"Table 1 has {len(rows)} rows, expected 16")
     by_theorem: dict[int, list[str]] = {}
     for row in rows:
         if row.row in ROWS_INTERIOR or row.row in ROWS_LOW_DIMENSION:
@@ -542,11 +541,23 @@ def enumerate_c2_models(j: int) -> list[LocalModelEntry]:
     return out
 
 
+_C2_P4_ONLY = frozenset({"2.8", "2.9", "2.10", "2.14"})
+
+
 def _c2_entry(label: str, p: Optional[int]) -> LocalModelEntry:
-    for j in range(1, 10):
-        for e in enumerate_c2_models(j):
-            if e.label == label and (p is None or e.param == p):
-                return e
+    """The c2 entry with this label and parameter p (None for a label
+    that occurs only at p = 4), built from the one model list that can
+    hold it: labels 2.1-2.4 are the odd family (j = 2p + 1), labels
+    2.5-2.14 the even family (j = 2p)."""
+    if p is None and label in _C2_P4_ONLY:
+        p = 4
+    family, _, index = label.partition(".")
+    if family == "2" and index.isdigit() and p is not None:
+        j = 2 * p + 1 if 1 <= int(index) <= 4 else 2 * p
+        if 1 <= j <= 9:
+            for e in enumerate_c2_models(j):
+                if e.label == label:
+                    return e
     raise ClassifyError(f"no c2 entry {label} with p={p}")
 
 
@@ -609,9 +620,9 @@ def type7_section_parities(row: Type7Row) -> list[Parity]:
     each end section of C1 and C2 with each tail bundle, keeping only the
     combinations with integral total self-intersection."""
     out = []
+    c2 = _c2_entry(row.c2, row.c2_p)
     for label in row.c1:
         c1 = _c1_entry(label)
-        c2 = _c2_entry(row.c2, row.c2_p)
         for s1 in (c1.sigmaA2, c1.sigmaB2):
             for s2 in (c2.sigmaA2, c2.sigmaB2):
                 for g in row.tail_genera:

@@ -14,11 +14,15 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from . import classify, covergraphs, parity, recillas, resolve
 from .orbiscroll import coarse_singularities, frac, frac_str
-from .resolve import DIAGRAM_ITEMS
+
+if TYPE_CHECKING:
+    from . import classify
+
+# The other library modules are imported inside the functions that use
+# them, so each subcommand loads only what it needs.
 
 
 def _golden_dir() -> Path:
@@ -52,6 +56,8 @@ def _json_dump(obj) -> str:
 
 
 def gen_table1_tsv() -> str:
+    from . import classify
+
     headers = ["row", "type", "r", "v1", "v2", "m1", "m2", "g1", "g2",
                "disc1", "disc2"]
     rows = [
@@ -77,10 +83,14 @@ def _type7_rows_tsv(rows, genera_headers) -> str:
 
 
 def gen_table2_tsv() -> str:
+    from . import classify
+
     return _type7_rows_tsv(classify.TABLE2_ROWS, ["g_tail1", "g_tail2"])
 
 
 def gen_table3_tsv() -> str:
+    from . import classify
+
     return _type7_rows_tsv(classify.TABLE3_ROWS, ["g_tail"])
 
 
@@ -99,6 +109,8 @@ def _desc_dict(desc: classify.StableCurveDesc) -> dict:
 
 
 def gen_theorem_json() -> str:
+    from . import classify
+
     records = [
         {
             "index": rec.theorem_index,
@@ -132,6 +144,8 @@ def _model_dict(e: classify.LocalModelEntry) -> dict:
 
 
 def gen_c1_models_json() -> str:
+    from . import classify
+
     return _json_dump(
         {str(i): [_model_dict(e) for e in classify.enumerate_c1_models(i)]
          for i in range(1, 5)}
@@ -139,6 +153,8 @@ def gen_c1_models_json() -> str:
 
 
 def gen_c2_models_json() -> str:
+    from . import classify
+
     return _json_dump(
         {str(j): [_model_dict(e) for e in classify.enumerate_c2_models(j)]
          for j in range(1, 10)}
@@ -146,10 +162,14 @@ def gen_c2_models_json() -> str:
 
 
 def gen_diagram_txt(item: int) -> str:
+    from .resolve import DIAGRAM_ITEMS
+
     return DIAGRAM_ITEMS[item].contract().to_text()
 
 
 def golden_artifacts() -> dict[str, Callable[[], str]]:
+    from .resolve import DIAGRAM_ITEMS
+
     arts: dict[str, Callable[[], str]] = {
         "table1.tsv": gen_table1_tsv,
         "table2.tsv": gen_table2_tsv,
@@ -219,6 +239,8 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_table1(args) -> int:
+    from . import classify
+
     if args.format == "tsv":
         _emit(args, gen_table1_tsv())
     elif args.format == "md":
@@ -240,6 +262,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_boundary_graphs(args) -> int:
+    from . import covergraphs
+
     families = covergraphs.enumerate_boundary_types(args.d)
     if args.format == "json":
         _emit(args, _json_dump([
@@ -271,6 +295,8 @@ def cmd_boundary_graphs(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from . import resolve
+
     chain = resolve.hj_expand(args.r, args.q)
     if args.format == "json":
         _emit(args, _json_dump(
@@ -305,8 +331,10 @@ def cmd_coarse(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
+    from .resolve import DIAGRAM_ITEMS, ResolveError
+
     if args.item not in DIAGRAM_ITEMS:
-        raise resolve.ResolveError(
+        raise ResolveError(
             f"no diagram item {args.item}; choose 1..{len(DIAGRAM_ITEMS)}"
         )
     it = DIAGRAM_ITEMS[args.item]
@@ -331,6 +359,8 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_recillas(args) -> int:
+    from . import recillas
+
     perms = [recillas.parse_perm(t.strip()) for t in args.monodromy.split(";")]
     data = recillas.tetragonal_to_trigonal(perms)
     entries = []
@@ -359,6 +389,8 @@ def cmd_recillas(args) -> int:
 
 
 def cmd_parity(args) -> int:
+    from . import parity
+
     pieces = [frac(t.strip()) for t in args.pieces.split(",") if t.strip()]
     sc = parity.SectionClass(pieces)
     p = parity.section_parity(sc)
@@ -375,12 +407,13 @@ def cmd_parity(args) -> int:
     return 0
 
 
+# --type value to the name of the classify function it runs
 _CLASSIFY_DISPATCH = {
-    "1-5": classify.classify_type_1_5,
-    "6": classify.classify_type_6,
-    "7": classify.classify_type_7,
-    "8": classify.classify_type_8,
-    "all": classify.theorem_divisors,
+    "1-5": "classify_type_1_5",
+    "6": "classify_type_6",
+    "7": "classify_type_7",
+    "8": "classify_type_8",
+    "all": "theorem_divisors",
 }
 
 
@@ -397,7 +430,9 @@ def _desc_str(desc: classify.StableCurveDesc) -> str:
 
 
 def cmd_classify(args) -> int:
-    records = _CLASSIFY_DISPATCH[args.type]()
+    from . import classify
+
+    records = getattr(classify, _CLASSIFY_DISPATCH[args.type])()
     if args.format == "json":
         _emit(args, _json_dump([
             {
@@ -421,6 +456,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_genus(args) -> int:
+    from . import resolve
+
     pa = resolve.pa_hirzebruch(args.l, args.n, args.m)
     sings = [int(t) for t in args.ak.split(",") if t.strip()] if args.ak else []
     g = resolve.geometric_genus(pa, sings)

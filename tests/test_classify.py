@@ -148,6 +148,35 @@ def test_c2_even_p4_entries():
     assert {"2.8", "2.9", "2.10", "2.14"} <= labels
 
 
+def test_c2_entry_finds_every_entry():
+    for j in range(1, 10):
+        for e in enumerate_c2_models(j):
+            assert classify._c2_entry(e.label, e.param) == e
+    assert classify._c2_entry("2.9", None) == next(
+        e for e in enumerate_c2_models(8) if e.label == "2.9")
+    for label, p in (("2.1", 4), ("2.5", 0), ("2.3", None), ("2.15", 1),
+                     ("1.3", 1), ("2.x", 1)):
+        with pytest.raises(ClassifyError, match="no c2 entry"):
+            classify._c2_entry(label, p)
+
+
+def test_verify_golden_c2_builds(monkeypatch):
+    # c2_models.json builds the nine lists; each Table 2 row looks up one
+    # entry by building the one list that holds it
+    from orbiquint.cli import _golden_dir, verify_golden
+
+    calls = []
+    build = classify.enumerate_c2_models
+    monkeypatch.setattr(classify, "enumerate_c2_models",
+                        lambda j: calls.append(j) or build(j))
+    assert verify_golden(_golden_dir())[0]
+    first = len(calls)
+    assert first <= 9 + len(TABLE2_ROWS)
+    # nothing is kept between calls: the second call does the same work
+    assert verify_golden(_golden_dir())[0]
+    assert len(calls) == 2 * first
+
+
 def test_table_parities():
     for k, row in enumerate(TABLE2_ROWS, 1):
         assert type7_row_parity(row, k) is Parity.ODD

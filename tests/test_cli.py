@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +163,28 @@ def test_env_override(tmp_path, capsys, monkeypatch):
 def test_golden_artifacts_deterministic():
     for name, gen in golden_artifacts().items():
         assert gen() == gen(), name
+
+
+def _python(*argv):
+    src = str(Path(cli.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_python_m_entry_points():
+    p = _python("-m", "orbiquint.cli", "resolve", "--r", "3", "--q", "2")
+    assert (p.returncode, p.stdout, p.stderr) == (0, "[2,2]\n", "")
+    p = _python("-m", "orbiquint", "resolve", "--r", "3", "--q", "2")
+    assert (p.returncode, p.stdout, p.stderr) == (0, "[2,2]\n", "")
+
+
+def test_submodule_import_is_lazy():
+    p = _python("-c", "import sys, orbiquint.resolve; print(*sys.modules)")
+    assert p.returncode == 0, p.stderr
+    loaded = set(p.stdout.split())
+    assert "orbiquint.resolve" in loaded
+    assert not {"orbiquint.classify", "orbiquint.covergraphs", "orbiquint.cli"} & loaded
+    p = _python("-c", "import orbiquint; print(orbiquint.classify.table1()[0].row)")
+    assert (p.returncode, p.stdout) == (0, "1\n")
