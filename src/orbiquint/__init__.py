@@ -1,7 +1,8 @@
 """Exact boundary arithmetic for the plane-quintic locus in genus 6.
 
 Modules:
-  orbiscroll  -- intersection theory on orbifold Hirzebruch scrolls
+  orbiscroll  -- adjunction, branch relation and coarse singularities of
+                 orbifold Hirzebruch scrolls
   resolve     -- Hirzebruch-Jung resolution and diagram blow-downs
   covergraphs -- admissible-cover dual-graph enumeration
   recillas    -- the tetragonal-trigonal permutation correspondence

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
-from . import covergraphs, parity, resolve
-from .covergraphs import R_OPTIONS, BaseShape
-from .orbiscroll import adjunction_degree, frac, frac_str, tetragonal_branch_relation
+from . import covergraphs, resolve
+from .covergraphs import R_OPTIONS, BaseShape, rh_ramification
+from .orbiscroll import adjunction_degree, frac, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
 from .resolve import AkSing, geometric_genus, pa_hirzebruch
 
@@ -45,13 +45,9 @@ class Table1Row:
     disc2: bool
 
 
-# branch-count pairs (b1, b2) per graph type, from the degree splits;
-# the first component is the one with more branch points
-_TYPE_SHAPES = {1: BaseShape.I, 2: BaseShape.II, 3: BaseShape.II,
-                4: BaseShape.III, 5: BaseShape.III}
-
-
 def _branch_pairs() -> dict[int, tuple[int, int]]:
+    """Branch-count pairs (b1, b2) per graph type, from the degree splits;
+    the first component is the one with more branch points."""
     splits = {
         shape: covergraphs.degree_splits(shape, 18)
         for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
@@ -85,27 +81,29 @@ def node_orbit_count(r: int, b: int) -> int:
     raise ClassifyError(f"no node cycle type of order {r} on 4 letters")
 
 
-def component_genus(r: int, b: int) -> int:
-    """Genus of a tetragonal component with b branch points and an
-    orbinode of order r: 2g - 2 = -8 + b + (4 - orbits)."""
-    o = node_orbit_count(r, b)
-    two_g = -8 + b + (4 - o) + 2
+def _tetragonal_genus(ram: int | Fraction, where: str) -> int:
+    """Genus g of a degree-4 cover of P^1 with total ramification ram, so
+    that rh_ramification(4, g) = ram; it must be an integer >= -1."""
+    two_g = ram - rh_ramification(4, 0)  # the kernel has slope 2 in g
     if two_g % 2:
-        raise ClassifyError(f"non-integral genus for r={r}, b={b}")
-    g = two_g // 2
+        raise ClassifyError(f"non-integral genus for {where}")
+    g = int(two_g) // 2
     if g < -1:
-        raise ClassifyError(f"genus {g} < -1 for r={r}, b={b}")
+        raise ClassifyError(f"genus {g} < -1 for {where}")
     return g
 
 
+def component_genus(r: int, b: int) -> int:
+    """Genus of a tetragonal component with b branch points and an
+    orbinode of order r: the ramification is b + (4 - orbits)."""
+    return _tetragonal_genus(b + 4 - node_orbit_count(r, b), f"r={r}, b={b}")
+
+
 def component_genus_adjunction(r: int, m: Fraction, a: Fraction, b: int) -> int:
-    """Same genus via the relative dualizing sheaf: deg omega = (n-1)(2m-an)."""
-    o = node_orbit_count(r, b)
-    deg_omega = adjunction_degree(4, m, a)
-    two_g = -8 + deg_omega + (4 - o) + 2
-    if two_g.denominator != 1 or two_g.numerator % 2:
-        raise ClassifyError("non-integral adjunction-route genus")
-    return int(two_g) // 2
+    """Same genus with the branch points counted by the relative dualizing
+    sheaf of the curve in |4 sigma + m F|: deg omega = (n-1)(2m-an)."""
+    ram = adjunction_degree(4, m, a) + 4 - node_orbit_count(r, b)
+    return _tetragonal_genus(ram, f"r={r}, b={b}, a={a}, m={m} (adjunction route)")
 
 
 def _candidate_numerators(r: int, b: int) -> list[int]:
@@ -626,7 +624,7 @@ def type7_section_parities(row: Type7Row) -> list[Parity]:
         for s1 in (c1.sigmaA2, c1.sigmaB2):
             for s2 in (c2.sigmaA2, c2.sigmaB2):
                 for g in row.tail_genera:
-                    b = 0 if g < 0 else 2 * g + 2
+                    b = rh_ramification(2, g)  # hyperelliptic tail
                     sc = SectionClass([s1, s2, tail_section_contribution(b)])
                     if sc.total.denominator == 1:
                         out.append(section_parity(sc))

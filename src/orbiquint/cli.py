@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 

@@ -240,13 +240,21 @@ class BoundaryType:
 # Elementary counts and filters
 
 
+def rh_ramification(degree: int, genus: int) -> int:
+    """Total ramification of a degree-d cover of P^1 by a curve of genus
+    g, from Riemann-Hurwitz: 2g - 2 = -2d + ram.  This is the package's
+    one Riemann-Hurwitz kernel."""
+    return 2 * genus - 2 + 2 * degree
+
+
 def generic_branch_count(d: int) -> int:
     """Moving branch points of the generic degree-6d cover: 5d - 2."""
     if d < 1:
         raise ShapeError("d must be >= 1")
     count = 5 * d - 2
-    # Riemann-Hurwitz sanity: -2 = -12d + 3d + 4d + (5d - 2).
-    if -2 != -12 * d + 3 * d + 4 * d + count:
+    # Riemann-Hurwitz sanity for the rational cover: the all-2s and all-3s
+    # profiles carry 3d and 4d of the ramification, the moving points the rest
+    if rh_ramification(6 * d, 0) != 3 * d + 4 * d + count:
         raise ShapeError(f"Riemann-Hurwitz does not balance at d = {d}")
     return count
 
@@ -337,9 +345,10 @@ def _component_beta(
     degree: int, genus: int, profiles: Iterable[tuple[str, RamProfile]],
     node_locals: Iterable[int],
 ) -> int:
-    """Moving branch count from Riemann-Hurwitz over a rational base."""
+    """Moving branch count: the ramification Riemann-Hurwitz requires,
+    less what the fixed profiles and the node fibers already carry."""
     ram = sum(p.ram for _, p in profiles) + sum(l - 1 for l in node_locals)
-    return 2 * genus - 2 + 2 * degree - ram
+    return rh_ramification(degree, genus) - ram
 
 
 def _node_fibers(edges: Iterable[NodeEdge]) -> defaultdict[tuple[str, str], list[int]]:
@@ -462,7 +471,7 @@ def check_cover(graph: CoverGraph) -> list[str]:
             if (c.profile_over(pt) is not None) != (c.side == expected_sides[pt]):
                 diags.append(f"profile over {pt} on wrong side for {c.id}")
 
-    # per-component Riemann-Hurwitz: beta = 2g - 2 + 2 deg - ram
+    # per-component Riemann-Hurwitz: beta = rh_ramification(deg, g) - ram
     for c in graph.components:
         two_g = c.beta - _component_beta(c.degree, 0, c.profiles, fibers[c.side, c.id])
         if two_g % 2:

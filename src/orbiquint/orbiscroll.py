@@ -1,18 +1,15 @@
 """Exact arithmetic on orbifold Hirzebruch scrolls.
 
-The scroll F_a = P(O + O(-a)) over the projective line with a single
-orbifold point of order r carries the two-generator intersection pairing
-
-    sigma^2 = -a,   sigma.F = 1,   F^2 = 0,
-
-where sigma is the directrix and F the fiber class.  The co-directrix is
-tau = sigma + a F.  Everything here is exact rational arithmetic; no
-floating point is ever used.
+F_a = P(O + O(-a)) over the projective line with a single orbifold point
+of order r, with directrix sigma (sigma^2 = -a) and fiber class F.  This
+module holds the adjunction degree of a curve in |n sigma + m F|, the
+tetragonal branch relation m = b/6 + 2a with its smoothness criterion,
+and the cyclic quotient singularities of the coarse space.  Everything
+here is exact rational arithmetic; no floating point is ever used.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -41,69 +38,9 @@ def frac_str(x: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class OrbiBase:
-    """The base curve P^1(r-th root of 0): one orbifold point of order r."""
-
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("orbifold order r must be >= 1")
-
-
-@dataclass(frozen=True)
-class Scroll:
-    """F_a over an OrbiBase; the twist a is a nonnegative element of (1/r)Z."""
-
-    base: OrbiBase
-    a: Fraction
-
-    def __post_init__(self) -> None:
-        a = frac(self.a)
-        object.__setattr__(self, "a", a)
-        if a < 0:
-            raise ValueError("twist a must be >= 0")
-        if (self.base.r * a).denominator != 1:
-            raise ValueError("r*a must be an integer")
-
-    def pair(self, d1: "ScrollDivisor", d2: "ScrollDivisor") -> Fraction:
-        """Intersection number of n1*sigma + m1*F with n2*sigma + m2*F."""
-        return (
-            -self.a * d1.n * d2.n + d1.n * frac(d2.m) + d2.n * frac(d1.m)
-        )
-
-
-@dataclass(frozen=True)
-class ScrollDivisor:
-    """The divisor class n*sigma + m*F."""
-
-    n: int
-    m: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", frac(self.m))
-        if self.n < 0:
-            raise ValueError("fiber degree n must be >= 0")
-
-
-class SmoothClass(enum.Enum):
-    CONNECTED = "Connected"
-    DISJOINT_DIRECTRIX = "DisjointDirectrix"
-    NOT_SMOOTH = "NotSmooth"
-
-
-@dataclass(frozen=True)
-class SectionConstraints:
-    avoids_sigma0: bool
-    etale_over_0: bool
-    smooth_class: SmoothClass
-
-
-@dataclass(frozen=True)
 class BranchRelation:
     m: Fraction
     avoid_bound: bool
-    etale_bound: bool
     smooth_ok: bool
 
 
@@ -139,41 +76,6 @@ def adjunction_degree(n: int, m: FracLike, a: FracLike) -> Fraction:
     return (n - 1) * (2 * m - a * n)
 
 
-def section_constraints(
-    n: int, m: FracLike, a: FracLike, r: int
-) -> SectionConstraints:
-    """Positional constraints of a member of |n sigma + m F| near sigma.
-
-    avoids_sigma0 holds iff C.sigma = m - n a is a nonnegative integer;
-    etale_over_0 iff m - n a or m - (n-1) a is; the smooth classification
-    distinguishes the connected case (m - n a >= 0), the disjoint union of
-    sigma with a curve in |(n-1) tau| (m - n a = -a), and the rest.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    m, a = frac(m), frac(a)
-    if (r * a).denominator != 1 or (r * m).denominator != 1:
-        raise ValueError("r*a and r*m must be integers")
-
-    c_sigma = m - n * a
-    c_cosection = m - (n - 1) * a
-
-    def nonneg_int(x: Fraction) -> bool:
-        return x.denominator == 1 and x >= 0
-
-    avoids = nonneg_int(c_sigma)
-    etale = nonneg_int(c_sigma) or nonneg_int(c_cosection)
-    if c_sigma >= 0:
-        smooth = SmoothClass.CONNECTED
-    elif c_sigma == -a:
-        smooth = SmoothClass.DISJOINT_DIRECTRIX
-    else:
-        smooth = SmoothClass.NOT_SMOOTH
-    return SectionConstraints(avoids, etale, smooth)
-
-
 def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
     """m = b/6 + 2a for a tetragonal class 4 sigma + m F with b branch points.
 
@@ -186,9 +88,8 @@ def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
         raise ValueError("b must be >= 0")
     m = Fraction(b, 6) + 2 * a
     avoid = a <= Fraction(b, 12)
-    etale = a <= Fraction(b, 6)
     smooth_ok = avoid or a == Fraction(b, 6)
-    return BranchRelation(m, avoid, etale, smooth_ok)
+    return BranchRelation(m, avoid, smooth_ok)
 
 
 def coarse_singularities(r: int, a: FracLike) -> CoarseSingularities:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -84,7 +84,8 @@ class Parity(enum.Enum):
 @dataclass(frozen=True)
 class SectionClass:
     """Self-intersection pieces of a section through a scroll degeneration;
-    each piece lies in (1/2)Z and the total must be an integer."""
+    each piece lies in (1/2)Z and the total must be an integer.  The total
+    is summed once here; equality and hashing use only the pieces."""
 
     pieces: tuple[Fraction, ...]
 
@@ -93,10 +94,7 @@ class SectionClass:
         for p in self.pieces:
             if p.denominator not in (1, 2):
                 raise ParityError(f"piece {frac_str(p)} is not in (1/2)Z")
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.pieces, Fraction(0))
+        object.__setattr__(self, "total", sum(self.pieces, Fraction(0)))
 
 
 def section_parity(sc: SectionClass) -> Parity:

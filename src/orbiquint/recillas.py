@@ -16,7 +16,6 @@ sigma tau sigma^{-1} (equivalently, elementwise relabeling).
 
 from __future__ import annotations
 
-import enum
 import itertools
 import re
 from dataclasses import dataclass
@@ -205,11 +204,7 @@ def tetragonal_to_trigonal(mon: Sequence[Perm]) -> CorrespondenceData:
 
 
 # ---------------------------------------------------------------------------
-# Named subgroups and the block-swap criterion
-
-KLEIN_FOUR: tuple[Perm, ...] = tuple(
-    sigma for sigma in s4_elements() if sigma.cycle_type() in ((1, 1, 1, 1), (2, 2))
-)
+# D4 and the block-swap criterion
 
 _BLOCKS = frozenset({frozenset({1, 2}), frozenset({3, 4})})
 
@@ -217,20 +212,6 @@ _BLOCKS = frozenset({frozenset({1, 2}), frozenset({3, 4})})
 def d4_elements() -> list[Perm]:
     """D4 = Stab({{1,2},{3,4}}) inside S4."""
     return [s for s in s4_elements() if _act_on_set(s, _BLOCKS) == _BLOCKS]
-
-
-def s3_embedding() -> list[Perm]:
-    """S3 inside S4 as the permutations moving only the first three points."""
-    return [s for s in s4_elements() if s(4) == 4]
-
-
-# node-type labels of the one-tail degenerations (fixed correspondence data)
-NODE_TYPE_LABELS: dict[str, Perm] = {
-    "I": parse_perm("(1 3)(2 4)"),
-    "II": parse_perm("(1 4)(3 2)"),
-    "III": parse_perm("(1 2)(3 4)"),
-    "IV": Perm.identity(4),
-}
 
 
 def blocks_swapped(pi: Perm) -> bool:
@@ -242,71 +223,3 @@ def blocks_swapped(pi: Perm) -> bool:
     if pi.n != 4 or _act_on_set(pi, _BLOCKS) != _BLOCKS:
         raise PermError("blocks_swapped needs an element of D4 = Stab({{1,2},{3,4}})")
     return _act_on_set(pi, frozenset({1, 2})) == frozenset({3, 4})
-
-
-# ---------------------------------------------------------------------------
-# Local monodromy models at a tail node
-
-
-class MonodromyCase(enum.Enum):
-    PRESERVES = "PreservesComponents"
-    SWITCHES = "SwitchesComponents"
-
-
-@dataclass(frozen=True)
-class TwinA:
-    """Two A_{k} singularities exchanged by the deck involution."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class MonodromyLocalModel:
-    case: MonodromyCase
-    n: int
-    sing: object  # (i, j) pair or TwinA(n-1)
-    cycle_type: tuple[int, ...] | None  # None where the source leaves it open
-    canonical: tuple[int, int] | None = None  # normalize_ij of an (i, j) pair
-
-
-def normalize_ij(i: int, j: int) -> tuple[int, int]:
-    """Canonical representative of the orbit (i, j) -> (i-2, j+2).
-
-    Normal form has j' in {-1, 0}: singularities A_{i+j+1} and A_{-1},
-    or A_{i+j} and A_0, depending on the parity of j.
-    """
-    if i < -1 or j < -1:
-        raise PermError("A-singularity indices must be >= -1")
-    if i + j < -2:
-        raise PermError("i + j must be >= -2")
-    jp = -1 if j % 2 else 0
-    return (i + j - jp, jp)
-
-
-def local_model(case: MonodromyCase, n: int) -> list[MonodromyLocalModel]:
-    """Local models of the degree-4 cover near a node of local degree n.
-
-    When the monodromy preserves the two branches: an A_i and an A_j
-    singularity with i + j = n - 2.  Cycle types as recorded: n odd gives
-    (2); n even gives trivial for even i and (2,2) for odd i.  When it
-    switches the branches: two A_{n-1} singularities; cycle type (2,2)
-    for even n and (4) for odd n.
-    """
-    if n < 1:
-        raise PermError("n must be >= 1")
-    if case is MonodromyCase.SWITCHES:
-        ct = (2, 2) if n % 2 == 0 else (4,)
-        return [MonodromyLocalModel(case, n, TwinA(n - 1), ct)]
-    out = []
-    for i in range(-1, n):
-        j = n - 2 - i
-        if j < -1:
-            continue
-        if n % 2:
-            ct: tuple[int, ...] | None = (2, 1, 1)
-        else:
-            ct = (1, 1, 1, 1) if i % 2 == 0 else (2, 2)
-        out.append(
-            MonodromyLocalModel(case, n, (i, j), ct, canonical=normalize_ij(i, j))
-        )
-    return out

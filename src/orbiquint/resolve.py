@@ -29,9 +29,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
-from .orbiscroll import CQSData as CQS
 from .orbiscroll import FracLike, coarse_singularities, frac
 
 
@@ -428,19 +427,6 @@ def geometric_genus(pa: int, sings: Iterable[AkSing | int]) -> int:
     g = pa - sum(delta_invariant(s) for s in sings)
     if g < 0:
         raise ResolveError(f"negative geometric genus {g}")
-    return g
-
-
-def genus_rh(deg: int, base_genus: int, ram_total: int) -> int:
-    """Genus from Riemann-Hurwitz: 2g - 2 = deg(2 base_genus - 2) + ram."""
-    if ram_total < 0:
-        raise ResolveError("ramification total must be >= 0")
-    two_g = deg * (2 * base_genus - 2) + ram_total + 2
-    if two_g % 2 != 0:
-        raise ResolveError(f"non-integral genus: 2g = {two_g}")
-    g = two_g // 2
-    if g < 0:
-        raise ResolveError(f"negative genus {g}")
     return g
 
 

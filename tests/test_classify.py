@@ -28,6 +28,8 @@ from orbiquint.classify import (
     type7_row_parity,
     type7_section_parities,
 )
+from orbiquint.covergraphs import rh_ramification
+from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity
 
 
@@ -67,6 +69,44 @@ def test_dual_route_genus():
         assert component_genus(r.r, pair[0]) == r.g1
         assert component_genus_adjunction(r.r, r.m1, abs(r.v1), pair[0]) == r.g1
         assert component_genus_adjunction(r.r, r.m2, abs(r.v2), pair[1]) == r.g2
+
+
+def _genus_or_none(route, *args):
+    try:
+        return route(*args)
+    except ClassifyError:
+        return None
+
+
+def test_genus_routes_agree_on_grid():
+    # the Riemann-Hurwitz and adjunction routes give the same genus, or
+    # both refuse (non-integral or below -1, e.g. r = 1, b = 0 gives -3),
+    # over r = 1..4, b = 0..40 and every twist a = k/r <= 3
+    for r in range(1, 5):
+        for b in range(41):
+            rh = _genus_or_none(component_genus, r, b)
+            assert rh is None or rh >= -1
+            for k in range(3 * r + 1):
+                a = Fraction(k, r)
+                m = tetragonal_branch_relation(a, b).m
+                assert _genus_or_none(component_genus_adjunction, r, m, a, b) == rh, (r, b, a)
+
+
+def test_hyperelliptic_tail_ramification():
+    # the tail count of type7_section_parities: 2g + 2 Weierstrass points
+    # on a hyperelliptic tail, none on the empty tail g = -1
+    for g in range(-1, 11):
+        assert rh_ramification(2, g) == (0 if g < 0 else 2 * g + 2)
+
+
+def test_table1_disc_is_disjoint_directrix():
+    # disc marks a component that is the directrix plus a residual curve:
+    # C.sigma = m - 4|v| equals -|v|, i.e. |v| = b/6
+    pairs = classify._branch_pairs()
+    for row in table1():
+        for v, m, b, disc in zip((row.v1, row.v2), (row.m1, row.m2),
+                                 pairs[row.graph_type], (row.disc1, row.disc2)):
+            assert disc == (m - 4 * abs(v) == -abs(v)) == (abs(v) == Fraction(b, 6))
 
 
 def test_hyperelliptic_tail_genus():

@@ -2,6 +2,7 @@ import ast
 import functools
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -173,6 +174,79 @@ def test_covergraphs_has_no_assert():
         if isinstance(n, ast.Assert)
     ]
     assert asserts == []
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    package = Path(covergraphs.__file__).parent
+    return {p.name: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a syntax tree refers to: plain and attribute names, imported
+    names, and string constants that spell a dotted name (dispatch tables
+    and perfbench's tracing targets name functions by string)."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.update(n.name.split("."))
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and _DOTTED_NAME.fullmatch(n.value)):
+            names.update(n.value.split("."))
+    return names
+
+
+def test_package_imports_are_used():
+    unused = []
+    for module, tree in _package_trees().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+            n.value.split(".")[0] for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and _DOTTED_NAME.fullmatch(n.value)
+        }
+        unused += [
+            (module, n.lineno, bound)
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            and getattr(n, "module", None) != "__future__"
+            for bound in (a.asname or a.name.split(".")[0] for a in n.names)
+            if bound not in used
+        ]
+    assert unused == []
+
+
+def test_package_has_no_orphan_definitions():
+    # every top-level function, class and constant of the package is used
+    # by another top-level statement of the package, by the acceptance
+    # suite, or by the benchmark harness
+    trees = _package_trees()
+    outside = [_ROOT / "tests" / "test_acceptance.py", *sorted((_ROOT / "perfbench").glob("*.py"))]
+    external = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in outside))
+    stmts = [(module, s) for module, tree in trees.items() for s in tree.body]
+    refs = [_referenced_names(s) for _, s in stmts]
+    orphans = []
+    for k, (module, s) in enumerate(stmts):
+        if isinstance(s, (ast.FunctionDef, ast.ClassDef)):
+            defined = [s.name]
+        elif isinstance(s, (ast.Assign, ast.AnnAssign)):
+            targets = s.targets if isinstance(s, ast.Assign) else [s.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in external or any(name in r for j, r in enumerate(refs) if j != k):
+                continue
+            orphans.append((module, name))
+    assert orphans == []
 
 
 def test_complete_redundant_stamped_tail_sharing_an_id():

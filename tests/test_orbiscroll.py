@@ -5,15 +5,10 @@ from hypothesis import given, strategies as st
 
 from orbiquint.orbiscroll import (
     CQSData,
-    OrbiBase,
-    Scroll,
-    ScrollDivisor,
-    SmoothClass,
     adjunction_degree,
     coarse_singularities,
     frac,
     frac_str,
-    section_constraints,
     tetragonal_branch_relation,
 )
 
@@ -33,36 +28,6 @@ def test_frac_coercions():
     assert frac(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         frac(1.5)
-
-
-def test_pairing_generators():
-    # defining pairing: sigma^2 = -a, sigma.F = 1, F^2 = 0
-    s = Scroll(OrbiBase(2), Fraction(1, 2))
-    sigma = ScrollDivisor(1, 0)
-    fiber = ScrollDivisor(0, 1)
-    assert s.pair(sigma, sigma) == Fraction(-1, 2)
-    assert s.pair(sigma, fiber) == 1
-    assert s.pair(fiber, fiber) == 0
-    # co-directrix tau = sigma + a F has tau^2 = +a
-    tau = ScrollDivisor(1, Fraction(1, 2))
-    assert s.pair(tau, tau) == Fraction(1, 2)
-    assert s.pair(sigma, tau) == 0
-
-
-@given(
-    st.integers(min_value=0, max_value=6),
-    fractions_st,
-    st.integers(min_value=0, max_value=6),
-    fractions_st,
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=12),
-)
-def test_pairing_symmetric_bilinear(n1, m1, n2, m2, r, ka):
-    s = Scroll(OrbiBase(r), Fraction(ka, r))
-    d1, d2 = ScrollDivisor(n1, m1), ScrollDivisor(n2, m2)
-    assert s.pair(d1, d2) == s.pair(d2, d1)
-    dsum = ScrollDivisor(n1 + n2, m1 + m2)
-    assert s.pair(dsum, d1) == s.pair(d1, d1) + s.pair(d2, d1)
 
 
 def test_adjunction_degree():
@@ -94,19 +59,6 @@ def test_branch_relation_smoothness():
     # strictly between b/12 and b/6 is not smooth
     rel = tetragonal_branch_relation(1, 9)
     assert not rel.smooth_ok
-
-
-def test_section_constraints():
-    sc = section_constraints(4, 2, 0, 1)
-    assert sc.avoids_sigma0 and sc.etale_over_0
-    assert sc.smooth_class is SmoothClass.CONNECTED
-    # m - na = -a: directrix splits off
-    sc = section_constraints(4, 3, 1, 1)
-    assert sc.smooth_class is SmoothClass.DISJOINT_DIRECTRIX
-    sc = section_constraints(4, 2, 1, 1)
-    assert sc.smooth_class is SmoothClass.NOT_SMOOTH
-    with pytest.raises(ValueError):
-        section_constraints(4, Fraction(1, 3), Fraction(1, 2), 2)
 
 
 def test_coarse_singularities():
@@ -148,14 +100,3 @@ def test_cqs_canonicalization():
     assert CQSData(1, 0).smooth and CQSData(4, 0).smooth
     with pytest.raises(ValueError):
         CQSData(0, 1)
-
-
-def test_scroll_validation():
-    with pytest.raises(ValueError):
-        Scroll(OrbiBase(2), Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        Scroll(OrbiBase(2), Fraction(1, 3))
-    with pytest.raises(ValueError):
-        OrbiBase(0)
-    with pytest.raises(ValueError):
-        ScrollDivisor(-1, 0)

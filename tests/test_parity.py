@@ -84,3 +84,12 @@ def test_tail_section_contribution():
     assert tail_section_contribution(5) == Fraction(5, 2)
     with pytest.raises(ParityError):
         tail_section_contribution(-1)
+
+
+def test_section_class_total_is_not_compared():
+    sc = SectionClass([1, "1/2", Fraction(1, 2)])
+    assert sc.total == 2
+    same = SectionClass([Fraction(1), Fraction(1, 2), Fraction(1, 2)])
+    assert sc == same and hash(sc) == hash(same)
+    assert sc != SectionClass([2])  # equal totals, different pieces
+    assert "total" not in repr(sc)

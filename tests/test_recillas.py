@@ -1,27 +1,18 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
 from orbiquint.recillas import (
-    KLEIN_FOUR,
-    NODE_TYPE_LABELS,
     PAIR_PARTITIONS,
     TRANSPOSITIONS,
-    MonodromyCase,
     Perm,
     PermError,
-    TwinA,
     blocks_swapped,
     d4_elements,
     fix_counts,
     induced_on_partitions,
     induced_on_transpositions,
-    local_model,
-    normalize_ij,
     parse_perm,
     recillas_character_check,
-    s3_embedding,
     s4_elements,
     tetragonal_to_trigonal,
 )
@@ -67,8 +58,6 @@ def test_finite_sets():
     assert len(TRANSPOSITIONS) == 6
     assert len(PAIR_PARTITIONS) == 3
     assert len(s4_elements()) == 24
-    assert len(KLEIN_FOUR) == 4
-    assert len(s3_embedding()) == 6
     assert len(d4_elements()) == 8
 
 
@@ -99,8 +88,11 @@ def test_correspondence_data():
     data = tetragonal_to_trigonal([parse_perm("(1 2 3)")])
     assert data.trigonal[0].cycle_type() == (3,)
     assert data.double[0].cycle_type() == (3, 3)
-    # Klein four acts trivially on the partitions
-    for v in KLEIN_FOUR:
+    # Klein four (the identity and the double transpositions) acts
+    # trivially on the partitions
+    klein_four = [s for s in s4_elements() if s.cycle_type() in ((1, 1, 1, 1), (2, 2))]
+    assert len(klein_four) == 4
+    for v in klein_four:
         assert induced_on_partitions(v) == Perm.identity(3)
 
 
@@ -111,51 +103,3 @@ def test_blocks_swapped():
     assert not blocks_swapped(Perm.identity(4))
     with pytest.raises(PermError):
         blocks_swapped(parse_perm("(2 3)"))  # not in D4
-
-
-def test_node_type_labels():
-    assert set(NODE_TYPE_LABELS) == {"I", "II", "III", "IV"}
-    assert NODE_TYPE_LABELS["IV"] == Perm.identity(4)
-    for label in ("I", "II", "III"):
-        assert NODE_TYPE_LABELS[label].cycle_type() == (2, 2)
-
-
-def test_normalize_ij():
-    # the orbit move is (i, j) -> (i - 2, j + 2); normal form has j in {-1, 0}
-    assert normalize_ij(3, 1) == (5, -1)
-    assert normalize_ij(2, 2) == (4, 0)
-    assert normalize_ij(0, 0) == (0, 0)
-    assert normalize_ij(-1, 1) == (1, -1)
-    assert normalize_ij(-1, -1) == (-1, -1)
-    with pytest.raises(PermError):
-        normalize_ij(-2, 0)
-
-
-def test_normalize_ij_invariant():
-    for i in range(-1, 8):
-        for j in range(-1, 8):
-            ci, cj = normalize_ij(i, j)
-            assert ci + cj == i + j
-            assert cj in (-1, 0)
-
-
-def test_local_model_preserves():
-    models = local_model(MonodromyCase.PRESERVES, 4)
-    sings = {m.sing for m in models}
-    assert sings == {(-1, 3), (0, 2), (1, 1), (2, 0), (3, -1)}
-    for m in models:
-        i, j = m.sing
-        assert i + j == 2
-        assert m.cycle_type == ((1, 1, 1, 1) if i % 2 == 0 else (2, 2))
-        assert m.canonical == normalize_ij(i, j)
-    models = local_model(MonodromyCase.PRESERVES, 3)
-    assert all(m.cycle_type == (2, 1, 1) for m in models)
-
-
-def test_local_model_switches():
-    (m,) = local_model(MonodromyCase.SWITCHES, 4)
-    assert m.sing == TwinA(3)
-    assert m.cycle_type == (2, 2)
-    (m,) = local_model(MonodromyCase.SWITCHES, 3)
-    assert m.sing == TwinA(2)
-    assert m.cycle_type == (4,)

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from orbiquint.covergraphs import rh_ramification
 from orbiquint.resolve import (
     DIAGRAM_ITEMS,
     AkSing,
@@ -18,7 +19,6 @@ from orbiquint.resolve import (
     config_isomorphic,
     contract_minus_ones,
     delta_invariant,
-    genus_rh,
     geometric_genus,
     hj_expand,
     hj_reconstruct,
@@ -65,9 +65,11 @@ def test_delta_and_genus():
     assert geometric_genus(6, [AkSing(2)]) == 5
     with pytest.raises(ResolveError):
         geometric_genus(1, [AkSing(4)])
-    assert genus_rh(2, 0, 6) == 2
-    with pytest.raises(ResolveError):
-        genus_rh(2, 0, 5)
+    # Riemann-Hurwitz kernel: a genus-2 double cover of P^1 has 6 branch
+    # points, a rational cubic (-2 = -6 + ram) has total ramification 4
+    assert rh_ramification(2, 2) == 6
+    assert rh_ramification(3, 0) == 4
+    assert rh_ramification(1, 0) == 0
 
 
 def test_build_coarse_fiber_config():
