@@ -204,14 +204,25 @@ class StableCurveDesc:
     edges: tuple[tuple[int, int], ...]  # index pairs; (i, i) is a loop
 
     def canonical(self) -> "StableCurveDesc":
-        key = lambda v: (v.genus, sorted(t.value for t in v.tags),
-                         sorted(m.value for m in v.marks))
-        order = sorted(range(len(self.vertices)), key=lambda i: key(self.vertices[i]))
-        relabel = {old: new for new, old in enumerate(order)}
-        verts = tuple(self.vertices[i] for i in order)
-        edges = tuple(
-            sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in self.edges)
+        """Vertices sorted by label; among the orders that permute equally
+        labelled vertices only, the one with the least edge tuple wins, so
+        isomorphic descriptions get equal forms."""
+        label = [(v.genus, sorted(t.value for t in v.tags),
+                  sorted(m.value for m in v.marks)) for v in self.vertices]
+        order = sorted(range(len(label)), key=label.__getitem__)
+        ties = [list(g) for _, g in itertools.groupby(order, key=label.__getitem__)]
+
+        def edges_for(order: list[int]) -> tuple[tuple[int, int], ...]:
+            relabel = {old: new for new, old in enumerate(order)}
+            return tuple(sorted(
+                tuple(sorted((relabel[a], relabel[b]))) for a, b in self.edges
+            ))
+
+        edges = min(
+            edges_for([i for group in perm for i in group])
+            for perm in itertools.product(*map(itertools.permutations, ties))
         )
+        verts = tuple(self.vertices[i] for group in ties for i in group)
         return StableCurveDesc(verts, edges)
 
 
@@ -302,9 +313,8 @@ def _record(theorem_index: int, *sources: str) -> DivisorRecord:
 # ---------------------------------------------------------------------------
 # Types (1)-(5): Table 1 rows to divisors
 
-# recorded expectations: rows mapping to the interior, and rows whose
-# images have dimension at most 10 (prose dimension counts, not re-derived)
-ROWS_INTERIOR = frozenset({9, 10, 15, 16})
+# recorded expectation: rows whose images have dimension at most 10
+# (prose dimension counts, not re-derived)
 ROWS_LOW_DIMENSION = frozenset({2, 5, 6, 13, 14})
 
 # surviving rows to theorem divisors
@@ -317,7 +327,9 @@ def classify_type_1_5() -> list[DivisorRecord]:
         raise ClassifyError(f"Table 1 has {len(rows)} rows, expected 16")
     by_theorem: dict[int, list[str]] = {}
     for row in rows:
-        if row.row in ROWS_INTERIOR or row.row in ROWS_LOW_DIMENSION:
+        # a genus-6 component leaves the other one rational, and
+        # stabilization contracts it: the row maps to the interior
+        if 6 in (row.g1, row.g2) or row.row in ROWS_LOW_DIMENSION:
             continue
         by_theorem.setdefault(ROW_TO_THEOREM[row.row], []).append(
             f"type({row.graph_type}) row {row.row}"

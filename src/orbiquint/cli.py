@@ -4,6 +4,10 @@ Every computation in the library is exposed as a subcommand, with
 markdown / TSV / JSON / DOT emitters and byte-level snapshot testing
 against the golden data shipped in the package (overridable with the
 ORBIQUINT_GOLDEN environment variable).
+
+Each subcommand returns its text and exit status and writes nothing;
+`main` alone writes the text to stdout or to `--out`, and turns domain
+errors into exit status 1 with a message on stderr.
 """
 
 from __future__ import annotations
@@ -50,34 +54,49 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
+def _cells(record: dict, yes: str, no: str) -> list[str]:
+    """A JSON record's values as table cells; a flag prints as yes or no."""
+    return [(yes if v else no) if isinstance(v, bool) else str(v)
+            for v in record.values()]
+
+
 # ---------------------------------------------------------------------------
 # Golden artifact generators (all deterministic, byte-for-byte)
 
 
-def gen_table1_tsv() -> str:
+def _table1_records() -> list[dict]:
+    """Table 1 as JSON records; the keys are the column headers."""
     from . import classify
 
-    headers = ["row", "type", "r", "v1", "v2", "m1", "m2", "g1", "g2",
-               "disc1", "disc2"]
-    rows = [
-        [str(r.row), str(r.graph_type), str(r.r), frac_str(r.v1),
-         frac_str(r.v2), frac_str(r.m1), frac_str(r.m2), str(r.g1),
-         str(r.g2), "*" if r.disc1 else "-", "*" if r.disc2 else "-"]
+    return [
+        {
+            "row": r.row, "type": r.graph_type, "r": r.r,
+            "v1": frac_str(r.v1), "v2": frac_str(r.v2),
+            "m1": frac_str(r.m1), "m2": frac_str(r.m2),
+            "g1": r.g1, "g2": r.g2, "disc1": r.disc1, "disc2": r.disc2,
+        }
         for r in classify.table1()
     ]
-    return _tsv_table(headers, rows)
+
+
+def _table1_text(table: Callable[[list[str], list[list[str]]], str]) -> str:
+    records = _table1_records()
+    return table(list(records[0]), [_cells(r, "*", "-") for r in records])
+
+
+def gen_table1_tsv() -> str:
+    return _table1_text(_tsv_table)
 
 
 def _type7_rows_tsv(rows, genera_headers) -> str:
     headers = ["row", "C1", "C2", "p"] + genera_headers + ["divisor"]
-    out = []
-    for k, row in enumerate(rows, 1):
-        out.append(
-            [str(k), " or ".join(row.c1), row.c2,
-             "-" if row.c2_p is None else str(row.c2_p)]
-            + [str(g) for g in row.tail_genera]
-            + [str(row.theorem_index)]
-        )
+    out = [
+        [str(k), " or ".join(row.c1), row.c2,
+         "-" if row.c2_p is None else str(row.c2_p)]
+        + [str(g) for g in row.tail_genera]
+        + [str(row.theorem_index)]
+        for k, row in enumerate(rows, 1)
+    ]
     return _tsv_table(headers, out)
 
 
@@ -186,20 +205,18 @@ def golden_artifacts() -> dict[str, Callable[[], str]]:
 
 def verify_golden(root: Path) -> tuple[bool, list[str]]:
     """Recompute every golden artifact and report differences."""
+    arts = sorted(golden_artifacts().items())
     report: list[str] = []
-    ok = True
-    for name, gen in sorted(golden_artifacts().items()):
+    for name, gen in arts:
         path = root / name
         if not path.is_file():
             report.append(f"{name}: missing file")
-            ok = False
             continue
         expected = gen()
         actual = path.read_text()
         if actual == expected:
             report.append(f"{name}: ok")
             continue
-        ok = False
         report.append(f"{name}: MISMATCH")
         exp_lines, act_lines = expected.splitlines(), actual.splitlines()
         headers = exp_lines[0].split("\t") if name.endswith(".tsv") else None
@@ -207,13 +224,11 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
             if e == a:
                 continue
             if headers:
-                ecols, acols = e.split("\t"), a.split("\t")
-                for ci, (ec, ac) in enumerate(zip(ecols, acols)):
-                    if ec != ac:
-                        report.append(
-                            f"{name}: line {ln} column {headers[ci]}: "
-                            f"expected {ec!r}, found {ac!r}"
-                        )
+                report.extend(
+                    f"{name}: line {ln} column {h}: expected {ec!r}, found {ac!r}"
+                    for h, ec, ac in zip(headers, e.split("\t"), a.split("\t"))
+                    if ec != ac
+                )
             else:
                 report.append(
                     f"{name}: line {ln}: expected {e!r}, found {a!r}"
@@ -223,49 +238,27 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
                 f"{name}: expected {len(exp_lines)} lines, "
                 f"found {len(act_lines)}"
             )
-    return ok, report
+    return report == [f"{name}: ok" for name, _ in arts], report
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_table1(args) -> int:
-    from . import classify
-
+def cmd_table1(args) -> tuple[str, int]:
     if args.format == "tsv":
-        _emit(args, gen_table1_tsv())
-    elif args.format == "md":
-        headers = ["row", "type", "r", "v1", "v2", "m1", "m2", "g1", "g2",
-                   "disc1", "disc2"]
-        rows = [line.split("\t") for line in gen_table1_tsv().splitlines()[1:]]
-        _emit(args, _md_table(headers, rows))
-    else:  # json
-        _emit(args, _json_dump([
-            {
-                "row": r.row, "type": r.graph_type, "r": r.r,
-                "v1": frac_str(r.v1), "v2": frac_str(r.v2),
-                "m1": frac_str(r.m1), "m2": frac_str(r.m2),
-                "g1": r.g1, "g2": r.g2, "disc1": r.disc1, "disc2": r.disc2,
-            }
-            for r in classify.table1()
-        ]))
-    return 0
+        return gen_table1_tsv(), 0
+    if args.format == "json":
+        return _json_dump(_table1_records()), 0
+    return _table1_text(_md_table), 0
 
 
-def cmd_boundary_graphs(args) -> int:
+def cmd_boundary_graphs(args) -> tuple[str, int]:
     from . import covergraphs
 
     families = covergraphs.enumerate_boundary_types(args.d)
     if args.format == "json":
-        _emit(args, _json_dump([
+        return _json_dump([
             {
                 "type": fam.type_index,
                 "shape": fam.shape.name,
@@ -274,62 +267,50 @@ def cmd_boundary_graphs(args) -> int:
                 "graphs": [g.to_json_dict() for g in fam.graphs],
             }
             for fam in families
-        ]))
-    elif args.format == "dot":
-        chunks = []
-        for fam in families:
-            for g in fam.graphs:
-                chunks.append(g.to_dot())
-        _emit(args, "\n".join(chunks))
-    else:  # md
-        headers = ["type", "shape", "param ranges", "graphs"]
-        rows = [
-            [str(fam.type_index), fam.shape.name,
-             "; ".join(f"{lo}..{hi}" for lo, hi in fam.param_ranges) or "-",
-             str(len(fam.graphs))]
-            for fam in families
-        ]
-        _emit(args, _md_table(headers, rows))
-    return 0
+        ]), 0
+    if args.format == "dot":
+        return "\n".join(g.to_dot() for fam in families for g in fam.graphs), 0
+    headers = ["type", "shape", "param ranges", "graphs"]
+    rows = [
+        [str(fam.type_index), fam.shape.name,
+         "; ".join(f"{lo}..{hi}" for lo, hi in fam.param_ranges) or "-",
+         str(len(fam.graphs))]
+        for fam in families
+    ]
+    return _md_table(headers, rows), 0
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> tuple[str, int]:
     from . import resolve
 
     chain = resolve.hj_expand(args.r, args.q)
     if args.format == "json":
-        _emit(args, _json_dump(
+        return _json_dump(
             {"r": args.r, "q": args.q, "chain": list(chain.ints)}
-        ))
-    else:
-        _emit(args, "[" + ",".join(map(str, chain.ints)) + "]\n")
-    return 0
+        ), 0
+    return "[" + ",".join(map(str, chain.ints)) + "]\n", 0
 
 
-def cmd_coarse(args) -> int:
+def cmd_coarse(args) -> tuple[str, int]:
     a = frac(args.a)
     cs = coarse_singularities(args.r, a)
-    data = {
-        "r": args.r,
-        "a": frac_str(a),
-        "at_sigma": {"r": cs.at_sigma.r, "q": cs.at_sigma.q},
-        "at_tau": {"r": cs.at_tau.r, "q": cs.at_tau.q},
-        "fiber_multiplicity": cs.fiber_multiplicity,
-    }
     if args.format == "json":
-        _emit(args, _json_dump(data))
-    else:
-        _emit(
-            args,
-            f"coarse F_{frac_str(a)} over P^1({args.r}-th root of 0): "
-            f"1/{cs.at_sigma.r}(1,{cs.at_sigma.q}) at sigma(0), "
-            f"1/{cs.at_tau.r}(1,{cs.at_tau.q}) at tau(0), "
-            f"fiber multiplicity {cs.fiber_multiplicity}\n",
-        )
-    return 0
+        return _json_dump({
+            "r": args.r,
+            "a": frac_str(a),
+            "at_sigma": {"r": cs.at_sigma.r, "q": cs.at_sigma.q},
+            "at_tau": {"r": cs.at_tau.r, "q": cs.at_tau.q},
+            "fiber_multiplicity": cs.fiber_multiplicity,
+        }), 0
+    return (
+        f"coarse F_{frac_str(a)} over P^1({args.r}-th root of 0): "
+        f"1/{cs.at_sigma.r}(1,{cs.at_sigma.q}) at sigma(0), "
+        f"1/{cs.at_tau.r}(1,{cs.at_tau.q}) at tau(0), "
+        f"fiber multiplicity {cs.fiber_multiplicity}\n"
+    ), 0
 
 
-def cmd_diagrams(args) -> int:
+def cmd_diagrams(args) -> tuple[str, int]:
     from .resolve import DIAGRAM_ITEMS, ResolveError
 
     if args.item not in DIAGRAM_ITEMS:
@@ -339,9 +320,9 @@ def cmd_diagrams(args) -> int:
     it = DIAGRAM_ITEMS[args.item]
     config = it.build() if args.stage == "left" else it.contract()
     if args.format == "dot":
-        _emit(args, config.to_dot())
-    elif args.format == "json":
-        _emit(args, _json_dump({
+        return config.to_dot(), 0
+    if args.format == "json":
+        return _json_dump({
             "item": args.item, "r": it.r, "a": frac_str(it.a),
             "stage": args.stage,
             "vertices": [
@@ -351,13 +332,11 @@ def cmd_diagrams(args) -> int:
             "edges": [
                 {"v": e.v, "w": e.w, "mult": e.mult} for e in config.edges
             ],
-        }))
-    else:
-        _emit(args, config.to_text())
-    return 0
+        }), 0
+    return config.to_text(), 0
 
 
-def cmd_recillas(args) -> int:
+def cmd_recillas(args) -> tuple[str, int]:
     from . import recillas
 
     perms = [recillas.parse_perm(t.strip()) for t in args.monodromy.split(";")]
@@ -373,37 +352,27 @@ def cmd_recillas(args) -> int:
             "double": str(dbl),
         })
     if args.format == "json":
-        _emit(args, _json_dump(entries))
-    else:
-        headers = ["perm", "fix4", "fix3", "fix6", "1+fix6=fix3+fix4",
-                   "trigonal", "double"]
-        rows = [
-            [e["perm"], str(e["fix4"]), str(e["fix3"]), str(e["fix6"]),
-             "ok" if e["character_identity"] else "FAIL",
-             e["trigonal"], e["double"]]
-            for e in entries
-        ]
-        _emit(args, _md_table(headers, rows))
-    return 0
+        return _json_dump(entries), 0
+    headers = ["perm", "fix4", "fix3", "fix6", "1+fix6=fix3+fix4",
+               "trigonal", "double"]
+    return _md_table(headers, [_cells(e, "ok", "FAIL") for e in entries]), 0
 
 
-def cmd_parity(args) -> int:
+def cmd_parity(args) -> tuple[str, int]:
     from . import parity
 
     pieces = [frac(t.strip()) for t in args.pieces.split(",") if t.strip()]
     sc = parity.SectionClass(pieces)
     p = parity.section_parity(sc)
     if args.format == "json":
-        _emit(args, _json_dump({
+        return _json_dump({
             "pieces": [frac_str(x) for x in sc.pieces],
             "total": frac_str(sc.total),
             "parity": p.value,
             "ambient": p.ambient,
-        }))
-    else:
-        _emit(args, f"total {frac_str(sc.total)}: {p.value} "
-                    f"(degeneration of {p.ambient})\n")
-    return 0
+        }), 0
+    return (f"total {frac_str(sc.total)}: {p.value} "
+            f"(degeneration of {p.ambient})\n"), 0
 
 
 # --type value to the name of the classify function it runs
@@ -428,58 +397,49 @@ def _desc_str(desc: classify.StableCurveDesc) -> str:
     return " + ".join(parts) + f" ; edges {len(desc.edges)}"
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[str, int]:
     from . import classify
 
     records = getattr(classify, _CLASSIFY_DISPATCH[args.type])()
     if args.format == "json":
-        _emit(args, _json_dump([
+        return _json_dump([
             {
                 "index": r.theorem_index,
                 "stable_curve": _desc_dict(r.desc),
                 "sources": list(r.sources),
             }
             for r in records
-        ]))
-    elif args.format == "tsv":
-        headers = ["index", "description", "sources"]
-        rows = [[str(r.theorem_index), _desc_str(r.desc),
-                 " / ".join(r.sources)] for r in records]
-        _emit(args, _tsv_table(headers, rows))
-    else:
-        headers = ["index", "stable curve", "sources"]
-        rows = [[str(r.theorem_index), _desc_str(r.desc),
-                 " / ".join(r.sources)] for r in records]
-        _emit(args, _md_table(headers, rows))
-    return 0
+        ]), 0
+    rows = [[str(r.theorem_index), _desc_str(r.desc), " / ".join(r.sources)]
+            for r in records]
+    if args.format == "tsv":
+        return _tsv_table(["index", "description", "sources"], rows), 0
+    return _md_table(["index", "stable curve", "sources"], rows), 0
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(args) -> tuple[str, int]:
     from . import resolve
 
     pa = resolve.pa_hirzebruch(args.l, args.n, args.m)
     sings = [int(t) for t in args.ak.split(",") if t.strip()] if args.ak else []
     g = resolve.geometric_genus(pa, sings)
     if args.format == "json":
-        _emit(args, _json_dump({
+        return _json_dump({
             "l": args.l, "n": args.n, "m": args.m,
             "pa": pa, "sings": [f"A{k}" for k in sings], "genus": g,
-        }))
-    else:
-        _emit(args, f"pa {pa}, geometric genus {g}\n")
-    return 0
+        }), 0
+    return f"pa {pa}, geometric genus {g}\n", 0
 
 
-def cmd_verify_golden(args) -> int:
+def cmd_verify_golden(args) -> tuple[str, int]:
     root = Path(args.golden) if args.golden else _golden_dir()
     if not root.is_dir():
         raise FileNotFoundError(f"golden directory not found: {root}")
     ok, report = verify_golden(root)
+    status = 0 if ok else 1
     if args.format == "json":
-        _emit(args, _json_dump({"ok": ok, "report": report}))
-    else:
-        _emit(args, "\n".join(report) + "\n")
-    return 0 if ok else 1
+        return _json_dump({"ok": ok, "report": report}), status
+    return "\n".join(report) + "\n", status
 
 
 # ---------------------------------------------------------------------------
@@ -493,50 +453,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, formats, default_format):
+    def add(name, fn, formats):
         p = sub.add_parser(name)
-        p.add_argument("--format", choices=formats, default=default_format)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.set_defaults(fn=fn)
         return p
 
-    add("table1", cmd_table1, ["md", "tsv", "json"], "md")
+    add("table1", cmd_table1, ["md", "tsv", "json"])
 
-    p = add("boundary-graphs", cmd_boundary_graphs, ["md", "json", "dot"], "md")
+    p = add("boundary-graphs", cmd_boundary_graphs, ["md", "json", "dot"])
     p.add_argument("--d", type=int, required=True)
 
-    p = add("resolve", cmd_resolve, ["md", "json"], "md")
+    p = add("resolve", cmd_resolve, ["md", "json"])
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
-    p = add("coarse", cmd_coarse, ["md", "json"], "md")
+    p = add("coarse", cmd_coarse, ["md", "json"])
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--a", required=True, help="twist a as p/q")
 
-    p = add("diagrams", cmd_diagrams, ["txt", "dot", "json"], "txt")
+    p = add("diagrams", cmd_diagrams, ["txt", "dot", "json"])
     p.add_argument("--item", type=int, required=True)
     p.add_argument("--stage", choices=["left", "right"], default="right")
 
-    p = add("recillas", cmd_recillas, ["md", "json"], "md")
+    p = add("recillas", cmd_recillas, ["md", "json"])
     p.add_argument(
         "--monodromy", required=True,
         help="semicolon-separated cycle notation, e.g. '(1 2 3);(1 2)(3 4)'",
     )
 
-    p = add("parity", cmd_parity, ["md", "json"], "md")
+    p = add("parity", cmd_parity, ["md", "json"])
     p.add_argument("--pieces", required=True,
                    help="comma-separated half-integers, e.g. '1,0,5/2'")
 
-    p = add("classify", cmd_classify, ["md", "tsv", "json"], "md")
+    p = add("classify", cmd_classify, ["md", "tsv", "json"])
     p.add_argument("--type", choices=sorted(_CLASSIFY_DISPATCH), default="all")
 
-    p = add("genus", cmd_genus, ["md", "json"], "md")
+    p = add("genus", cmd_genus, ["md", "json"])
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ak", help="comma-separated A_k indices, e.g. '2,4'")
 
-    p = add("verify-golden", cmd_verify_golden, ["md", "json"], "md")
+    p = add("verify-golden", cmd_verify_golden, ["md", "json"])
     p.add_argument("--golden", help="golden data directory override")
 
     return ap
@@ -548,16 +508,22 @@ _DOMAIN_ERRORS = (ValueError, KeyError, FileNotFoundError, ZeroDivisionError)
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text, status = args.fn(args)
+        # written inside the try: an unwritable --out exits 1, not a traceback
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except _DOMAIN_ERRORS as exc:
         msg = str(exc)
-        if getattr(args, "format", None) == "json":
+        if args.format == "json":
             sys.stderr.write(_json_dump(
                 {"error": {"code": type(exc).__name__, "message": msg}}
             ))
         else:
             sys.stderr.write(f"error ({type(exc).__name__}): {msg}\n")
         return 1
+    return status
 
 
 if __name__ == "__main__":

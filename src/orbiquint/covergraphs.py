@@ -209,10 +209,11 @@ class CoverGraph:
         edges = _json_list(self.node_edges)
         return f'{head}"components": {comps}{mid}"edges": {edges}{tail}'
 
-    def to_dot(self, include_redundant: bool = False) -> str:
+    def to_dot(self) -> str:
+        """Graphviz text of the main and non-redundant tail components."""
         lines = ["graph cover {"]
         for c in self.components:
-            if c.redundant and not include_redundant:
+            if c.redundant:
                 continue
             shape = "doublecircle" if c.side == "main" else "circle"
             lines.append(
@@ -220,7 +221,7 @@ class CoverGraph:
             )
         for e in self.node_edges:
             tail = self.component(e.tail_id)
-            if tail.redundant and not include_redundant:
+            if tail.redundant:
                 continue
             label = f' [label="{e.local_degree}"]' if e.local_degree != 1 else ""
             lines.append(f'  "{e.main_id}" -- "{e.tail_id}"{label};')
@@ -377,13 +378,13 @@ def _make_component(
     marked: tuple[str, ...],
     node_locals: Iterable[int],
     redundant: bool = False,
-    genus: int = 0,
 ) -> Component:
+    """A rational component with its Riemann-Hurwitz branch count."""
     profiles = tuple(_profiles_for(marked, degree))
-    beta = _component_beta(degree, genus, profiles, node_locals)
+    beta = _component_beta(degree, 0, profiles, node_locals)
     if beta < 0:
         raise ShapeError(f"negative branch count for component {cid}")
-    return Component(cid, side, degree, genus, redundant, profiles, beta)
+    return Component(cid, side, degree, 0, redundant, profiles, beta)
 
 
 def complete_redundant(graph: CoverGraph) -> CoverGraph:

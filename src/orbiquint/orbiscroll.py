@@ -40,7 +40,6 @@ def frac_str(x: Fraction) -> str:
 @dataclass(frozen=True)
 class BranchRelation:
     m: Fraction
-    avoid_bound: bool
     smooth_ok: bool
 
 
@@ -87,9 +86,8 @@ def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
     if b < 0:
         raise ValueError("b must be >= 0")
     m = Fraction(b, 6) + 2 * a
-    avoid = a <= Fraction(b, 12)
-    smooth_ok = avoid or a == Fraction(b, 6)
-    return BranchRelation(m, avoid, smooth_ok)
+    smooth_ok = a <= Fraction(b, 12) or a == Fraction(b, 6)
+    return BranchRelation(m, smooth_ok)
 
 
 def coarse_singularities(r: int, a: FracLike) -> CoarseSingularities:

@@ -6,6 +6,7 @@ from orbiquint import classify
 from orbiquint.classify import (
     ClassifyError,
     PARITY_UNCONFIRMED_ROWS,
+    ROWS_LOW_DIMENSION,
     StableCurveDesc,
     TABLE2_ROWS,
     TABLE3_ROWS,
@@ -155,6 +156,16 @@ def test_desc_canonical_symmetry():
     assert a.canonical() == b.canonical()
 
 
+def test_desc_canonical_tied_labels():
+    # swapping the two genus-1 vertices maps one edge set to the other
+    verts = (VertexDesc(1), VertexDesc(1), VertexDesc(2))
+    a = StableCurveDesc(verts, ((0, 1), (1, 2)))
+    b = StableCurveDesc(verts, ((0, 1), (0, 2)))
+    assert a.canonical() == b.canonical()
+    c = StableCurveDesc(verts, ((0, 2), (1, 2)))
+    assert c.canonical() != a.canonical()
+
+
 def test_local_model_counts():
     assert [len(enumerate_c1_models(i)) for i in (1, 2, 3, 4)] == [3, 3, 2, 2]
     assert len(enumerate_c2_models(8)) == 8
@@ -227,6 +238,13 @@ def test_table_parities():
     for row in TABLE3_ROWS:
         assert type7_row_parity(row) is Parity.MOOT
     assert PARITY_UNCONFIRMED_ROWS == frozenset({12})
+
+
+def test_interior_rows():
+    # the rows classify_type_1_5 drops as interior are the genus-6 rows
+    kept = {int(src.rsplit(" ", 1)[1]) for r in classify_type_1_5() for src in r.sources}
+    assert set(range(1, 17)) - kept - ROWS_LOW_DIMENSION == {9, 10, 15, 16}
+    assert {r.row for r in table1() if 6 in (r.g1, r.g2)} == {9, 10, 15, 16}
 
 
 def test_row_to_theorem_consistency():

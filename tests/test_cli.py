@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -188,3 +189,59 @@ def test_submodule_import_is_lazy():
     assert not {"orbiquint.classify", "orbiquint.covergraphs", "orbiquint.cli"} & loaded
     p = _python("-c", "import orbiquint; print(orbiquint.classify.table1()[0].row)")
     assert (p.returncode, p.stdout) == (0, "1\n")
+
+
+# Every subcommand with each of its formats, the error paths, and --out to a
+# file and to a path that cannot be written. "{tmp}" stands for a temporary
+# directory, so the pinned digest does not depend on where it is.
+_PIN_CASES = [
+    *(["table1", "--format", f] for f in ("md", "tsv", "json")),
+    *(["boundary-graphs", "--d", d, "--format", f]
+      for d in ("0", "1", "3") for f in ("md", "json", "dot")),
+    *(["resolve", "--r", "7", "--q", q, "--format", f]
+      for q in ("3", "7") for f in ("md", "json")),
+    *(["coarse", "--r", "3", "--a", a, "--format", f]
+      for a in ("2/3", "1/0") for f in ("md", "json")),
+    *(["diagrams", "--item", i, "--stage", s, "--format", f]
+      for i in ("1", "7", "13") for s in ("left", "right")
+      for f in ("txt", "dot", "json")),
+    *(["diagrams", "--item", "99", "--format", f] for f in ("txt", "json")),
+    *(["recillas", "--monodromy", m, "--format", f]
+      for m in ("(1 2 3);(1 2)(3 4);(1 2 3 4)", "(1 5)") for f in ("md", "json")),
+    *(["parity", "--pieces", p, "--format", f]
+      for p in ("1,0,3", "1/2,-3/2", "1,1/2") for f in ("md", "json")),
+    *(["classify", "--type", t, "--format", f]
+      for t in ("1-5", "6", "7", "8", "all") for f in ("md", "tsv", "json")),
+    *(["genus", "--l", "1", "--n", n, "--m", "5", *ak, "--format", f]
+      for n, ak in (("4", []), ("4", ["--ak", "2,4"]), ("0", []))
+      for f in ("md", "json")),
+    *(["verify-golden", *g, "--format", f]
+      for g in ([], ["--golden", "{tmp}/edited"], ["--golden", "/no/such/dir"])
+      for f in ("md", "json")),
+    *([*argv, "--out", "{tmp}/out.txt"] for argv in (
+        ["table1", "--format", "tsv"],
+        ["classify", "--format", "json"],
+        ["verify-golden", "--golden", "{tmp}/edited"],
+        ["coarse", "--r", "2", "--a", "1/0"],
+    )),
+    *(["table1", "--format", f, "--out", "/nonexistent/dir/x.tsv"]
+      for f in ("md", "json")),
+]
+_PIN_SHA256 = "a729407ed82422c2e82f079ed6e66ac51afbd2a956ecba277f121850d0334193"
+
+
+def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORBIQUINT_GOLDEN", raising=False)
+    shutil.copytree(GOLDEN, tmp_path / "edited")
+    target = tmp_path / "edited" / "table2.tsv"
+    target.write_text(target.read_text().replace("1.3.1", "1.3.2", 1))
+    (tmp_path / "edited" / "diagrams" / "item05.txt").unlink()
+    out_file = tmp_path / "out.txt"
+    digest = hashlib.sha256()
+    for argv in _PIN_CASES:
+        out_file.unlink(missing_ok=True)
+        code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        written = out_file.read_text() if out_file.exists() else None
+        digest.update(json.dumps([argv, code, out, err, written]).encode())
+    assert len(_PIN_CASES) == 83
+    assert digest.hexdigest() == _PIN_SHA256

@@ -249,6 +249,38 @@ def test_package_has_no_orphan_definitions():
     assert orphans == []
 
 
+def _read_names(tree: ast.AST) -> set[str]:
+    """Attribute names a syntax tree reads, and dotted-name strings."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and _DOTTED_NAME.fullmatch(n.value)):
+            names.update(n.value.split("."))
+    return names
+
+
+def test_package_dataclass_fields_are_read():
+    # every field of a package dataclass is read somewhere: by a package
+    # statement, by the acceptance suite or by the benchmark harness
+    trees = _package_trees()
+    outside = [_ROOT / "tests" / "test_acceptance.py", *sorted((_ROOT / "perfbench").glob("*.py"))]
+    read = set().union(*map(_read_names, trees.values()),
+                       *(_read_names(ast.parse(p.read_text())) for p in outside))
+    unread = [
+        (module, cls.name, s.target.id)
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for s in cls.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        and s.target.id not in read
+    ]
+    assert unread == []
+
+
 def test_complete_redundant_stamped_tail_sharing_an_id():
     # the stamped tail R1 inherits the node fiber of a non-redundant tail
     # named R1; with local degree 2 there its branch count goes negative

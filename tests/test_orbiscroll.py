@@ -50,15 +50,13 @@ def test_branch_relation_matches_adjunction(a, b):
 
 
 def test_branch_relation_smoothness():
-    rel = tetragonal_branch_relation(Fraction(1, 2), 15)
-    assert rel.m == Fraction(7, 2)
-    assert rel.smooth_ok and rel.avoid_bound
-    # a = b/6 is the disjoint-directrix case
-    rel = tetragonal_branch_relation(Fraction(3, 2), 9)
-    assert rel.smooth_ok and not rel.avoid_bound
-    # strictly between b/12 and b/6 is not smooth
-    rel = tetragonal_branch_relation(1, 9)
-    assert not rel.smooth_ok
+    # smooth exactly when a <= b/12 or a = b/6 (the disjoint-directrix case)
+    b = 18
+    rel = tetragonal_branch_relation(Fraction(b, 12), b)
+    assert rel.m == Fraction(b, 6) + 2 * Fraction(b, 12)
+    assert rel.smooth_ok
+    assert not tetragonal_branch_relation(Fraction(b, 12) + Fraction(1, 120), b).smooth_ok
+    assert tetragonal_branch_relation(Fraction(b, 6), b).smooth_ok
 
 
 def test_coarse_singularities():
