@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import covergraphs, resolve
-from .covergraphs import R_OPTIONS, BaseShape, rh_ramification
+from .covergraphs import R_OPTIONS, rh_ramification
 from .orbiscroll import adjunction_degree, frac, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
 from .resolve import AkSing, geometric_genus, pa_hirzebruch
@@ -46,20 +46,12 @@ class Table1Row:
 
 
 def _branch_pairs() -> dict[int, tuple[int, int]]:
-    """Branch-count pairs (b1, b2) per graph type, from the degree splits;
-    the first component is the one with more branch points."""
-    splits = {
-        shape: covergraphs.degree_splits(shape, 18)
-        for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
+    """Branch-count pairs (b1, b2) per graph type (t), from the t-th
+    one-node degree split; the first component has more branch points."""
+    return {
+        t: (max(split), min(split))
+        for t, (_, split) in enumerate(covergraphs.one_node_splits(18), 1)
     }
-    pick = {
-        1: splits[BaseShape.I][0],
-        2: splits[BaseShape.II][0],
-        3: splits[BaseShape.II][1],
-        4: splits[BaseShape.III][0],
-        5: splits[BaseShape.III][1],
-    }
-    return {t: (max(p), min(p)) for t, p in pick.items()}
 
 
 def node_orbit_count(r: int, b: int) -> int:
@@ -124,10 +116,8 @@ def table1() -> list[Table1Row]:
     |s1*k1 + s2*k2| = r.  Fractions are built only for the surviving rows.
     """
     rows: list[Table1Row] = []
-    pairs = _branch_pairs()
     n = 0
-    for t in range(1, 6):
-        b1, b2 = pairs[t]
+    for t, (b1, b2) in _branch_pairs().items():
         found: set[tuple[int, int, int]] = set()  # (r, k1, k2), signed
         for r in R_OPTIONS[t]:
             if (r * b1) % 6 or (r * b2) % 6:
@@ -226,23 +216,21 @@ class StableCurveDesc:
         return StableCurveDesc(verts, edges)
 
 
+def arithmetic_genus(genera: Sequence[int], delta: int) -> int:
+    """Arithmetic genus sum g + delta - |components| + 1 of a connected
+    curve: its normalization has components of these genera, and delta is
+    the total delta invariant (the node count of a nodal curve)."""
+    return sum(genera) + delta - len(genera) + 1
+
+
 def stable_pa(desc: StableCurveDesc) -> int:
     """Arithmetic genus of the nodal curve: sum g_v + |E| - |V| + 1."""
-    n = len(desc.vertices)
-    # connectivity check
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in desc.edges:
-        parent[find(a)] = find(b)
-    if len({find(i) for i in range(n)}) != 1:
+    reached = {0}  # grown by the edges that touch it, once per vertex
+    for _ in desc.vertices:
+        reached |= {v for e in desc.edges if reached & set(e) for v in e}
+    if len(reached) != len(desc.vertices):
         raise ClassifyError("disconnected stable curve")
-    return sum(v.genus for v in desc.vertices) + len(desc.edges) - n + 1
+    return arithmetic_genus([v.genus for v in desc.vertices], len(desc.edges))
 
 
 def _v(genus, tags=(), marks=()):
@@ -303,11 +291,16 @@ class DivisorRecord:
     sources: tuple[str, ...]
 
 
-def _record(theorem_index: int, *sources: str) -> DivisorRecord:
-    desc = THEOREM_DESCRIPTIONS[theorem_index]
-    if stable_pa(desc) != 6:
-        raise ClassifyError(f"description {theorem_index} has wrong genus")
-    return DivisorRecord(theorem_index, desc, tuple(sources))
+def _records(pairs: Iterable[tuple[int, str]]) -> list[DivisorRecord]:
+    """One record per theorem divisor named in the (theorem index, source)
+    pairs, in theorem order, with its sources in the order given."""
+    by_theorem: dict[int, list[str]] = {}
+    for index, source in pairs:
+        by_theorem.setdefault(index, []).append(source)
+    return [
+        DivisorRecord(index, THEOREM_DESCRIPTIONS[index], tuple(sources))
+        for index, sources in sorted(by_theorem.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +318,13 @@ def classify_type_1_5() -> list[DivisorRecord]:
     rows = table1()
     if len(rows) != 16:
         raise ClassifyError(f"Table 1 has {len(rows)} rows, expected 16")
-    by_theorem: dict[int, list[str]] = {}
-    for row in rows:
-        # a genus-6 component leaves the other one rational, and
-        # stabilization contracts it: the row maps to the interior
-        if 6 in (row.g1, row.g2) or row.row in ROWS_LOW_DIMENSION:
-            continue
-        by_theorem.setdefault(ROW_TO_THEOREM[row.row], []).append(
-            f"type({row.graph_type}) row {row.row}"
-        )
-    return [_record(t, *srcs) for t, srcs in sorted(by_theorem.items())]
+    # a genus-6 component leaves the other one rational, and
+    # stabilization contracts it: the row maps to the interior
+    return _records(
+        (ROW_TO_THEOREM[row.row], f"type({row.graph_type}) row {row.row}")
+        for row in rows
+        if 6 not in (row.g1, row.g2) and row.row not in ROWS_LOW_DIMENSION
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,24 +353,23 @@ def type6_main_genus(i: int) -> int:
 
 
 def classify_type_6() -> list[DivisorRecord]:
-    by_theorem: dict[int, list[str]] = {}
+    pairs = []
     for i, t in sorted(_TYPE6_ODD.items()):
-        main = type6_main_genus(i)
-        tail = hyperelliptic_tail_genus(i)
-        if main + tail + 1 - 2 + 1 != 6:
+        genera = (type6_main_genus(i), hyperelliptic_tail_genus(i))
+        if arithmetic_genus(genera, 1) != 6:
             raise ClassifyError(f"type (6) odd i={i}: genus mismatch")
-        by_theorem.setdefault(t, []).append(f"type(6) i={i}")
+        pairs.append((t, f"type(6) i={i}"))
     for i, t in sorted(_TYPE6_EVEN.items()):
-        main = type6_main_genus(i)
-        tail = hyperelliptic_tail_genus(i)
-        edges = 1 if i == 2 else 2  # i=2 gives the irreducible one-node curve
-        verts = 1 if i == 2 else 2
-        if main + (0 if i == 2 else tail) + edges - verts + 1 != 6:
+        # two nodes join main and tail; i=2 has no tail and one node
+        genera = [type6_main_genus(i)]
+        if i > 2:
+            genera.append(hyperelliptic_tail_genus(i))
+        if arithmetic_genus(genera, len(genera)) != 6:
             raise ClassifyError(f"type (6) even i={i}: genus mismatch")
-        by_theorem.setdefault(t, []).append(f"type(6) i={i} irreducible")
-    for i, t in sorted(_TYPE6_REDUCIBLE.items()):
-        by_theorem.setdefault(t, []).append(f"type(6) i={i} reducible")
-    records = [_record(t, *srcs) for t, srcs in sorted(by_theorem.items())]
+        pairs.append((t, f"type(6) i={i} irreducible"))
+    pairs += [(t, f"type(6) i={i} reducible")
+              for i, t in sorted(_TYPE6_REDUCIBLE.items())]
+    records = _records(pairs)
     if len(records) != 10:
         raise ClassifyError(f"type (6) gives {len(records)} divisors, expected 10")
     return records
@@ -424,20 +413,16 @@ class LocalModelEntry:
             sum(c.top) + sum(c.bottom) + sum(c.side) for c in self.components
         )
 
-    def genus_total(self) -> int:
-        return sum(c.genus for c in self.components)
-
     def validate(self) -> None:
         if self.half_edge_total() != 4:
             raise ClassifyError(f"{self.family} {self.label}: half-edges != 4")
         p = self.provenance
-        expected = pa_hirzebruch(p.l, p.n, p.m)
-        expected -= sum(resolve.delta_invariant(AkSing(k)) for k in p.sings)
-        expected += len(self.components) - 1
-        if self.genus_total() != expected:
+        delta = sum(resolve.delta_invariant(AkSing(k)) for k in p.sings)
+        pa = arithmetic_genus([c.genus for c in self.components], delta)
+        if pa != pa_hirzebruch(p.l, p.n, p.m):
             raise ClassifyError(
-                f"{self.family} {self.label}: genus {self.genus_total()} != "
-                f"recomputed {expected}"
+                f"{self.family} {self.label}: components give arithmetic genus "
+                f"{pa}, the model {pa_hirzebruch(p.l, p.n, p.m)}"
             )
         for s in (self.sigmaA2, self.sigmaB2):
             if s is not None and frac(s).denominator not in (1, 2):
@@ -551,24 +536,34 @@ def enumerate_c2_models(j: int) -> list[LocalModelEntry]:
     return out
 
 
-_C2_P4_ONLY = frozenset({"2.8", "2.9", "2.10", "2.14"})
+ModelLookup = Callable[[str, Optional[int]], LocalModelEntry]
 
 
-def _c2_entry(label: str, p: Optional[int]) -> LocalModelEntry:
-    """The c2 entry with this label and parameter p (None for a label
-    that occurs only at p = 4), built from the one model list that can
-    hold it: labels 2.1-2.4 are the odd family (j = 2p + 1), labels
-    2.5-2.14 the even family (j = 2p)."""
-    if p is None and label in _C2_P4_ONLY:
-        p = 4
-    family, _, index = label.partition(".")
-    if family == "2" and index.isdigit() and p is not None:
-        j = 2 * p + 1 if 1 <= int(index) <= 4 else 2 * p
-        if 1 <= j <= 9:
-            for e in enumerate_c2_models(j):
-                if e.label == label:
-                    return e
-    raise ClassifyError(f"no c2 entry {label} with p={p}")
+def _model_lookup() -> ModelLookup:
+    """Look up the local models the combination tables name by (label, p).
+
+    Builds the c1 lists i = 3, 4 (labels written "1.i.k", as in the
+    tables; a trailing ' marks the flip) and the nine c2 lists once.  p
+    may be None only for a label that occurs once.
+    """
+    by_label: dict[str, list[LocalModelEntry]] = {}
+    for i in (3, 4):
+        for e in enumerate_c1_models(i):
+            by_label.setdefault(f"1.{e.label}", []).append(e)
+    for j in range(1, 10):
+        for e in enumerate_c2_models(j):
+            by_label.setdefault(e.label, []).append(e)
+    models = {(label, e.param): e for label, es in by_label.items() for e in es}
+    models.update({(label, None): es[0]
+                   for label, es in by_label.items() if len(es) == 1})
+
+    def lookup(label: str, p: Optional[int]) -> LocalModelEntry:
+        entry = models.get((label.rstrip("'"), p))
+        if entry is None:
+            raise ClassifyError(f"no local model {label} with p={p}")
+        return entry
+
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -610,29 +605,20 @@ TABLE3_ROWS: tuple[Type7Row, ...] = (
 )
 
 
-def _c1_entry(label: str) -> LocalModelEntry:
-    label = label.rstrip("'")
-    i = int(label.split(".")[1])
-    for e in enumerate_c1_models(i):
-        if e.label == f"{i}.{label.split('.')[2]}":
-            return e
-    raise ClassifyError(f"no c1 entry {label}")
-
-
 # Trivial-cover rows where no choice of section ends gives an odd
 # integral self-intersection sum; the finer limiting-theta argument is
 # needed there, so the naive section sum cannot confirm the parity.
 PARITY_UNCONFIRMED_ROWS = frozenset({12})
 
 
-def type7_section_parities(row: Type7Row) -> list[Parity]:
+def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
     """Parities of all consistent glued sections for a trivial-cover row:
     each end section of C1 and C2 with each tail bundle, keeping only the
     combinations with integral total self-intersection."""
     out = []
-    c2 = _c2_entry(row.c2, row.c2_p)
+    c2 = lookup(row.c2, row.c2_p)
     for label in row.c1:
-        c1 = _c1_entry(label)
+        c1 = lookup(label, None)
         for s1 in (c1.sigmaA2, c1.sigmaB2):
             for s2 in (c2.sigmaA2, c2.sigmaB2):
                 for g in row.tail_genera:
@@ -643,14 +629,14 @@ def type7_section_parities(row: Type7Row) -> list[Parity]:
     return out
 
 
-def type7_row_parity(row: Type7Row, index: int | None = None) -> Parity:
+def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> Parity:
     """Parity of a combination-table row.  Nontrivial-cover rows (one
     tail genus) have moot parity.  Trivial-cover rows are odd; for all
     but the rows in PARITY_UNCONFIRMED_ROWS this is confirmed by an odd
     glued-section self-intersection."""
     if len(row.tail_genera) == 1:
         return Parity.MOOT
-    parities = type7_section_parities(row)
+    parities = type7_section_parities(row, lookup)
     if not parities:
         raise ClassifyError(f"no consistent section for table row {row}")
     if Parity.ODD not in parities and index not in PARITY_UNCONFIRMED_ROWS:
@@ -659,20 +645,17 @@ def type7_row_parity(row: Type7Row, index: int | None = None) -> Parity:
 
 
 def classify_type_7() -> list[DivisorRecord]:
-    by_theorem: dict[int, list[str]] = {}
+    lookup = _model_lookup()
+    pairs = []
     for k, row in enumerate(TABLE2_ROWS, 1):
-        if type7_row_parity(row, k) is not Parity.ODD:
+        if type7_row_parity(row, k, lookup) is not Parity.ODD:
             raise ClassifyError(f"table row {k}: expected odd parity")
-        by_theorem.setdefault(row.theorem_index, []).append(
-            f"type(7) trivial-cover row {k}"
-        )
+        pairs.append((row.theorem_index, f"type(7) trivial-cover row {k}"))
     for k, row in enumerate(TABLE3_ROWS, 1):
-        if type7_row_parity(row) is not Parity.MOOT:
+        if type7_row_parity(row, None, lookup) is not Parity.MOOT:
             raise ClassifyError(f"nontrivial-cover row {k}: expected moot parity")
-        by_theorem.setdefault(row.theorem_index, []).append(
-            f"type(7) nontrivial-cover row {k}"
-        )
-    records = [_record(t, *srcs) for t, srcs in sorted(by_theorem.items())]
+        pairs.append((row.theorem_index, f"type(7) nontrivial-cover row {k}"))
+    records = _records(pairs)
     if len(records) != 8:
         raise ClassifyError(f"type (7) gives {len(records)} divisors, expected 8")
     return records
@@ -683,20 +666,13 @@ def classify_type_7() -> list[DivisorRecord]:
 
 
 def classify_type_8() -> list[DivisorRecord]:
-    records = [
-        _record(
-            2,
-            "type(8) trivial cover: C1=C2=1.4.1, C3 in {1.3.1, 1.4.1}, "
-            "tails genus (-1, 5)",
-            "type(8) nontrivial cover: C1, C2 in {1.3.2, 1.4.2}, C3=1.4.1",
-        ),
-        _record(
-            13,
-            "type(8) trivial cover: C1=C2=1.4.1, C3 in {1.3.1, 1.4.1}, "
-            "tails genus (1, 3)",
-        ),
-    ]
-    return records
+    return _records([
+        (2, "type(8) trivial cover: C1=C2=1.4.1, C3 in {1.3.1, 1.4.1}, "
+            "tails genus (-1, 5)"),
+        (2, "type(8) nontrivial cover: C1, C2 in {1.3.2, 1.4.2}, C3=1.4.1"),
+        (13, "type(8) trivial cover: C1=C2=1.4.1, C3 in {1.3.1, 1.4.1}, "
+             "tails genus (1, 3)"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -704,27 +680,20 @@ def classify_type_8() -> list[DivisorRecord]:
 
 
 def theorem_divisors() -> list[DivisorRecord]:
-    """The 13 boundary divisors, deduplicated by stable-curve description."""
-    merged: dict[StableCurveDesc, tuple[int, list[str]]] = {}
-    for rec in (
-        classify_type_1_5() + classify_type_6() + classify_type_7()
-        + classify_type_8()
-    ):
-        key = rec.desc.canonical()
-        if key in merged:
-            idx, srcs = merged[key]
-            if idx != rec.theorem_index:
-                raise ClassifyError(
-                    f"description collision between items {idx} and "
-                    f"{rec.theorem_index}"
-                )
-            srcs.extend(rec.sources)
-        else:
-            merged[key] = (rec.theorem_index, list(rec.sources))
-    out = [
-        DivisorRecord(idx, THEOREM_DESCRIPTIONS[idx], tuple(srcs))
-        for idx, srcs in sorted(merged.values())
-    ]
-    if len(out) != 13 or [r.theorem_index for r in out] != list(range(1, 14)):
+    """The 13 boundary divisors, each with the sources of every type that
+    gives it; the 13 descriptions must have arithmetic genus 6 and be
+    pairwise non-isomorphic."""
+    seen: dict[StableCurveDesc, int] = {}
+    for index, desc in THEOREM_DESCRIPTIONS.items():
+        if stable_pa(desc) != 6:
+            raise ClassifyError(f"description {index} has wrong genus")
+        other = seen.setdefault(desc.canonical(), index)
+        if other != index:
+            raise ClassifyError(
+                f"description collision between items {other} and {index}")
+    records = classify_type_1_5() + classify_type_6()
+    records += classify_type_7() + classify_type_8()
+    out = _records((r.theorem_index, s) for r in records for s in r.sources)
+    if [r.theorem_index for r in out] != list(range(1, 14)):
         raise ClassifyError("theorem assembly does not give items 1-13")
     return out

@@ -245,6 +245,15 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
 # Subcommands
 
 
+def _split_list(text: str, sep: str) -> list[str]:
+    """The stripped items of a sep-separated list argument; an empty item
+    (as in 'a;' or ',') is refused as a domain error."""
+    items = [t.strip() for t in text.split(sep)]
+    if "" in items:
+        raise ValueError(f"empty item in the {sep!r}-separated list {text!r}")
+    return items
+
+
 def cmd_table1(args) -> tuple[str, int]:
     if args.format == "tsv":
         return gen_table1_tsv(), 0
@@ -339,7 +348,7 @@ def cmd_diagrams(args) -> tuple[str, int]:
 def cmd_recillas(args) -> tuple[str, int]:
     from . import recillas
 
-    perms = [recillas.parse_perm(t.strip()) for t in args.monodromy.split(";")]
+    perms = [recillas.parse_perm(t) for t in _split_list(args.monodromy, ";")]
     data = recillas.tetragonal_to_trigonal(perms)
     entries = []
     for p, tri, dbl in zip(perms, data.trigonal, data.double):
@@ -361,7 +370,7 @@ def cmd_recillas(args) -> tuple[str, int]:
 def cmd_parity(args) -> tuple[str, int]:
     from . import parity
 
-    pieces = [frac(t.strip()) for t in args.pieces.split(",") if t.strip()]
+    pieces = [frac(t) for t in _split_list(args.pieces, ",")]
     sc = parity.SectionClass(pieces)
     p = parity.section_parity(sc)
     if args.format == "json":
@@ -421,7 +430,7 @@ def cmd_genus(args) -> tuple[str, int]:
     from . import resolve
 
     pa = resolve.pa_hirzebruch(args.l, args.n, args.m)
-    sings = [int(t) for t in args.ak.split(",") if t.strip()] if args.ak else []
+    sings = [int(t) for t in _split_list(args.ak, ",")] if args.ak is not None else []
     g = resolve.geometric_genus(pa, sings)
     if args.format == "json":
         return _json_dump({

@@ -338,6 +338,13 @@ def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
     return out
 
 
+def one_node_splits(total_degree: int) -> list[tuple[BaseShape, tuple[int, int]]]:
+    """The (shape, degree split) pairs of shapes I-III in type order: the
+    t-th pair is graph type (t)."""
+    return [(shape, split) for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
+            for split in degree_splits(shape, total_degree)]
+
+
 # ---------------------------------------------------------------------------
 # Graph assembly
 
@@ -527,28 +534,27 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
         raise ShapeError("d must be >= 1")
     total = 6 * d
     families: list[BoundaryType] = []
-    index = 0
 
     # shapes I-III: forced (e, s) via the moduli filter, then degree splits
+    tail_degree: dict[BaseShape, int] = {}
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
-        step = {"I": 1, "II": 2, "III": 3}[shape.value]
-        tail_degree = max(step, 2)
+        step = shape.redundant_degree
+        tail_degree[shape] = max(step, 2)
         feasible = [
             (e, s)
-            for e in range(tail_degree, total + 1, step)
+            for e in range(tail_degree[shape], total + 1, step)
             for s in range(2, e + 1)
             if tail_moduli_filter(shape, e, s)
         ]
-        if feasible != [(tail_degree, 2)]:
+        if feasible != [(tail_degree[shape], 2)]:
             raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
-                             f"{feasible}, expected only {[(tail_degree, 2)]}")
-        for split in degree_splits(shape, total):
-            index += 1
-            graph = _skeleton(
-                d, shape, split, _split_locals(shape, split), tail_degree, index,
-                r_options=R_OPTIONS.get(index, ()),
-            )
-            families.append(BoundaryType(index, shape, (), (graph,)))
+                             f"{feasible}, expected only {[(tail_degree[shape], 2)]}")
+    for index, (shape, split) in enumerate(one_node_splits(total), 1):
+        graph = _skeleton(
+            d, shape, split, _split_locals(shape, split), tail_degree[shape], index,
+            r_options=R_OPTIONS.get(index, ()),
+        )
+        families.append(BoundaryType(index, shape, (), (graph,)))
 
     # shape IV: 1, 2, or 3 main components of degree divisible by 6
     main_splits: list[tuple[int, ...]] = []
@@ -559,8 +565,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
             if sum(parts) == total:
                 main_splits.append(tuple(sorted(parts, reverse=True)))
     main_splits.sort(key=lambda p: (len(p), p))
-    for degrees in main_splits:
-        index += 1
+    for index, degrees in enumerate(main_splits, len(families) + 1):
         ranges = tuple((1, 5 * k // 6 - 1) for k in degrees)
         graphs = tuple(
             _skeleton(d, BaseShape.IV, degrees, locals_, sum(locals_), index, params=locals_)

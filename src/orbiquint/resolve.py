@@ -17,8 +17,13 @@ the main curve; among them the one with the smallest total intersection
 with the main curve is contracted first (ties broken by position along
 the chain, reading from the directrix end).
 Free choice among all (-1)-vertices is genuinely not confluent, so the
-selection rule is part of the contraction's definition; with it the
-choice is unique at every step of the thirteen golden diagrams.
+selection rule is part of the contraction's definition.  The primary key
+alone does not decide it: over the thirteen golden diagrams it is tied
+at 12 of the 41 blow-down steps (items 2, 4, 5, 6, 7 and 9), and there
+the chain-position tie-break picks the curve.  That tie-break is a
+convention the golden diagrams depend on: in item 2, s1 and F tie at the
+second step, and contracting F first ends at a non-isomorphic
+configuration.
 """
 
 from __future__ import annotations
@@ -294,6 +299,8 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     position along the resolution chain from the directrix end (encoded
     in the canonical vertex ids sigma, s1.., F, t1..), so the result is
     independent of the presentation order of vertices and edges.  The
+    first key ties at some steps of the golden diagrams, so the result
+    depends on the chain naming too (see the module docstring).  The
     main curve's self-intersection entry is not tracked (the source
     diagrams never label it); it stays as given.
     """

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from orbiquint.classify import (
 from orbiquint.covergraphs import rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity
+from orbiquint.recillas import s4_elements
 
 
 def test_table1_shape():
@@ -62,6 +64,18 @@ def test_node_orbit_count():
     assert node_orbit_count(4, 9) == 1
     with pytest.raises(ClassifyError):
         node_orbit_count(5, 9)
+
+
+def test_node_orbit_count_is_s4_cycle_count():
+    # the orbit counts of r = 1..4 over every branch count are exactly the
+    # cycle counts of the order-r elements of S4; S4 has no element of order 5
+    for r in range(1, 5):
+        cycles = {len(p.cycles()) for p in s4_elements() if p.order() == r}
+        assert {node_orbit_count(r, b) for b in range(41)} == cycles
+    assert not any(p.order() == 5 for p in s4_elements())
+    for b in range(41):
+        with pytest.raises(ClassifyError):
+            node_orbit_count(5, b)
 
 
 def test_dual_route_genus():
@@ -141,6 +155,28 @@ def test_theorem_divisors():
     assert len({r.desc.canonical() for r in recs}) == 13
 
 
+def test_theorem_divisors_refuses_isomorphic_descriptions(monkeypatch):
+    # item 6 redrawn as item 5 with its two vertices listed the other way
+    five = THEOREM_DESCRIPTIONS[5]
+    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 6,
+                        StableCurveDesc(five.vertices[::-1], ((1, 0),)))
+    with pytest.raises(ClassifyError, match="description collision"):
+        theorem_divisors()
+
+
+def test_theorem_divisors_refuses_wrong_genus(monkeypatch):
+    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 13,
+                        StableCurveDesc((VertexDesc(3), VertexDesc(1)), ((0, 1),) * 2))
+    with pytest.raises(ClassifyError, match="description 13 has wrong genus"):
+        theorem_divisors()
+
+
+def test_records_group_sources_in_order():
+    recs = classify._records([(9, "a"), (1, "b"), (9, "c")])
+    assert [(r.theorem_index, r.sources) for r in recs] == [(1, ("b",)), (9, ("a", "c"))]
+    assert all(r.desc is THEOREM_DESCRIPTIONS[r.theorem_index] for r in recs)
+
+
 def test_stable_pa():
     one_vertex = StableCurveDesc((VertexDesc(6),), ())
     assert stable_pa(one_vertex) == 6
@@ -148,6 +184,14 @@ def test_stable_pa():
     assert stable_pa(loop) == 6
     with pytest.raises(ClassifyError):
         stable_pa(StableCurveDesc((VertexDesc(1), VertexDesc(2)), ()))
+    # a chain reached from vertex 0 only through the last vertex, and two
+    # components joined to each other but not to vertex 0
+    v = [VertexDesc(1)] * 4
+    assert stable_pa(StableCurveDesc(tuple(v), ((2, 3), (1, 2), (0, 3)))) == 4
+    with pytest.raises(ClassifyError):
+        stable_pa(StableCurveDesc(tuple(v), ((0, 1), (2, 3))))
+    assert classify.arithmetic_genus([3, 2], 2) == 6
+    assert classify.arithmetic_genus([5], 1) == 6
 
 
 def test_desc_canonical_symmetry():
@@ -200,43 +244,77 @@ def test_c2_even_p4_entries():
 
 
 def test_c2_entry_finds_every_entry():
+    # the c2 (and c1) entries the combination tables name, looked up by
+    # (label, p) in the lists classify_type_7 builds once
+    lookup = classify._model_lookup()
     for j in range(1, 10):
         for e in enumerate_c2_models(j):
-            assert classify._c2_entry(e.label, e.param) == e
-    assert classify._c2_entry("2.9", None) == next(
+            assert lookup(e.label, e.param) == e
+    for i in (3, 4):
+        for e in enumerate_c1_models(i):
+            assert lookup(f"1.{e.label}", None) == e
+            assert lookup(f"1.{e.label}'", None) == e  # the flip mark
+    assert lookup("2.9", None) == next(
         e for e in enumerate_c2_models(8) if e.label == "2.9")
     for label, p in (("2.1", 4), ("2.5", 0), ("2.3", None), ("2.15", 1),
-                     ("1.3", 1), ("2.x", 1)):
-        with pytest.raises(ClassifyError, match="no c2 entry"):
-            classify._c2_entry(label, p)
+                     ("1.3", 1), ("2.x", 1), ("1.3.1", 0), ("1.1.1", None)):
+        with pytest.raises(ClassifyError, match="no local model"):
+            lookup(label, p)
+
+
+def test_model_lookup_p_omitted_only_for_p4_labels():
+    # a c2 label found without p occurs once: exactly the p = 4-only labels
+    lookup = classify._model_lookup()
+    labels = {e.label for j in range(1, 10) for e in enumerate_c2_models(j)}
+    found = set()
+    for label in labels:
+        try:
+            assert lookup(label, None).param == 4
+            found.add(label)
+        except ClassifyError:
+            pass
+    assert found == {"2.8", "2.9", "2.10", "2.14"}
 
 
 def test_verify_golden_c2_builds(monkeypatch):
-    # c2_models.json builds the nine lists; each Table 2 row looks up one
-    # entry by building the one list that holds it
+    # c1_models.json and c2_models.json build the four c1 and the nine c2
+    # lists; classify_type_7 builds the c1 lists i = 3, 4 and the nine c2
+    # lists once more for its lookup
     from orbiquint.cli import _golden_dir, verify_golden
 
-    calls = []
-    build = classify.enumerate_c2_models
-    monkeypatch.setattr(classify, "enumerate_c2_models",
-                        lambda j: calls.append(j) or build(j))
+    calls = {"c1": [], "c2": []}
+    for family in calls:
+        name = f"enumerate_{family}_models"
+        build = getattr(classify, name)
+        monkeypatch.setattr(classify, name, lambda k, build=build, log=calls[family]:
+                            log.append(k) or build(k))
     assert verify_golden(_golden_dir())[0]
-    first = len(calls)
-    assert first <= 9 + len(TABLE2_ROWS)
+    first = {family: len(log) for family, log in calls.items()}
+    assert first["c1"] <= 6 and first["c2"] <= 18
     # nothing is kept between calls: the second call does the same work
     assert verify_golden(_golden_dir())[0]
-    assert len(calls) == 2 * first
+    assert {family: len(log) for family, log in calls.items()} == {
+        family: 2 * n for family, n in first.items()}
+
+
+def test_validate_recomputes_genus():
+    e = enumerate_c1_models(2)[0]
+    e.validate()
+    bad = replace(e, components=(replace(e.components[0], genus=1),) + e.components[1:])
+    with pytest.raises(ClassifyError, match="arithmetic genus"):
+        bad.validate()
 
 
 def test_table_parities():
+    lookup = classify._model_lookup()
     for k, row in enumerate(TABLE2_ROWS, 1):
-        assert type7_row_parity(row, k) is Parity.ODD
-        parities = type7_section_parities(row)
+        assert type7_row_parity(row, k, lookup) is Parity.ODD
+        parities = type7_section_parities(row, lookup)
         assert parities  # an integral section always exists
         if k not in PARITY_UNCONFIRMED_ROWS:
             assert Parity.ODD in parities
     for row in TABLE3_ROWS:
-        assert type7_row_parity(row) is Parity.MOOT
+        assert type7_row_parity(row, None, lookup) is Parity.MOOT
     assert PARITY_UNCONFIRMED_ROWS == frozenset({12})
 
 

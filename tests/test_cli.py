@@ -104,6 +104,37 @@ def test_genus(capsys):
     assert data["pa"] == 6 and data["genus"] == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["recillas", "--monodromy", "(1 2);"],
+    ["recillas", "--monodromy", ";"],
+    ["recillas", "--monodromy", "(1 2);;(1 3)"],
+    ["parity", "--pieces", ","],
+    ["parity", "--pieces", "1,,3"],
+    ["genus", "--l", "1", "--n", "4", "--m", "5", "--ak", "2,"],
+])
+def test_empty_list_item_is_a_domain_error(capsys, argv):
+    for fmt in ("md", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "empty item" in err
+
+
+def test_list_items_are_stripped(capsys):
+    code, out, _ = run(capsys, "recillas", "--monodromy", " (1 2) ; id ",
+                       "--format", "json")
+    assert code == 0
+    assert [e["perm"] for e in json.loads(out)] == ["(1 2)", "id"]
+    code, out, _ = run(capsys, "parity", "--pieces", " 1 , 0 ,3", "--format", "json")
+    assert code == 0 and json.loads(out)["pieces"] == ["1", "0", "3"]
+    code, out, _ = run(capsys, "genus", "--l", "1", "--n", "4", "--m", "5",
+                       "--ak", " 2 , 4", "--format", "json")
+    assert code == 0 and json.loads(out)["sings"] == ["A2", "A4"]
+    # an omitted --ak means no singularities
+    code, out, _ = run(capsys, "genus", "--l", "1", "--n", "4", "--m", "5",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["sings"] == []
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["table1", "--format", "bogus"])

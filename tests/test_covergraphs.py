@@ -1,6 +1,8 @@
 import ast
 import functools
 import hashlib
+import importlib
+import importlib.util
 import json
 import re
 from collections import Counter
@@ -279,6 +281,39 @@ def test_package_dataclass_fields_are_read():
         and s.target.id not in read
     ]
     assert unread == []
+
+
+def test_perfbench_tracing_targets_resolve():
+    # every function the benchmark's tracer wraps exists under its name:
+    # a renamed target would otherwise break only the traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", _ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = []
+    for module, path, name in tracing.TARGETS:
+        owner = importlib.import_module(f"orbiquint.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(name)
+    assert missing == []
+
+
+def test_one_node_splits_number_the_types():
+    # types (1)-(5) at d = 3 are the one-node splits in order, and the
+    # branch-count pairs of Table 1 come from the same sequence
+    from orbiquint import classify
+
+    splits = covergraphs.one_node_splits(18)
+    assert splits == [(BaseShape.I, (6, 12)), (BaseShape.II, (9, 9)), (BaseShape.II, (3, 15)),
+                      (BaseShape.III, (8, 10)), (BaseShape.III, (2, 16))]
+    families = enumerate_boundary_types(3)[:5]
+    assert [(f.type_index, f.shape) for f in families] == [
+        (t, shape) for t, (shape, _) in enumerate(splits, 1)]
+    assert classify._branch_pairs() == {
+        t: (max(split), min(split)) for t, (_, split) in enumerate(splits, 1)}
 
 
 def test_complete_redundant_stamped_tail_sharing_an_id():

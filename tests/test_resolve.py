@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import orbiquint
 from orbiquint.covergraphs import rh_ramification
 from orbiquint.resolve import (
     DIAGRAM_ITEMS,
@@ -165,3 +167,25 @@ def test_contract_presentation_independence():
         rng.shuffle(edges)
         got = contract_minus_ones(CurveConfig(verts, edges))
         assert config_isomorphic(got, reference)
+
+
+def _renamed(config: CurveConfig, old: str, new: str) -> CurveConfig:
+    name = {old: new}.get
+    return CurveConfig(
+        [Vertex(name(v.id, v.id), v.self_int, v.role) for v in config.vertices],
+        [Edge(name(e.v, e.v), name(e.w, e.w), e.mult) for e in config.edges],
+    )
+
+
+def test_tie_break_follows_chain_naming():
+    # the main-curve contact ties s1 and F at the second step of item 2,
+    # and the chain position picks s1; renamed outside the chain naming,
+    # s1 ranks after F, and the contraction ends elsewhere.  Item 4 ties
+    # too, but there both orders end at isomorphic configurations.
+    golden = Path(orbiquint.__file__).parent / "golden" / "diagrams"
+    for item, same in ((2, False), (4, True)):
+        expected = CurveConfig.from_text((golden / f"item{item:02d}.txt").read_text())
+        left = DIAGRAM_ITEMS[item].build()
+        assert config_isomorphic(contract_minus_ones(left), expected)
+        got = contract_minus_ones(_renamed(left, "s1", "x1"))
+        assert config_isomorphic(got, expected) is same, item
