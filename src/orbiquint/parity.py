@@ -12,7 +12,6 @@ F0 (even) or F1 (odd).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,23 +36,6 @@ class ParityState:
     def __post_init__(self) -> None:
         if self.h0_mod2 not in (0, 1):
             raise ParityError("h0_mod2 must be a bit")
-
-    def replay(self, initial_bit: int) -> int:
-        """Parity = initial bit XOR (number of epsilon twists mod 2)."""
-        flips = sum(1 for e in self.twist_log if e is TwistEvent.EPSILON)
-        return (initial_bit + flips) % 2
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"h0_mod2": self.h0_mod2, "twist_log": [e.value for e in self.twist_log]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParityState":
-        data = json.loads(text)
-        return cls(
-            data["h0_mod2"], tuple(TwistEvent(e) for e in data["twist_log"])
-        )
 
 
 def epsilon_twist(state: ParityState) -> ParityState:

@@ -53,12 +53,6 @@ class Perm:
             raise PermError("composition of permutations of different degree")
         return Perm(tuple(self(other(x)) for x in range(1, self.n + 1)))
 
-    def inverse(self) -> "Perm":
-        inv = [0] * self.n
-        for x in range(1, self.n + 1):
-            inv[self(x) - 1] = x
-        return Perm(tuple(inv))
-
     @classmethod
     def identity(cls, n: int = 4) -> "Perm":
         return cls(tuple(range(1, n + 1)))

@@ -7,23 +7,23 @@ points labeled by the local intersection multiplicity (an edge of
 multiplicity k is a single k-fold contact; parallel unit edges are
 distinct transverse points).
 
-contract_minus_ones blows down exceptional (-1)-curves.  The arithmetic
-is done at the level of intersection points: blowing down v merges all
-points on v into one image point, each surviving branch pair gaining
-d*e contact (d, e the branches' contacts with v), while distinct
-branches stay distinct (this is what produces the tangency cells in the
-golden diagrams).  Eligible vertices are the (-1)-vertices other than
-the main curve; among them the one with the smallest total intersection
-with the main curve is contracted first (ties broken by position along
-the chain, reading from the directrix end).
-Free choice among all (-1)-vertices is genuinely not confluent, so the
-selection rule is part of the contraction's definition.  The primary key
-alone does not decide it: over the thirteen golden diagrams it is tied
-at 12 of the 41 blow-down steps (items 2, 4, 5, 6, 7 and 9), and there
-the chain-position tie-break picks the curve.  That tie-break is a
-convention the golden diagrams depend on: in item 2, s1 and F tie at the
-second step, and contracting F first ends at a non-isomorphic
-configuration.
+contract_minus_ones blows down exceptional (-1)-curves on one branch
+table: a branch is one curve through one point, a point is the list of
+its branches, and contact orders are kept per branch pair.  Blowing down
+v merges the points on v into one image point, and each surviving branch
+pair gains d*e contact (d, e the branches' contacts with v), while
+distinct branches stay distinct (this produces the tangency cells in the
+golden diagrams).  Summed over branches this is the blow-down formula
+D.D' += (D.v)(D'.v) (Hartshorne V.3).  Eligible vertices are the
+(-1)-vertices other than the main curve; among them the one with the
+smallest total intersection with the main curve is contracted first
+(ties broken by position along the chain, reading from the directrix
+end).  Free choice among all (-1)-vertices is genuinely not confluent,
+and the primary key alone does not decide it: over the thirteen golden
+diagrams it is tied at 12 of the 41 blow-down steps (items 2, 4, 5, 6, 7
+and 9).  The chain-position tie-break is a convention the golden
+diagrams depend on: in item 2, s1 and F tie at the second step, and
+contracting F first ends at a non-isomorphic configuration.
 """
 
 from __future__ import annotations
@@ -76,11 +76,10 @@ def hj_expand(r: int, q: int) -> Chain:
 
 def hj_reconstruct(chain: Chain | Sequence[int]) -> tuple[int, int]:
     """Inverse of hj_expand; the empty chain is the smooth marker (1, 0)."""
-    ints = chain.ints if isinstance(chain, Chain) else tuple(chain)
-    if any(b < 2 for b in ints):
-        raise ResolveError("chain entries must all be >= 2")
+    if not isinstance(chain, Chain):
+        chain = Chain(tuple(chain))
     r, q = 1, 0
-    for b in reversed(ints):
+    for b in reversed(chain.ints):
         r, q = b * r - q, r
     return r, q
 
@@ -231,6 +230,12 @@ def build_coarse_fiber_config(
     (repeated entries are distinct transverse points; multiplicity k > 1
     is a single k-fold tangency).  For r = 1 (or integral a) the fiber
     is the single 0-vertex.
+
+    The chains are verified only for r <= 4, where every chain is a
+    palindrome.  For r >= 5 the sigma-side chain can be read the wrong
+    way round: in 40 of the 90 non-integral fibers with r <= 12, a <= 2,
+    the first at r = 5, a = 2/5, the fiber components' intersection
+    matrix has a zero kernel, so Zariski's lemma fails there.
     """
     a = frac(a)
     sings = coarse_singularities(r, a)
@@ -268,41 +273,18 @@ def build_coarse_fiber_config(
 # ---------------------------------------------------------------------------
 # Blow-down
 
-class _Point:
-    """An intersection point: branches (curve ids, one entry per branch)
-    and pairwise contact orders between branches."""
-
-    __slots__ = ("branches", "contacts")
-
-    def __init__(self) -> None:
-        self.branches: list[str] = []
-        self.contacts: dict[tuple[int, int], int] = {}
-
-    def add_edge(self, v: str, w: str, mult: int) -> None:
-        i, j = len(self.branches), len(self.branches) + 1
-        self.branches += [v, w]
-        self.contacts[(i, j)] = mult
-
-    def contact(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.contacts.get((i, j), 0)
-
-
 def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     """Repeatedly blow down eligible (-1)-curves until none remain.
 
-    Eligible: self-intersection -1, role Directrix or FiberComponent.
-    The main curve is never contracted; if it is the unique (-1)-vertex
-    the configuration is already final.  Selection among eligible
-    vertices: minimal total intersection with the main curve, then
-    position along the resolution chain from the directrix end (encoded
-    in the canonical vertex ids sigma, s1.., F, t1..), so the result is
-    independent of the presentation order of vertices and edges.  The
-    first key ties at some steps of the golden diagrams, so the result
-    depends on the chain naming too (see the module docstring).  The
-    main curve's self-intersection entry is not tracked (the source
-    diagrams never label it); it stays as given.
+    Eligible: self-intersection -1 and not the main curve.  Selection
+    among eligible vertices: minimal total intersection with the main
+    curve, then position along the resolution chain from the directrix
+    end (encoded in the canonical vertex ids sigma, s1.., F, t1..), so
+    the result is independent of the presentation order of vertices and
+    edges.  The first key ties at some steps of the golden diagrams, so
+    the result depends on the chain naming too (see the module
+    docstring).  The main curve's self-intersection entry is not tracked
+    (the source diagrams never label it); it stays as given.
     """
 
     def chain_rank(vid: str) -> tuple:
@@ -317,83 +299,61 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     role = {v.id: v.role for v in config.vertices}
     main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
 
-    points: list[_Point] = []
+    # The branch table (see the module docstring); each edge starts as a
+    # point with two branches.
+    curve: list[str] = []
+    points: list[list[int]] = []
+    contact: dict[tuple[int, int], int] = {}
     for e in config.edges:
-        p = _Point()
-        p.add_edge(e.v, e.w, e.mult)
-        points.append(p)
+        i = len(curve)
+        curve += [e.v, e.w]
+        points.append([i, i + 1])
+        contact[(i, i + 1)] = e.mult
 
-    def main_contact(vid: str) -> int:
-        if main is None:
-            return 0
-        total = 0
-        for p in points:
-            for i, b in enumerate(p.branches):
-                if b != vid:
-                    continue
-                for j, c in enumerate(p.branches):
-                    if c == main:
-                        total += p.contact(i, j)
-        return total
+    def pair(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if i < j else (j, i)
 
     alive = [v.id for v in config.vertices]
     while True:
-        eligible = [
-            vid
-            for vid in alive
-            if self_int[vid] == -1 and role[vid] is not Role.MAIN
-        ]
+        eligible = [u for u in alive if self_int[u] == -1 and u != main]
         if not eligible:
             break
-        vid = min(eligible, key=lambda u: (main_contact(u), chain_rank(u)))
+        main_contact = dict.fromkeys(eligible, 0)
+        for (i, j), c in contact.items():
+            if curve[j] == main and curve[i] in main_contact:
+                main_contact[curve[i]] += c
+            elif curve[i] == main and curve[j] in main_contact:
+                main_contact[curve[j]] += c
+        vid = min(eligible, key=lambda u: (main_contact[u], chain_rank(u)))
 
-        on_v = [p for p in points if vid in p.branches]
-        points = [p for p in points if vid not in p.branches]
-
-        # Image point: all non-v branches survive; each gains d*e contact
-        # with every other (d, e their contacts with v), on top of any
-        # contact they already had at the same source point.
-        new = _Point()
-        src: list[tuple[_Point, int]] = []  # (source point, source branch idx)
-        vcontact: list[int] = []
-        for p in on_v:
-            vidx = [i for i, b in enumerate(p.branches) if b == vid]
-            for i, b in enumerate(p.branches):
-                if b == vid:
-                    continue
-                new.branches.append(b)
-                src.append((p, i))
-                vcontact.append(sum(p.contact(i, k) for k in vidx))
-        for i in range(len(new.branches)):
-            for j in range(i + 1, len(new.branches)):
-                pi, bi = src[i]
-                pj, bj = src[j]
-                existing = pi.contact(bi, bj) if pi is pj else 0
-                c = existing + vcontact[i] * vcontact[j]
+        # Merge the points on v (see the module docstring); d[i] is the
+        # contact of surviving branch i with v.
+        on_v = [p for p in points if vid in map(curve.__getitem__, p)]
+        points = [p for p in points if vid not in map(curve.__getitem__, p)]
+        d = {i: sum(contact.get(pair(i, k), 0) for k in p if curve[k] == vid)
+             for p in on_v for i in p if curve[i] != vid}
+        merged = list(d)
+        for a, i in enumerate(merged):
+            for j in merged[a + 1:]:
+                c = contact.get(pair(i, j), 0) + d[i] * d[j]
                 if c:
-                    new.contacts[(i, j)] = c
-        # total intersection of each neighbor with v, for self-int updates
-        totals: dict[str, int] = {}
-        for b, c in zip(new.branches, vcontact):
-            totals[b] = totals.get(b, 0) + c
-        for b, d in totals.items():
-            if role[b] is not Role.MAIN:
-                self_int[b] += d * d
-        if len(new.branches) >= 2 and new.contacts:
-            points.append(new)
+                    contact[pair(i, j)] = c
+        contact = {(i, j): c for (i, j), c in contact.items()
+                   if vid not in (curve[i], curve[j])}
+        points.append(merged)
+        for b in {curve[i] for i in merged} - {main}:
+            self_int[b] += sum(d[i] for i in merged if curve[i] == b) ** 2
         alive.remove(vid)
 
-    vertices = [
-        Vertex(vid, self_int[vid], role[vid]) for vid in alive
-    ]
+    vertices = [Vertex(vid, self_int[vid], role[vid]) for vid in alive]
     edges = []
     for p in points:
-        for (i, j), c in sorted(p.contacts.items()):
-            b1, b2 = p.branches[i], p.branches[j]
-            if b1 == b2:
-                continue  # self-contact of one curve: not a drawn edge
-            v, w = sorted((b1, b2), key=lambda u: order[u])
-            edges.append(Edge(v, w, c))
+        for a, i in enumerate(p):
+            for j in p[a + 1:]:
+                c = contact.get(pair(i, j), 0)
+                if c and curve[i] != curve[j]:  # a curve's self-contact is not drawn
+                    v, w = sorted((curve[i], curve[j]), key=order.__getitem__)
+                    edges.append(Edge(v, w, c))
     return CurveConfig(vertices, edges)
 
 

@@ -225,9 +225,10 @@ def test_package_imports_are_used():
 
 
 def test_package_has_no_orphan_definitions():
-    # every top-level function, class and constant of the package is used
-    # by another top-level statement of the package, by the acceptance
-    # suite, or by the benchmark harness
+    # every top-level function, class and constant of the package, and
+    # every method of a package class, is used by another statement of
+    # the package (for a method: outside its own definition), by the
+    # acceptance suite, or by the benchmark harness
     trees = _package_trees()
     outside = [_ROOT / "tests" / "test_acceptance.py", *sorted((_ROOT / "perfbench").glob("*.py"))]
     external = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in outside))
@@ -235,17 +236,24 @@ def test_package_has_no_orphan_definitions():
     refs = [_referenced_names(s) for _, s in stmts]
     orphans = []
     for k, (module, s) in enumerate(stmts):
+        others = [r for j, r in enumerate(refs) if j != k]
         if isinstance(s, (ast.FunctionDef, ast.ClassDef)):
-            defined = [s.name]
+            defined = [(s.name, others)]
         elif isinstance(s, (ast.Assign, ast.AnnAssign)):
             targets = s.targets if isinstance(s, ast.Assign) else [s.target]
-            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined = [(t.id, others) for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        for name in defined:
-            if name.startswith("__") and name.endswith("__"):
+        if isinstance(s, ast.ClassDef):
+            defined += [
+                (f"{s.name}.{m.name}", others + [_referenced_names(n) for n in s.body if n is not m])
+                for m in s.body if isinstance(m, ast.FunctionDef)
+            ]
+        for name, used in defined:
+            short = name.rsplit(".", 1)[-1]
+            if short.startswith("__") and short.endswith("__"):
                 continue
-            if name in external or any(name in r for j, r in enumerate(refs) if j != k):
+            if short in external or any(short in r for r in used):
                 continue
             orphans.append((module, name))
     assert orphans == []

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import orbiquint
 from orbiquint.covergraphs import rh_ramification
@@ -189,3 +190,95 @@ def test_tie_break_follows_chain_naming():
         assert config_isomorphic(contract_minus_ones(left), expected)
         got = contract_minus_ones(_renamed(left, "s1", "x1"))
         assert config_isomorphic(got, expected) is same, item
+
+
+def _intersection_matrix(config: CurveConfig) -> dict[str, dict[str, int]]:
+    """Self-intersections on the diagonal, and edge multiplicities summed
+    per vertex pair off it."""
+    matrix = {v.id: dict.fromkeys((u.id for u in config.vertices), 0) for v in config.vertices}
+    for v in config.vertices:
+        matrix[v.id][v.id] = v.self_int
+    for e in config.edges:
+        matrix[e.v][e.w] += e.mult
+        matrix[e.w][e.v] += e.mult
+    return matrix
+
+
+def _chain_rank(vid: str) -> tuple:
+    m = re.fullmatch(r"(sigma|s|F|t)(\d*)", vid)
+    if not m:
+        return (4, 0, vid)
+    return (["sigma", "s", "F", "t"].index(m.group(1)), int(m.group(2) or 0), vid)
+
+
+def _lattice_blow_down(config: CurveConfig) -> tuple[dict, int, int]:
+    """Reference blow-down on the intersection lattice alone: contracting
+    a (-1)-curve E adds (D.E)(D'.E) to D.D' for every pair of surviving
+    curves, diagonal included (pi^*D' = D + (D'.E)E).  The selection key
+    is contract_minus_ones': total contact with the main curve, then the
+    chain position.  Returns the final matrix, the number of steps and
+    the number of steps at which the primary key was tied."""
+    main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
+    matrix = _intersection_matrix(config)
+
+    def main_contact(u: str) -> int:
+        return matrix[u][main] if main else 0
+
+    steps = ties = 0
+    while True:
+        eligible = [u for u in matrix if matrix[u][u] == -1 and u != main]
+        if not eligible:
+            return matrix, steps, ties
+        low = min(map(main_contact, eligible))
+        ties += sum(main_contact(u) == low for u in eligible) > 1
+        steps += 1
+        e = min(eligible, key=lambda u: (main_contact(u), _chain_rank(u)))
+        row = matrix.pop(e)
+        for u in matrix:
+            del matrix[u][e]
+            for w in matrix:
+                matrix[u][w] += row[u] * row[w]
+
+
+def _assert_matches_lattice(config: CurveConfig) -> None:
+    got = _intersection_matrix(contract_minus_ones(config))
+    want, _, _ = _lattice_blow_down(config)
+    # the main curve's self-intersection is not tracked by the contraction
+    main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
+    if main:
+        want[main][main] = got[main][main]
+    assert got == want
+
+
+def test_contract_matches_lattice_blow_down_on_items():
+    for item in DIAGRAM_ITEMS.values():
+        _assert_matches_lattice(item.build())
+
+
+def test_lattice_tie_count():
+    # the primary key alone is tied at 12 of the 41 blow-down steps of
+    # the thirteen diagrams, and the chain position decides those
+    counts = {n: _lattice_blow_down(item.build())[1:] for n, item in DIAGRAM_ITEMS.items()}
+    assert sum(steps for steps, _ in counts.values()) == 41
+    assert sum(ties for _, ties in counts.values()) == 12
+    assert {n for n, (_, ties) in counts.items() if ties} == {2, 4, 5, 6, 7, 9}
+
+
+@st.composite
+def _fiber_configs(draw) -> CurveConfig:
+    """build_coarse_fiber_config for r <= 12, a = k/r <= 2, with 1-4
+    attachments of the main curve, in a shuffled presentation."""
+    r = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=0, max_value=2 * r).filter(
+        lambda k: k % r == 0 or gcd(r, k) == 1))
+    ids = [v.id for v in build_coarse_fiber_config(r, Fraction(k, r)).vertices]
+    attach = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(min_value=1, max_value=3)),
+                           min_size=1, max_size=4))
+    base = build_coarse_fiber_config(r, Fraction(k, r), attach)
+    return CurveConfig(draw(st.permutations(base.vertices)), draw(st.permutations(base.edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fiber_configs())
+def test_contract_matches_lattice_blow_down(config):
+    _assert_matches_lattice(config)
