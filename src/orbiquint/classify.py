@@ -19,7 +19,7 @@ from . import covergraphs, resolve
 from .covergraphs import R_OPTIONS, rh_ramification
 from .orbiscroll import adjunction_degree, frac, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
-from .resolve import AkSing, geometric_genus, pa_hirzebruch
+from .resolve import geometric_genus, pa_hirzebruch
 
 
 class ClassifyError(ValueError):
@@ -349,7 +349,7 @@ _TYPE6_REDUCIBLE = {2: 3, 4: 6, 6: 8}  # directrix splits off
 def type6_main_genus(i: int) -> int:
     """Genus of the normalization of a curve of class 4s + 5F on F_1
     with an A_{i-1} singularity."""
-    return geometric_genus(pa_hirzebruch(1, 4, 5), [AkSing(i - 1)])
+    return geometric_genus(pa_hirzebruch(1, 4, 5), [i - 1])
 
 
 def classify_type_6() -> list[DivisorRecord]:
@@ -417,7 +417,7 @@ class LocalModelEntry:
         if self.half_edge_total() != 4:
             raise ClassifyError(f"{self.family} {self.label}: half-edges != 4")
         p = self.provenance
-        delta = sum(resolve.delta_invariant(AkSing(k)) for k in p.sings)
+        delta = sum(resolve.delta_invariant(k) for k in p.sings)
         pa = arithmetic_genus([c.genus for c in self.components], delta)
         if pa != pa_hirzebruch(p.l, p.n, p.m):
             raise ClassifyError(

@@ -11,8 +11,12 @@ the graph.
 
 The enumerator implements the constrained search: base shapes I-IV by
 the location of the marked points, the tail-moduli filter b - 2 <=
-max(0, s-3), the degree congruences mod 6, redundant-tail integrality,
-and nonnegative integral Riemann-Hurwitz branch counts.
+max(0, s-3), redundant-tail integrality, and nonnegative integral
+Riemann-Hurwitz branch counts.  Where the tail's marked point sits
+decides the one-node splits: full profiles make each main degree a
+multiple of the lcm of the parts over its marked points, matching node
+degrees split the tail's degree among the mains, and redundant tails
+fill each main's remaining node fiber.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import itertools
 import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from math import lcm
 from typing import Iterable, Optional
 
 MARKED = ("0", "1", "inf")
@@ -263,20 +268,17 @@ def generic_branch_count(d: int) -> int:
 def branch_count_tail(shape: BaseShape, e: int, s: int) -> int:
     """Branch points of the non-redundant tail component away from the
     node (including the tail's marked point when it is ramified over it):
-    e+s-2 (I), e/2+s-1 (II), e/3+s-1 (III)."""
+    Riemann-Hurwitz for a rational degree-e tail with s points over the
+    node and all parts u (the redundant degree) over its marked point,
+    which gives e+s-2 (I), e/2+s-1 (II), e/3+s-1 (III)."""
     if s < 1:
         raise ShapeError("s must be >= 1")
-    if shape is BaseShape.I:
-        return e + s - 2
-    if shape is BaseShape.II:
-        if e % 2:
-            raise ShapeError("case II needs e divisible by 2")
-        return e // 2 + s - 1
-    if shape is BaseShape.III:
-        if e % 3:
-            raise ShapeError("case III needs e divisible by 3")
-        return e // 3 + s - 1
-    raise ShapeError("branch_count_tail applies to shapes I-III")
+    if shape is BaseShape.IV:
+        raise ShapeError("branch_count_tail applies to shapes I-III")
+    u = shape.redundant_degree
+    if e % u:
+        raise ShapeError(f"case {shape.value} needs e divisible by {u}")
+    return rh_ramification(e, 0) - (e - s) - (e - e // u) + (u > 1)
 
 
 def tail_moduli_filter(shape: BaseShape, e: int, s: int) -> bool:
@@ -284,65 +286,56 @@ def tail_moduli_filter(shape: BaseShape, e: int, s: int) -> bool:
     return branch_count_tail(shape, e, s) - 2 <= max(0, s - 3)
 
 
-# Congruence classes mod 6 of the two main-component degrees, and the
-# node local degree of the non-redundant tail edge attached to each class.
-_SPLIT_RULES = {
-    BaseShape.I: ((0, 1), (0, 1)),
-    BaseShape.II: ((3, 1), (3, 1)),
-    BaseShape.III: ((4, 1), (2, 2)),
-}
+def _main_step(shape: BaseShape) -> int:
+    """Main degrees are multiples of the lcm of the profile parts over the
+    main's marked points: full profiles there must divide the degree."""
+    return lcm(*(PART[p] for p in shape.main_marked))
+
 
 # Splits that satisfy every stated filter but are not among the listed
 # boundary pictures; recorded expectations (see README / design notes).
 _EXCLUDED_SPLITS = {(BaseShape.III, 18): {(4, 14)}}
 
 
-def _split_locals(shape: BaseShape, degrees: tuple[int, int]) -> tuple[int, int]:
-    """Node local degree carried by each main component (congruence-forced)."""
-    (c1, l1), (c2, l2) = _SPLIT_RULES[shape]
-    locals_ = []
-    for k in degrees:
-        if k % 6 == c1:
-            locals_.append(l1)
-        elif k % 6 == c2:
-            locals_.append(l2)
-        else:
-            raise ShapeError(f"degree {k} violates shape {shape.value} congruence")
-    return tuple(locals_)
+def _one_node_types(
+    total_degree: int,
+) -> list[tuple[BaseShape, tuple[int, int], tuple[int, int]]]:
+    """The (shape, main degree split, node locals) of shapes I-III in type
+    order, derived from where the tail's marked point sits.
+
+    Each main degree is a multiple of ``_main_step``; the node locals
+    split the tail E's degree max(u, 2) (u the redundant degree) into one
+    part per main; each main's degree less its local is a nonnegative
+    multiple of u, filled by redundant tails.  Within a shape the most
+    balanced split comes first, ascending within each pair.
+    """
+    out = []
+    for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
+        u, step = shape.redundant_degree, _main_step(shape)
+        tail_degree = max(u, 2)
+        for k1 in reversed(range(step, total_degree // 2 + 1, step)):
+            split = (k1, total_degree - k1)
+            if split[1] % step or split in _EXCLUDED_SPLITS.get((shape, total_degree), ()):
+                continue
+            for l1 in range(1, tail_degree):
+                locals_ = (l1, tail_degree - l1)
+                if all(k >= l and (k - l) % u == 0 for k, l in zip(split, locals_)):
+                    out.append((shape, split, locals_))
+    return out
 
 
 def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
-    """Unordered two-component main degree splits for shapes I-III.
-
-    Filters: the congruences mod 6, redundant-tail integrality (each
-    main degree = its node local + a multiple of the redundant-tail
-    degree), and the recorded exclusions.
-    """
-    if shape not in _SPLIT_RULES:
+    """Unordered two-component main degree splits for shapes I-III, as
+    ``_one_node_types`` derives them, less the recorded exclusions."""
+    if shape is BaseShape.IV:
         raise ShapeError("degree_splits applies to shapes I-III")
-    (c1, _), (c2, _) = _SPLIT_RULES[shape]
-    u = shape.redundant_degree
-    out = []
-    for k1 in range(1, total_degree // 2 + 1):
-        k2 = total_degree - k1
-        if {k1 % 6, k2 % 6} != {c1, c2}:
-            continue
-        locs = _split_locals(shape, (k1, k2))
-        if any((k - l) % u or k < l for k, l in zip((k1, k2), locs)):
-            continue
-        if (k1, k2) in _EXCLUDED_SPLITS.get((shape, total_degree), set()):
-            continue
-        out.append((k1, k2))
-    # most balanced split first, ascending within each pair
-    out.sort(key=lambda p: (p[1] - p[0], p[0]))
-    return out
+    return [split for s, split, _ in _one_node_types(total_degree) if s is shape]
 
 
 def one_node_splits(total_degree: int) -> list[tuple[BaseShape, tuple[int, int]]]:
     """The (shape, degree split) pairs of shapes I-III in type order: the
     t-th pair is graph type (t)."""
-    return [(shape, split) for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
-            for split in degree_splits(shape, total_degree)]
+    return [(shape, split) for shape, split, _ in _one_node_types(total_degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -535,32 +528,32 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     total = 6 * d
     families: list[BoundaryType] = []
 
-    # shapes I-III: forced (e, s) via the moduli filter, then degree splits
-    tail_degree: dict[BaseShape, int] = {}
+    # shapes I-III: the moduli filter must force the minimal tail (e, s)
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
         step = shape.redundant_degree
-        tail_degree[shape] = max(step, 2)
+        minimal = (max(step, 2), 2)
         feasible = [
             (e, s)
-            for e in range(tail_degree[shape], total + 1, step)
+            for e in range(minimal[0], total + 1, step)
             for s in range(2, e + 1)
             if tail_moduli_filter(shape, e, s)
         ]
-        if feasible != [(tail_degree[shape], 2)]:
+        if feasible != [minimal]:
             raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
-                             f"{feasible}, expected only {[(tail_degree[shape], 2)]}")
-    for index, (shape, split) in enumerate(one_node_splits(total), 1):
+                             f"{feasible}, expected only {[minimal]}")
+    for index, (shape, split, locals_) in enumerate(_one_node_types(total), 1):
         graph = _skeleton(
-            d, shape, split, _split_locals(shape, split), tail_degree[shape], index,
+            d, shape, split, locals_, sum(locals_), index,
             r_options=R_OPTIONS.get(index, ()),
         )
         families.append(BoundaryType(index, shape, (), (graph,)))
 
-    # shape IV: 1, 2, or 3 main components of degree divisible by 6
+    # shape IV: 1, 2, or 3 main components, their degrees stepped as in I-III
+    step = _main_step(BaseShape.IV)
     main_splits: list[tuple[int, ...]] = []
     for n_comp in (1, 2, 3):
         for parts in itertools.combinations_with_replacement(
-            range(6, total + 1, 6), n_comp
+            range(step, total + 1, step), n_comp
         ):
             if sum(parts) == total:
                 main_splits.append(tuple(sorted(parts, reverse=True)))

@@ -1,12 +1,12 @@
 """Theta-characteristic parity bookkeeping.
 
 Parity means h^0 mod 2 of a (limiting) theta characteristic.  Only the
-bit is ever needed, so the state is a bit plus an event log: a
-two-torsion twist at a pair of points flips the parity, normalizing an
-orbinode with nontrivial automorphism action preserves it, and the
-parity of a section class (a sum of half-integer self-intersections with
-integral total) decides whether the ambient scroll is a degeneration of
-F0 (even) or F1 (odd).
+bit is ever needed, so the state is that bit alone: a two-torsion twist
+at a pair of points flips the parity, normalizing an orbinode with
+nontrivial automorphism action preserves it, and the parity of a section
+class (a sum of half-integer self-intersections with integral total)
+decides whether the ambient scroll is a degeneration of F0 (even) or F1
+(odd).
 """
 
 from __future__ import annotations
@@ -23,15 +23,9 @@ class ParityError(ValueError):
     pass
 
 
-class TwistEvent(enum.Enum):
-    EPSILON = "epsilon_twist"
-    ORBINODE = "orbinode_normalize"
-
-
 @dataclass(frozen=True)
 class ParityState:
     h0_mod2: int = 0
-    twist_log: tuple[TwistEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if self.h0_mod2 not in (0, 1):
@@ -41,15 +35,13 @@ class ParityState:
 def epsilon_twist(state: ParityState) -> ParityState:
     """Twist by a two-torsion bundle supported at a pair of points:
     h^0 changes by exactly one, so the parity bit flips."""
-    return ParityState(
-        (state.h0_mod2 + 1) % 2, state.twist_log + (TwistEvent.EPSILON,)
-    )
+    return ParityState((state.h0_mod2 + 1) % 2)
 
 
 def orbinode_normalize(state: ParityState) -> ParityState:
     """Push forward through the normalization of an orbinode whose
     automorphism acts nontrivially: h^0 is unchanged."""
-    return ParityState(state.h0_mod2, state.twist_log + (TwistEvent.ORBINODE,))
+    return ParityState(state.h0_mod2)
 
 
 class Parity(enum.Enum):

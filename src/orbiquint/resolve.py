@@ -74,10 +74,8 @@ def hj_expand(r: int, q: int) -> Chain:
     return Chain(tuple(ints))
 
 
-def hj_reconstruct(chain: Chain | Sequence[int]) -> tuple[int, int]:
+def hj_reconstruct(chain: Chain) -> tuple[int, int]:
     """Inverse of hj_expand; the empty chain is the smooth marker (1, 0)."""
-    if not isinstance(chain, Chain):
-        chain = Chain(tuple(chain))
     r, q = 1, 0
     for b in reversed(chain.ints):
         r, q = b * r - q, r
@@ -361,21 +359,12 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
 # A_k singularities and genus arithmetic
 
 
-@dataclass(frozen=True)
-class AkSing:
-    """A_k curve singularity germ; A_{-1} is a smooth unramified double
-    point datum and A_0 a smooth ramified one."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < -1:
-            raise ResolveError("k must be >= -1")
-
-
-def delta_invariant(sing: AkSing | int) -> int:
-    """delta(A_k) = ceil(k/2); zero for the degenerate labels A_{-1}, A_0."""
-    k = sing.k if isinstance(sing, AkSing) else AkSing(k=sing).k
+def delta_invariant(k: int) -> int:
+    """delta(A_k) = ceil(k/2) for the A_k curve singularity germ; zero for
+    the degenerate labels A_{-1} (a smooth unramified double point datum)
+    and A_0 (a smooth ramified one)."""
+    if k < -1:
+        raise ResolveError("k must be >= -1")
     if k <= 0:
         return 0
     return (k + 1) // 2
@@ -389,9 +378,9 @@ def pa_hirzebruch(l: int, n: int, m: int) -> int:
     return (n - 1) * (m - 1) - l * n * (n - 1) // 2
 
 
-def geometric_genus(pa: int, sings: Iterable[AkSing | int]) -> int:
-    """pa minus the total delta invariant of the imposed singularities."""
-    g = pa - sum(delta_invariant(s) for s in sings)
+def geometric_genus(pa: int, ks: Iterable[int]) -> int:
+    """pa minus the total delta invariant of the imposed A_k singularities."""
+    g = pa - sum(delta_invariant(k) for k in ks)
     if g < 0:
         raise ResolveError(f"negative geometric genus {g}")
     return g

@@ -11,7 +11,6 @@ import orbiquint
 from orbiquint.covergraphs import rh_ramification
 from orbiquint.resolve import (
     DIAGRAM_ITEMS,
-    AkSing,
     Chain,
     CurveConfig,
     Edge,
@@ -61,13 +60,13 @@ def test_hj_errors():
 
 def test_delta_and_genus():
     # delta(A_k) = ceil(k/2)
-    assert [delta_invariant(AkSing(k)) for k in range(6)] == [0, 1, 1, 2, 2, 3]
+    assert [delta_invariant(k) for k in range(6)] == [0, 1, 1, 2, 2, 3]
     assert pa_hirzebruch(1, 4, 5) == 6
     assert pa_hirzebruch(0, 4, 2) == 3
     assert pa_hirzebruch(2, 2, 4) == 1
-    assert geometric_genus(6, [AkSing(2)]) == 5
+    assert geometric_genus(6, [2]) == 5
     with pytest.raises(ResolveError):
-        geometric_genus(1, [AkSing(4)])
+        geometric_genus(1, [4])
     # Riemann-Hurwitz kernel: a genus-2 double cover of P^1 has 6 branch
     # points, a rational cubic (-2 = -6 + ram) has total ramification 4
     assert rh_ramification(2, 2) == 6
@@ -179,16 +178,19 @@ def _renamed(config: CurveConfig, old: str, new: str) -> CurveConfig:
 
 
 def test_tie_break_follows_chain_naming():
-    # the main-curve contact ties s1 and F at the second step of item 2,
-    # and the chain position picks s1; renamed outside the chain naming,
-    # s1 ranks after F, and the contraction ends elsewhere.  Item 4 ties
-    # too, but there both orders end at isomorphic configurations.
+    # the main-curve contact ties curves at six of the thirteen items, and
+    # the chain position picks the winner; renamed outside the chain
+    # naming, the first tie's winner (s1 or sigma) ranks last, and the
+    # contraction ends elsewhere.  In item 2, s1 and F tie at the second
+    # step.  Item 4 ties too, but there both orders end at isomorphic
+    # configurations.
     golden = Path(orbiquint.__file__).parent / "golden" / "diagrams"
-    for item, same in ((2, False), (4, True)):
+    for item, winner, same in ((2, "s1", False), (4, "sigma", True), (5, "s1", False),
+                               (6, "sigma", False), (7, "s1", False), (9, "sigma", False)):
         expected = CurveConfig.from_text((golden / f"item{item:02d}.txt").read_text())
         left = DIAGRAM_ITEMS[item].build()
         assert config_isomorphic(contract_minus_ones(left), expected)
-        got = contract_minus_ones(_renamed(left, "s1", "x1"))
+        got = contract_minus_ones(_renamed(left, winner, "x1"))
         assert config_isomorphic(got, expected) is same, item
 
 
