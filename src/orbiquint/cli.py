@@ -267,16 +267,7 @@ def cmd_boundary_graphs(args) -> tuple[str, int]:
 
     families = covergraphs.enumerate_boundary_types(args.d)
     if args.format == "json":
-        return _json_dump([
-            {
-                "type": fam.type_index,
-                "shape": fam.shape.name,
-                "param_ranges": [list(r) for r in fam.param_ranges],
-                "count": len(fam.graphs),
-                "graphs": [g.to_json_dict() for g in fam.graphs],
-            }
-            for fam in families
-        ]), 0
+        return covergraphs.families_json(families) + "\n", 0
     if args.format == "dot":
         return "\n".join(g.to_dot() for fam in families for g in fam.graphs), 0
     headers = ["type", "shape", "param ranges", "graphs"]

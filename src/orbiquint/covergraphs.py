@@ -118,17 +118,37 @@ class NodeEdge:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _json_fragment(item: Component | NodeEdge) -> str:
-    """One list element of ``CoverGraph.to_json``, at its nesting depth."""
-    text = json.dumps(item.to_json_dict(), indent=2, sort_keys=True)
-    return "    " + text.replace("\n", "\n    ")
+def _json_fragment(item: Component | NodeEdge, depth: int, sort_keys: bool) -> str:
+    """One list element as ``json.dumps(indent=2, sort_keys=sort_keys)``
+    lays it out at nesting ``depth``.  The layout (depth, sort_keys) is
+    part of the memo key, so a fragment is reused only in its own layout."""
+    pad = "  " * depth
+    text = json.dumps(item.to_json_dict(), indent=2, sort_keys=sort_keys)
+    return pad + text.replace("\n", "\n" + pad)
 
 
-def _json_list(items: tuple) -> str:
-    """A list valued under a top-level key, as ``json.dumps(indent=2)`` lays it out."""
-    if not items:
+def _json_list(elements: list[str], depth: int) -> str:
+    """A list whose elements are laid out at ``depth + 1``, closed at ``depth``."""
+    if not elements:
         return "[]"
-    return "[\n" + ",\n".join(map(_json_fragment, items)) + "\n  ]"
+    return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
+
+
+def _json_splice(
+    skeleton: dict, lists: dict[str, list[str]], depth: int, sort_keys: bool
+) -> str:
+    """``skeleton`` as a list element at nesting ``depth``, laid out as
+    ``json.dumps(indent=2, sort_keys=sort_keys)`` does, with the rendered
+    elements of ``lists[key]`` where the skeleton holds ``"key": []``."""
+    pad = "  " * depth
+    text = pad + json.dumps(skeleton, indent=2, sort_keys=sort_keys).replace("\n", "\n" + pad)
+    out = []
+    for key in sorted(skeleton) if sort_keys else skeleton:
+        if key in lists:
+            head, _, text = text.partition(f'"{key}": []')
+            out += (head, f'"{key}": ', _json_list(lists[key], depth + 1))
+    out.append(text)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -188,31 +208,43 @@ class CoverGraph:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
+    def _json_skeleton(self) -> dict:
+        """The JSON record with empty lists where the components and edges go."""
         return {
             "d": self.d,
             "shape": self.shape.value,
             "type": self.type_index,
             "params": list(self.params),
             "r_options": list(self.r_options),
-            "components": [c.to_json_dict() for c in self.components],
-            "edges": [e.to_json_dict() for e in self.node_edges],
+            "components": [],
+            "edges": [],
         }
+
+    def to_json_dict(self) -> dict:
+        record = self._json_skeleton()
+        record["components"] = [c.to_json_dict() for c in self.components]
+        record["edges"] = [e.to_json_dict() for e in self.node_edges]
+        return record
+
+    def _json_text(self, depth: int, sort_keys: bool) -> str:
+        """``self.to_json_dict()`` as ``json.dumps(indent=2,
+        sort_keys=sort_keys)`` lays it out as a list element at nesting
+        ``depth``; the components and edges are memoised fragments."""
+        # map keeps the per-item lookup loop in C; to_json runs once per graph
+        depths, keys = itertools.repeat(depth + 2), itertools.repeat(sort_keys)
+        return _json_splice(self._json_skeleton(), {
+            "components": list(map(_json_fragment, self.components, depths, keys)),
+            "edges": list(map(_json_fragment, self.node_edges, depths, keys)),
+        }, depth, sort_keys)
 
     def to_json(self) -> str:
         """Byte-identical to ``json.dumps(self.to_json_dict(), indent=2,
         sort_keys=True)`` when every field holds its annotated type, as
         this module builds them (``1 == True`` and ``2 == 2.0`` share a
-        fragment).  Fragments are memoised by value because the graphs of
+        fragment).  Fragments are memoised by value and layout, the
+        layout here being depth 0 with sorted keys, because the graphs of
         one enumeration share most tails, mains and edges."""
-        # json lays out the scalar fields; the fragments replace the empty lists
-        skeleton = replace(self, components=(), node_edges=()).to_json_dict()
-        text = json.dumps(skeleton, indent=2, sort_keys=True)
-        head, _, rest = text.partition('"components": []')
-        mid, _, tail = rest.partition('"edges": []')
-        comps = _json_list(self.components)
-        edges = _json_list(self.node_edges)
-        return f'{head}"components": {comps}{mid}"edges": {edges}{tail}'
+        return self._json_text(0, True)
 
     def to_dot(self) -> str:
         """Graphviz text of the main and non-redundant tail components."""
@@ -240,6 +272,24 @@ class BoundaryType:
     shape: BaseShape
     param_ranges: tuple[tuple[int, int], ...]  # inclusive (lo, hi) per parameter
     graphs: tuple[CoverGraph, ...]
+
+
+def families_json(families: Iterable[BoundaryType]) -> str:
+    """The family list of ``boundary-graphs --format json``: byte-identical
+    to ``json.dumps(records, indent=2)``, each record holding a family's
+    type, shape, param ranges, graph count and its graphs'
+    ``to_json_dict()``.  Graphs sit at nesting depth 3, in insertion key
+    order, and share the fragment cache with ``to_json``."""
+    return _json_list([
+        _json_splice({
+            "type": fam.type_index,
+            "shape": fam.shape.name,
+            "param_ranges": [list(r) for r in fam.param_ranges],
+            "count": len(fam.graphs),
+            "graphs": [],
+        }, {"graphs": [g._json_text(3, False) for g in fam.graphs]}, 1, False)
+        for fam in families
+    ], 0)
 
 
 # ---------------------------------------------------------------------------

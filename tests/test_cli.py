@@ -4,11 +4,12 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from orbiquint import cli
+from orbiquint import cli, covergraphs
 from orbiquint.cli import golden_artifacts, main, verify_golden
 
 
@@ -44,6 +45,56 @@ def test_json_round_trip(capsys):
         assert code == 0
         parsed = json.loads(out)
         assert json.dumps(parsed, indent=2) + "\n" == out
+
+
+def _reference_boundary_json(families) -> str:
+    # one json.dumps of the whole family tree, every graph as its
+    # to_json_dict(): the layout the CLI's spliced fragments must reproduce
+    return json.dumps([
+        {
+            "type": fam.type_index,
+            "shape": fam.shape.name,
+            "param_ranges": [list(r) for r in fam.param_ranges],
+            "count": len(fam.graphs),
+            "graphs": [g.to_json_dict() for g in fam.graphs],
+        }
+        for fam in families
+    ], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_boundary_graphs_json_matches_reference_route(capsys, d):
+    families = covergraphs.enumerate_boundary_types(d)
+    expected = _reference_boundary_json(families)
+    graphs = [g for fam in families for g in fam.graphs]
+    sorted_json = [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
+    argv = ("boundary-graphs", "--d", str(d), "--format", "json")
+    covergraphs._json_fragment.cache_clear()
+    assert run(capsys, *argv) == (0, expected, "")  # cold fragment cache
+    assert run(capsys, *argv) == (0, expected, "")  # warm
+    # to_json caches the same components and edges in its own layout
+    # (depth 0, sorted keys); neither layout may serve the other
+    covergraphs._json_fragment.cache_clear()
+    assert [g.to_json() for g in graphs] == sorted_json
+    assert run(capsys, *argv) == (0, expected, "")
+    assert [g.to_json() for g in graphs] == sorted_json
+
+
+def test_boundary_graphs_json_renders_each_item_once(capsys, monkeypatch):
+    # the CLI must serialise each distinct component and edge once, through
+    # the memoised fragments, not dump the whole tree
+    calls = Counter()
+    for cls in (covergraphs.Component, covergraphs.NodeEdge):
+        def counted(self, real=cls.to_json_dict):
+            calls[self] += 1
+            return real(self)
+        monkeypatch.setattr(cls, "to_json_dict", counted)
+    covergraphs._json_fragment.cache_clear()
+    code, _, _ = run(capsys, "boundary-graphs", "--d", "3", "--format", "json")
+    items = {item for fam in covergraphs.enumerate_boundary_types(3) for g in fam.graphs
+             for item in (*g.components, *g.node_edges)}
+    assert code == 0 and len(items) == 212
+    assert calls == Counter(dict.fromkeys(items, 1))
 
 
 def test_resolve_example(capsys):

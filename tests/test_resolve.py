@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -264,6 +264,89 @@ def test_lattice_tie_count():
     assert sum(steps for steps, _ in counts.values()) == 41
     assert sum(ties for _, ties in counts.values()) == 12
     assert {n for n, (_, ties) in counts.items() if ties} == {2, 4, 5, 6, 7, 9}
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[Fraction]], list[int], int]:
+    """Row echelon form by exact Fraction elimination: the reduced rows,
+    the pivot columns, and the sign of the row swaps made."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    sign = 1
+    for col in range(len(m[0]) if m else 0):
+        i = len(pivots)
+        pivot = next((r for r in range(i, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            sign = -sign
+        pivots.append(col)
+        for r in range(i + 1, len(m)):
+            if m[r][col]:
+                factor = m[r][col] / m[i][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[i])]
+    return m, pivots, sign
+
+
+def _det(rows: list[list[int]]) -> Fraction:
+    m, pivots, sign = _echelon(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    det = Fraction(sign)
+    for i in range(len(rows)):
+        det *= m[i][i]
+    return det
+
+
+def _primitive_kernel(rows: list[list[int]]) -> list[int] | None:
+    """The kernel's primitive generator with a positive first entry, or
+    None unless the kernel is one-dimensional."""
+    m, pivots, _ = _echelon(rows)
+    free = [c for c in range(len(rows)) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [Fraction(0)] * len(rows)
+    vec[free[0]] = Fraction(1)
+    for i, col in reversed(list(enumerate(pivots))):  # back substitution
+        vec[col] = -sum(m[i][j] * vec[j] for j in range(col + 1, len(rows))) / m[i][col]
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints) * (1 if ints[0] > 0 else -1)
+    return [x // g for x in ints]
+
+
+def _tridiagonal(ints: tuple[int, ...]) -> list[list[int]]:
+    n = len(ints)
+    return [[ints[i] if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+def test_hj_chain_determinants():
+    # r/q = [b1, ..., bk]: the chain's tridiagonal matrix has determinant
+    # r, and its minor without b1 has determinant q (the empty minor is 1)
+    for r in range(2, 40):
+        for q in range(1, r):
+            if gcd(r, q) == 1:
+                ints = hj_expand(r, q).ints
+                assert _det(_tridiagonal(ints)) == r, (r, q)
+                assert _det(_tridiagonal(ints[1:])) == q, (r, q)
+
+
+def test_left_stage_fibers_satisfy_zariski():
+    # on the left stage of every diagram item, the fiber components'
+    # intersection matrix has a one-dimensional kernel spanned by the full
+    # fiber's multiplicities; the directrix meets the full fiber once and
+    # the main curve C meets it in 4 points (items 1-10) or 3 (items 11-13)
+    for n, item in DIAGRAM_ITEMS.items():
+        config = item.build()
+        matrix = _intersection_matrix(config)
+        fiber = [v.id for v in config.vertices if v.role is Role.FIBER]
+        mults = _primitive_kernel([[matrix[u][w] for w in fiber] for u in fiber])
+        assert mults is not None and min(mults) > 0, n
+        full = dict(zip(fiber, mults))
+        if n == 5:
+            assert full == {"s1": 1, "s2": 2, "F": 3, "t1": 1}
+        assert sum(m * matrix["sigma"][u] for u, m in full.items()) == 1, n
+        assert sum(m * matrix["C"][u] for u, m in full.items()) == (4 if n <= 10 else 3), n
 
 
 @st.composite
