@@ -16,7 +16,8 @@ Riemann-Hurwitz branch counts.  Where the tail's marked point sits
 decides the one-node splits: full profiles make each main degree a
 multiple of the lcm of the parts over its marked points, matching node
 degrees split the tail's degree among the mains, and redundant tails
-fill each main's remaining node fiber.
+fill each main's remaining node fiber.  Memoised constructors build each
+distinct component and edge once; graphs share them as frozen objects.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class RamProfile:
     def total(self) -> int:
         return sum(self.parts)
 
-    @property
+    @functools.cached_property
     def ram(self) -> int:
         return sum(p - 1 for p in self.parts)
 
@@ -241,9 +242,9 @@ class CoverGraph:
         """Byte-identical to ``json.dumps(self.to_json_dict(), indent=2,
         sort_keys=True)`` when every field holds its annotated type, as
         this module builds them (``1 == True`` and ``2 == 2.0`` share a
-        fragment).  Fragments are memoised by value and layout, the
-        layout here being depth 0 with sorted keys, because the graphs of
-        one enumeration share most tails, mains and edges."""
+        fragment).  Fragments are memoised by item and layout, here depth
+        0 with sorted keys.  The graphs of one enumeration share their
+        components and edges as frozen objects, so a hit goes by identity."""
         return self._json_text(0, True)
 
     def to_dot(self) -> str:
@@ -411,30 +412,34 @@ def _node_fibers(edges: Iterable[NodeEdge]) -> defaultdict[tuple[str, str], list
     return fibers
 
 
-def _profiles_for(side_marked: tuple[str, ...], degree: int) -> list[tuple[str, RamProfile]]:
-    profs = []
-    for pt in side_marked:
-        part = PART[pt]
-        if degree % part:
+# Memoised constructors: equal components, edges and profiles are one
+# shared frozen object (tails E built from different node locals meet in
+# ``_component``).  Arguments always go in positionally, so a value has
+# one cache entry; a ShapeError is raised again, never cached.
+_component = functools.lru_cache(maxsize=1 << 12)(Component)
+_node_edge = functools.lru_cache(maxsize=1 << 12)(NodeEdge)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _profiles_for(marked: tuple[str, ...], degree: int) -> tuple[tuple[str, RamProfile], ...]:
+    for pt in marked:
+        if degree % PART[pt]:
             raise ShapeError(f"degree {degree} not divisible by profile part over {pt}")
-        profs.append((pt, RamProfile((part,) * (degree // part))))
-    return profs
+    return tuple((pt, RamProfile((PART[pt],) * (degree // PART[pt]))) for pt in marked)
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _make_component(
-    cid: str,
-    side: str,
-    degree: int,
-    marked: tuple[str, ...],
-    node_locals: Iterable[int],
-    redundant: bool = False,
+    cid: str, side: str, degree: int, marked: tuple[str, ...],
+    node_locals: tuple[int, ...], redundant: bool,
 ) -> Component:
-    """A rational component with its Riemann-Hurwitz branch count."""
-    profiles = tuple(_profiles_for(marked, degree))
+    """A rational component with its Riemann-Hurwitz branch count: the
+    one constructor of mains, the tail E and the redundant tails."""
+    profiles = _profiles_for(marked, degree)
     beta = _component_beta(degree, 0, profiles, node_locals)
     if beta < 0:
         raise ShapeError(f"negative branch count for component {cid}")
-    return Component(cid, side, degree, 0, redundant, profiles, beta)
+    return _component(cid, side, degree, 0, redundant, profiles, beta)
 
 
 def complete_redundant(graph: CoverGraph) -> CoverGraph:
@@ -447,15 +452,11 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
     """
     shape = graph.shape
     u = shape.redundant_degree
-    tmark = shape.tail_marked
+    tmark = (shape.tail_marked,) if shape.tail_marked else ()
     by_id = {c.id: c for c in reversed(graph.components)}  # first of each id wins
     comps = [c for c in graph.components if not (c.side == "tail" and c.redundant)]
     edges = [e for e in graph.node_edges if not by_id[e.tail_id].redundant]
     used = _node_fibers(edges)
-    # every redundant tail is this component under another id
-    template = _make_component(
-        "R", "tail", u, (tmark,) if tmark else (), [u], redundant=True
-    )
     new_comps: list[Component] = []
     new_edges: list[NodeEdge] = []
     for main in sorted(graph.mains(), key=lambda c: c.id):
@@ -467,10 +468,8 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
             )
         for _ in range(residual // u):
             cid = f"R{len(new_comps) + 1}"
-            new_comps.append(
-                Component(cid, "tail", u, 0, True, template.profiles, template.beta)
-            )
-            new_edges.append(NodeEdge(main.id, cid, u))
+            new_comps.append(_make_component(cid, "tail", u, tmark, (u,), True))
+            new_edges.append(_node_edge(main.id, cid, u))
     all_edges = tuple(edges + new_edges)
     fibers = _node_fibers(all_edges)
 
@@ -478,7 +477,8 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
         beta = _component_beta(c.degree, c.genus, c.profiles, fibers[c.side, c.id])
         if beta < 0:
             raise ShapeError(f"negative branch count for component {c.id}")
-        return c if beta == c.beta else replace(c, beta=beta)
+        return c if beta == c.beta else _component(
+            c.id, c.side, c.degree, c.genus, c.redundant, c.profiles, beta)
 
     final = tuple(rebeta(c) for c in comps + new_comps)
     return replace(graph, components=final, node_edges=all_edges)
@@ -555,13 +555,12 @@ def _skeleton(
     r_options: tuple[int, ...] = (),
 ) -> CoverGraph:
     """Main components, the non-redundant tail E, and their redundant completion."""
-    mains = [
-        _make_component(f"M{i+1}", "main", k, shape.main_marked, [l])
-        for i, (k, l) in enumerate(zip(degrees, locals_))
-    ]
-    tmark = shape.tail_marked
-    tail = _make_component("E", "tail", tail_degree, (tmark,) if tmark else (), locals_)
-    edges = [NodeEdge(m.id, "E", l) for m, l in zip(mains, locals_)]
+    marks = shape.main_marked
+    mains = [_make_component(f"M{i+1}", "main", k, marks, (l,), False)
+             for i, (k, l) in enumerate(zip(degrees, locals_))]
+    tmark = (shape.tail_marked,) if shape.tail_marked else ()
+    tail = _make_component("E", "tail", tail_degree, tmark, locals_, False)
+    edges = [_node_edge(m.id, "E", l) for m, l in zip(mains, locals_)]
     return complete_redundant(CoverGraph(
         d, shape, tuple(mains + [tail]), tuple(edges), type_index, params, r_options
     ))

@@ -90,8 +90,7 @@ def test_graph_json_round_trip():
     g = enumerate_boundary_types(3)[5].graphs[0]
     data = json.loads(g.to_json())
     assert data == g.to_json_dict()
-    # reemission is the identity
-    assert json.dumps(data) == json.dumps(json.loads(json.dumps(data)))
+    assert g.to_json() == json.dumps(g.to_json_dict(), indent=2, sort_keys=True)
 
 
 def test_complete_redundant_stable():
@@ -189,6 +188,57 @@ def test_complete_redundant_stamped_tail_sharing_an_id():
     edges = tuple(replace(e, tail_id="R1") for e in g.node_edges if e.tail_id == "E")
     with pytest.raises(ShapeError, match="negative branch count for component R1"):
         complete_redundant(replace(g, components=comps, node_edges=edges))
+
+
+def test_complete_redundant_rechecks_memoised_tails(monkeypatch):
+    # a stamped tail is taken from the memoised constructor; if that hands
+    # back a wrong beta, the re-check of every component still corrects it
+    g = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
+    real = covergraphs._make_component
+
+    def wrong_beta(*args):
+        c = real(*args)
+        return replace(c, beta=c.beta + 3) if c.redundant else c
+    monkeypatch.setattr(covergraphs, "_make_component", wrong_beta)
+    stamped = [c for c in complete_redundant(g).components if c.redundant]
+    assert stamped and all(c.beta == 0 for c in stamped)
+    assert complete_redundant(g) == g
+
+
+def _clear_memos():
+    for memo in vars(covergraphs).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+
+
+@pytest.mark.parametrize("d, pinned", [(3, 137), (6, 357)])
+def test_enumeration_builds_each_item_once(monkeypatch, d, pinned):
+    # equal components and edges of one enumeration are one object, and
+    # the component count stays near the distinct values, not per graph
+    # (the per-graph construction made 1772 at d = 3 and 52517 at d = 6)
+    _clear_memos()
+    built = 0
+    real = covergraphs.Component.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(covergraphs.Component, "__init__", counted)
+    items = [item for f in enumerate_boundary_types(d) for g in f.graphs
+             for item in (*g.components, *g.node_edges)]
+    shared = {}
+    assert all(shared.setdefault(item, item) is item for item in items)
+    assert built <= pinned
+
+
+def test_memoised_constructors_cache_no_failure():
+    _clear_memos()
+    for args in [("M1", "main", 7, ("0", "1"), (1,), False),  # 7 is odd
+                 ("E", "tail", 1, (), (3,), False)]:  # negative branch count
+        for _ in range(2):
+            with pytest.raises(ShapeError):
+                covergraphs._make_component(*args)
 
 
 def test_one_node_types_pinned(monkeypatch):
