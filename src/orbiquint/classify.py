@@ -238,6 +238,7 @@ def _v(genus, tags=(), marks=()):
 
 
 # The 13 boundary divisors, in the order of the main theorem.
+# recorded: main theorem — the vertex tags and marks are geometry no code here computes
 THEOREM_DESCRIPTIONS: dict[int, StableCurveDesc] = {
     1: StableCurveDesc((_v(5, [Tag.NODAL_PLANE_QUINTIC]),), ((0, 0),)),
     2: StableCurveDesc((_v(5, [Tag.HYPERELLIPTIC]),), ((0, 0),)),
@@ -306,11 +307,12 @@ def _records(pairs: Iterable[tuple[int, str]]) -> list[DivisorRecord]:
 # ---------------------------------------------------------------------------
 # Types (1)-(5): Table 1 rows to divisors
 
-# recorded expectation: rows whose images have dimension at most 10
-# (prose dimension counts, not re-derived)
+# Rows whose images have dimension at most 10.
+# recorded: Table 1 discussion — prose dimension counts; moduli_dimension reads 12 on every row
 ROWS_LOW_DIMENSION = frozenset({2, 5, 6, 13, 14})
 
-# surviving rows to theorem divisors
+# Surviving rows to theorem divisors.
+# recorded: Table 1 discussion — the genus-and-edge rule leaves rows 7, 8, 11, 12 ambiguous
 ROW_TO_THEOREM = {1: 13, 3: 9, 4: 9, 7: 6, 8: 1, 11: 6, 12: 10}
 
 
@@ -332,18 +334,21 @@ def classify_type_1_5() -> list[DivisorRecord]:
 
 
 def hyperelliptic_tail_genus(i: int) -> int:
-    """Tail genus for the one-main-component tail type: (i-1)/2 for odd
-    i; i/2 - 1 for even i (the main theorem's items at i = 4, 6, 8 force
-    i/2 - 1 over the prose value i/2)."""
+    """Genus of the hyperelliptic tail over a node of local degree i: the
+    stable tail of an A_k point, k = i - 1, has genus floor(k/2)
+    (Hassett, Local stable reduction of plane curve singularities, 2000)."""
     if i < 1:
         raise ClassifyError("i must be >= 1")
-    return (i - 1) // 2 if i % 2 else i // 2 - 1
+    return (i - 1) // 2
 
 
-# recorded case analysis: parameter i to theorem divisor
-_TYPE6_ODD = {3: 3, 5: 4, 7: 5, 9: 7}  # irreducible, one node
-_TYPE6_EVEN = {2: 1, 4: 9, 6: 11, 8: 12}  # irreducible, two nodes
-_TYPE6_REDUCIBLE = {2: 3, 4: 6, 6: 8}  # directrix splits off
+# Type (6) cases, parameter i to theorem divisor.
+# recorded: type (6) analysis, irreducible, one node — the divisor needs geometry not modelled
+_TYPE6_ODD = {3: 3, 5: 4, 7: 5, 9: 7}
+# recorded: type (6) analysis, irreducible, two nodes — the divisor needs geometry not modelled
+_TYPE6_EVEN = {2: 1, 4: 9, 6: 11, 8: 12}
+# recorded: type (6) analysis, directrix split off — the divisor needs geometry not modelled
+_TYPE6_REDUCIBLE = {2: 3, 4: 6, 6: 8}
 
 
 def type6_main_genus(i: int) -> int:
@@ -441,12 +446,24 @@ def _entry(family, label, tag, param, comps, sA, sB, prov) -> LocalModelEntry:
     return e
 
 
+def model_locals(family: str) -> range:
+    """Node locals with local models: i for c1 (the degree-6 main), j for
+    c2 (the degree-12 main), as the shape IV enumeration ranges them."""
+    return covergraphs.node_local_range({"c1": 6, "c2": 12}[family])
+
+
+def _require_local(family: str, name: str, value: int) -> None:
+    locals_ = model_locals(family)
+    if value not in locals_:
+        raise ClassifyError(f"{family} models need 1 <= {name} <= {locals_[-1]}")
+
+
 def enumerate_c1_models(i: int) -> list[LocalModelEntry]:
     """Local models of the degree-6 main component at a node of local
     degree i; fiberwise degree-4 curve of class 4s + (1+2l)F."""
-    if not 1 <= i <= 4:
-        raise ClassifyError("c1 models need 1 <= i <= 4")
+    _require_local("c1", "i", i)
     A = i - 1
+    # recorded: c1 model list — no singularity analysis is implemented; validate() checks genera
     data = {
         1: [
             ("1.1", None, [(0, (2,), (1, 1))], Fraction(-1, 2), 0, (0, 4, 1, (A,))),
@@ -479,9 +496,9 @@ def enumerate_c1_models(i: int) -> list[LocalModelEntry]:
 def enumerate_c2_models(j: int) -> list[LocalModelEntry]:
     """Local models of the degree-12 main component at a node of local
     degree j; fiberwise degree-4 curve of class 4s + (2+2l)F."""
-    if not 1 <= j <= 9:
-        raise ClassifyError("c2 models need 1 <= j <= 9")
+    _require_local("c2", "j", j)
     out = []
+    # recorded: c2 model list — no singularity analysis is implemented; validate() checks genera
     if j % 2:  # j = 2p + 1
         p = (j - 1) // 2
         A = j - 1
@@ -550,7 +567,7 @@ def _model_lookup() -> ModelLookup:
     for i in (3, 4):
         for e in enumerate_c1_models(i):
             by_label.setdefault(f"1.{e.label}", []).append(e)
-    for j in range(1, 10):
+    for j in model_locals("c2"):
         for e in enumerate_c2_models(j):
             by_label.setdefault(e.label, []).append(e)
     models = {(label, e.param): e for label, es in by_label.items() for e in es}
@@ -579,7 +596,8 @@ class Type7Row:
     theorem_index: int
 
 
-# divisors of type (7) with trivial intermediate double cover
+# Divisors of type (7) with trivial intermediate double cover.
+# recorded: Table 2 — which combinations glue is not computed; no model named switches sides
 TABLE2_ROWS: tuple[Type7Row, ...] = (
     Type7Row(("1.3.1", "1.4.1"), "2.2", 0, (0, 1), 13),
     Type7Row(("1.4.1",), "2.2", 0, (2, -1), 10),
@@ -595,7 +613,8 @@ TABLE2_ROWS: tuple[Type7Row, ...] = (
     Type7Row(("1.3.1", "1.4.1"), "2.11", 1, (0, 2), 10),
 )
 
-# divisors of type (7) with nontrivial intermediate double cover
+# Divisors of type (7) with nontrivial intermediate double cover.
+# recorded: Table 3 — which combinations glue is not computed; every model named switches sides
 TABLE3_ROWS: tuple[Type7Row, ...] = (
     Type7Row(("1.3.2", "1.4.2"), "2.4", 0, (2,), 4),
     Type7Row(("1.3.2", "1.4.2"), "2.4", 1, (3,), 5),
@@ -606,8 +625,9 @@ TABLE3_ROWS: tuple[Type7Row, ...] = (
 
 
 # Trivial-cover rows where no choice of section ends gives an odd
-# integral self-intersection sum; the finer limiting-theta argument is
-# needed there, so the naive section sum cannot confirm the parity.
+# integral self-intersection sum, so the naive section sum cannot
+# confirm the parity.
+# recorded: Table 2 row 12 — the paper's limiting-theta argument is not modelled
 PARITY_UNCONFIRMED_ROWS = frozenset({12})
 
 
@@ -666,6 +686,7 @@ def classify_type_7() -> list[DivisorRecord]:
 
 
 def classify_type_8() -> list[DivisorRecord]:
+    # recorded: type (8) analysis — no combination table is built for three mains
     return _records([
         (2, "type(8) trivial cover: C1=C2=1.4.1, C3 in {1.3.1, 1.4.1}, "
             "tails genus (-1, 5)"),

@@ -166,7 +166,7 @@ def gen_c1_models_json() -> str:
 
     return _json_dump(
         {str(i): [_model_dict(e) for e in classify.enumerate_c1_models(i)]
-         for i in range(1, 5)}
+         for i in classify.model_locals("c1")}
     )
 
 
@@ -175,7 +175,7 @@ def gen_c2_models_json() -> str:
 
     return _json_dump(
         {str(j): [_model_dict(e) for e in classify.enumerate_c2_models(j)]
-         for j in range(1, 10)}
+         for j in classify.model_locals("c2")}
     )
 
 

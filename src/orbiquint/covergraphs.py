@@ -51,7 +51,7 @@ class BaseShape(enum.Enum):
 
     @property
     def tail_marked(self) -> Optional[str]:
-        return {"I": None, "II": "0", "III": "1", "IV": "inf"}[self.value]
+        return _TAIL_MARKED[self]
 
     @property
     def main_marked(self) -> tuple[str, ...]:
@@ -62,6 +62,9 @@ class BaseShape(enum.Enum):
         """Degree (= node local degree) of a redundant tail component."""
         t = self.tail_marked
         return 1 if t in (None, "inf") else PART[t]
+
+
+_TAIL_MARKED = {BaseShape.I: None, BaseShape.II: "0", BaseShape.III: "1", BaseShape.IV: "inf"}
 
 
 @dataclass(frozen=True)
@@ -305,15 +308,12 @@ def rh_ramification(degree: int, genus: int) -> int:
 
 
 def generic_branch_count(d: int) -> int:
-    """Moving branch points of the generic degree-6d cover: 5d - 2."""
+    """Moving branch points of the generic degree-6d cover: the component
+    kernel's count for a rational cover with full profiles over 0, 1 and
+    infinity and no node."""
     if d < 1:
         raise ShapeError("d must be >= 1")
-    count = 5 * d - 2
-    # Riemann-Hurwitz sanity for the rational cover: the all-2s and all-3s
-    # profiles carry 3d and 4d of the ramification, the moving points the rest
-    if rh_ramification(6 * d, 0) != 3 * d + 4 * d + count:
-        raise ShapeError(f"Riemann-Hurwitz does not balance at d = {d}")
-    return count
+    return _component_beta(6 * d, 0, _profiles_for(MARKED, 6 * d), ())
 
 
 def branch_count_tail(shape: BaseShape, e: int, s: int) -> int:
@@ -343,8 +343,7 @@ def _main_step(shape: BaseShape) -> int:
     return lcm(*(PART[p] for p in shape.main_marked))
 
 
-# Splits that satisfy every stated filter but are not among the listed
-# boundary pictures; recorded expectations (see README / design notes).
+# recorded: shape III boundary pictures — (4, 14) passes every stated filter, yet is not drawn
 _EXCLUDED_SPLITS = {(BaseShape.III, 18): {(4, 14)}}
 
 
@@ -440,6 +439,16 @@ def _make_component(
     if beta < 0:
         raise ShapeError(f"negative branch count for component {cid}")
     return _component(cid, side, degree, 0, redundant, profiles, beta)
+
+
+def node_local_range(k: int) -> range:
+    """Node local degrees of a main of degree k with full profiles over 0
+    and 1 (shape IV): from 1 to the last local at which the main's
+    Riemann-Hurwitz branch count is still >= 0.  Each unit of local
+    above 1 takes one branch point, so the last local is the count of a
+    main with no node plus one (5k/6 - 1)."""
+    no_node = _component_beta(k, 0, _profiles_for(BaseShape.IV.main_marked, k), ())
+    return range(1, no_node + 2)
 
 
 def complete_redundant(graph: CoverGraph) -> CoverGraph:
@@ -566,7 +575,10 @@ def _skeleton(
     ))
 
 
-# Orbinode orders r stated for the one-tail types at d=3.
+# Orbinode orders r for the one-node types at d = 3: the S4 element
+# orders with 6 | r*b and an integral genus for both components' branch
+# counts b (tests check this).
+# recorded: Table 1 — type 1 excludes r = 3, which the derivation admits
 R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
 
 
@@ -608,10 +620,11 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
                 main_splits.append(tuple(sorted(parts, reverse=True)))
     main_splits.sort(key=lambda p: (len(p), p))
     for index, degrees in enumerate(main_splits, len(families) + 1):
-        ranges = tuple((1, 5 * k // 6 - 1) for k in degrees)
+        locals_ranges = [node_local_range(k) for k in degrees]
+        ranges = tuple((r[0], r[-1]) for r in locals_ranges)
         graphs = tuple(
             _skeleton(d, BaseShape.IV, degrees, locals_, sum(locals_), index, params=locals_)
-            for locals_ in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges])
+            for locals_ in itertools.product(*locals_ranges)
         )
         families.append(BoundaryType(index, BaseShape.IV, ranges, graphs))
     return families

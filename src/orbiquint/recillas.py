@@ -47,12 +47,6 @@ class Perm:
             raise PermError(f"point {x} out of range 1..{self.n}")
         return self.images[x - 1]
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        """Composition: (self * other)(x) = self(other(x))."""
-        if self.n != other.n:
-            raise PermError("composition of permutations of different degree")
-        return Perm(tuple(self(other(x)) for x in range(1, self.n + 1)))
-
     @classmethod
     def identity(cls, n: int = 4) -> "Perm":
         return cls(tuple(range(1, n + 1)))
@@ -65,8 +59,7 @@ class Perm:
                 if not 1 <= a <= n:
                     raise PermError(f"point {a} out of range 1..{n}")
                 images[a - 1] = b
-        p = cls(tuple(images))
-        return p
+        return cls(tuple(images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -83,14 +76,6 @@ class Perm:
                 x = self(x)
             out.append(tuple(cyc))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def order(self) -> int:
-        from math import lcm
-
-        return lcm(*(len(c) for c in self.cycles()))
 
     def __str__(self) -> str:
         nontrivial = [c for c in self.cycles() if len(c) > 1]

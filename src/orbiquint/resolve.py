@@ -229,11 +229,15 @@ def build_coarse_fiber_config(
     is a single k-fold tangency).  For r = 1 (or integral a) the fiber
     is the single 0-vertex.
 
-    The chains are verified only for r <= 4, where every chain is a
-    palindrome.  For r >= 5 the sigma-side chain can be read the wrong
-    way round: in 40 of the 90 non-integral fibers with r <= 12, a <= 2,
-    the first at r = 5, a = 2/5, the fiber components' intersection
-    matrix has a zero kernel, so Zariski's lemma fails there.
+    The sigma side (sigma, the s-chain, F) matches the toric fan of the
+    coarse scroll on all 90 non-integral fibers with r <= 12, a <= 2.
+    The tau-side chain is verified only for r <= 4, where every chain is
+    a palindrome: in the other 40 of those fibers, the first at r = 5,
+    a = 2/5, it is read the wrong way round (the fan gives t1, t2 = -2,
+    -3; this builds -3, -2), and the fiber components' intersection
+    matrix has a zero kernel, so Zariski's lemma fails there.  Reversing
+    the sigma-side chain instead also satisfies Zariski's lemma, but
+    builds the mirror image of the fan's fiber.
     """
     a = frac(a)
     sings = coarse_singularities(r, a)
@@ -285,6 +289,7 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     (the source diagrams never label it); it stays as given.
     """
 
+    # recorded: resolution-contraction diagrams — they need this tie-break; none is stated
     def chain_rank(vid: str) -> tuple:
         m = re.fullmatch(r"(sigma|s|F|t)(\d*)", vid)
         if not m:
@@ -408,6 +413,7 @@ class DiagramItem:
         return contract_minus_ones(self.build())
 
 
+# recorded: resolution-contraction diagrams — the main curve's contacts are drawn, not derived
 DIAGRAM_ITEMS: dict[int, DiagramItem] = {
     1: DiagramItem(2, Fraction(1, 2), (("F", 1), ("F", 1))),
     2: DiagramItem(2, Fraction(1, 2), (("s1", 1), ("F", 1), ("t1", 1))),

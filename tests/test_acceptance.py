@@ -26,6 +26,7 @@ from orbiquint.parity import (
     tail_section_contribution,
 )
 from orbiquint.recillas import (
+    Perm,
     blocks_swapped,
     d4_elements,
     induced_on_partitions,
@@ -156,14 +157,13 @@ def test_c7_recillas():
     assert len(elements) == 24
     for s in elements:
         assert recillas_character_check(s)
+    def compose(p, q):  # (p q)(x) = p(q(x))
+        return Perm(tuple(p(q(x)) for x in range(1, p.n + 1)))
+
     for a in elements:
         for b in elements:
-            assert induced_on_partitions(a * b) == (
-                induced_on_partitions(a) * induced_on_partitions(b)
-            )
-            assert induced_on_transpositions(a * b) == (
-                induced_on_transpositions(a) * induced_on_transpositions(b)
-            )
+            for induced in (induced_on_partitions, induced_on_transpositions):
+                assert induced(compose(a, b)) == compose(induced(a), induced(b))
     d4 = d4_elements()
     assert len(d4) == 8
     # blocks_swapped agrees with the action on the pair {(12), (34)}

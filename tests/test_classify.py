@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,7 +31,7 @@ from orbiquint.classify import (
     type7_row_parity,
     type7_section_parities,
 )
-from orbiquint.covergraphs import rh_ramification
+from orbiquint.covergraphs import R_OPTIONS, enumerate_boundary_types, rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity
 from orbiquint.recillas import s4_elements
@@ -69,10 +70,11 @@ def test_node_orbit_count():
 def test_node_orbit_count_is_s4_cycle_count():
     # the orbit counts of r = 1..4 over every branch count are exactly the
     # cycle counts of the order-r elements of S4; S4 has no element of order 5
+    orders = {p: lcm(*map(len, p.cycles())) for p in s4_elements()}
     for r in range(1, 5):
-        cycles = {len(p.cycles()) for p in s4_elements() if p.order() == r}
+        cycles = {len(p.cycles()) for p in s4_elements() if orders[p] == r}
         assert {node_orbit_count(r, b) for b in range(41)} == cycles
-    assert not any(p.order() == 5 for p in s4_elements())
+    assert set(orders.values()) == {1, 2, 3, 4}
     for b in range(41):
         with pytest.raises(ClassifyError):
             node_orbit_count(5, b)
@@ -128,6 +130,9 @@ def test_hyperelliptic_tail_genus():
     assert [hyperelliptic_tail_genus(i) for i in (2, 3, 4, 5, 6, 7, 8, 9)] == [
         0, 1, 1, 2, 2, 3, 3, 4,
     ]
+    # the even-i value i/2 - 1 the main theorem's items at i = 4, 6, 8
+    # need is the A_{i-1} floor, not a separate case
+    assert all(hyperelliptic_tail_genus(i) == i // 2 - 1 for i in range(2, 2000, 2))
     with pytest.raises(ClassifyError):
         hyperelliptic_tail_genus(0)
 
@@ -214,10 +219,21 @@ def test_local_model_counts():
     assert [len(enumerate_c1_models(i)) for i in (1, 2, 3, 4)] == [3, 3, 2, 2]
     assert len(enumerate_c2_models(8)) == 8
     assert len(enumerate_c2_models(9)) == 2
-    with pytest.raises(ClassifyError):
+    with pytest.raises(ClassifyError, match=r"c1 models need 1 <= i <= 4"):
         enumerate_c1_models(5)
-    with pytest.raises(ClassifyError):
+    with pytest.raises(ClassifyError, match=r"c2 models need 1 <= j <= 9"):
         enumerate_c2_models(0)
+    with pytest.raises(ClassifyError, match=r"c2 models need 1 <= j <= 9"):
+        enumerate_c2_models(10)
+
+
+def test_model_locals_are_the_shape_iv_ranges():
+    # the c2 and c1 models sit on the degree-12 and degree-6 mains of
+    # family 7 at d = 3; they accept exactly that family's param ranges
+    family7 = next(f for f in enumerate_boundary_types(3) if f.type_index == 7)
+    (j_lo, j_hi), (i_lo, i_hi) = family7.param_ranges
+    assert classify.model_locals("c2") == range(j_lo, j_hi + 1) == range(1, 10)
+    assert classify.model_locals("c1") == range(i_lo, i_hi + 1) == range(1, 5)
 
 
 def test_local_model_half_edges_and_genus():
@@ -303,6 +319,35 @@ def test_validate_recomputes_genus():
     bad = replace(e, components=(replace(e.components[0], genus=1),) + e.components[1:])
     with pytest.raises(ClassifyError, match="arithmetic genus"):
         bad.validate()
+
+
+def test_table_split_is_side_switching():
+    # Table 3 names only models whose components all switch sides under
+    # the monodromy; Table 2 names none with a side-switching component
+    lookup = classify._model_lookup()
+
+    def models(row):
+        return [lookup(label, None) for label in row.c1] + [lookup(row.c2, row.c2_p)]
+
+    for row in TABLE3_ROWS:
+        assert all(c.side for e in models(row) for c in e.components), row
+    for row in TABLE2_ROWS:
+        assert not any(c.side for e in models(row) for c in e.components), row
+
+
+def test_r_options_are_s4_orders_with_integral_genera():
+    # r runs over the S4 element orders with 6 | r*b for both branch
+    # counts and a genus (integral, >= -1) for both components; only
+    # type 1's exclusion of r = 3 is not derived
+    orders = sorted({lcm(*map(len, p.cycles())) for p in s4_elements()})
+    derived = {
+        t: tuple(r for r in orders
+                 if all((r * b) % 6 == 0 and _genus_or_none(component_genus, r, b) is not None
+                        for b in pair))
+        for t, pair in classify._branch_pairs().items()
+    }
+    assert derived == {**R_OPTIONS, 1: (1, 2, 3)}
+    assert R_OPTIONS[1] == (1, 2)
 
 
 def test_table_parities():

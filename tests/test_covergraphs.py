@@ -24,7 +24,7 @@ from orbiquint.covergraphs import (
 )
 
 
-@given(st.integers(min_value=1, max_value=50))
+@given(st.integers(min_value=1, max_value=199))
 def test_generic_branch_count(d):
     assert generic_branch_count(d) == 5 * d - 2
     # Riemann-Hurwitz for the rational cover: -2 = -12d + 3d + 4d + (5d-2)
@@ -118,6 +118,47 @@ def test_to_dot_contains_components():
 @functools.cache
 def _graphs(d):
     return tuple(g for f in enumerate_boundary_types(d) for g in f.graphs)
+
+
+def _degrees(g):
+    """Each node local degree and component degree of g, by its place."""
+    return {**{("edge", i): e.local_degree for i, e in enumerate(g.node_edges)},
+            **{("component", i): c.degree for i, c in enumerate(g.components)}}
+
+
+def _blanked(g):
+    """Everything of g but its node local degrees and component degrees."""
+    return (g.d, g.shape, g.type_index, g.params, g.r_options,
+            [{**vars(e), "local_degree": 0} for e in g.node_edges],
+            [{**vars(c), "degree": 0} for c in g.components])
+
+
+def test_perturbations_exact():
+    # each perturbation moves one local or component degree by exactly 1
+    # and keeps it >= 1, so a degree-1 part yields only its neighbour 2
+    for g in _graphs(3):
+        degrees, rest = _degrees(g), _blanked(g)
+        assert 1 in degrees.values()
+        got = []
+        for m in perturbations(g):
+            moved = [(place, v) for place, v in _degrees(m).items() if v != degrees[place]]
+            assert len(moved) == 1 and _blanked(m) == rest
+            got += moved
+        assert sorted(got) == sorted(
+            (place, v + delta) for place, v in degrees.items()
+            for delta in (-1, 1) if v + delta >= 1)
+
+
+def test_node_local_range_is_the_branch_count_bound():
+    # the last local of a shape IV main leaves it no moving branch point,
+    # and one more makes the branch count negative
+    marks = BaseShape.IV.main_marked
+    for k in range(6, 121, 6):
+        locals_ = covergraphs.node_local_range(k)
+        assert locals_ == range(1, 5 * k // 6)
+        assert covergraphs._make_component("M1", "main", k, marks, (locals_[-1],), False).beta == 0
+        with pytest.raises(ShapeError):
+            covergraphs._make_component("M1", "main", k, marks, (locals_[-1] + 1,), False)
 
 
 def test_to_json_matches_to_json_dict():

@@ -152,3 +152,19 @@ def test_perfbench_tracing_targets_resolve():
         if not callable(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_recorded_markers_pinned():
+    # each transcribed fact carries one "# recorded: <paper location> —
+    # <why not derived>" marker directly above the statement holding it;
+    # a derivation that replaces a fact lowers this count on purpose
+    markers = []
+    for module, tree in _package_trees().items():
+        lines = (Path(covergraphs.__file__).parent / module).read_text().splitlines()
+        starts = {n.lineno for n in ast.walk(tree) if isinstance(n, ast.stmt)}
+        for k, line in enumerate(lines, 1):
+            if line.lstrip().startswith("# recorded:"):
+                assert re.fullmatch(r"\s*# recorded: \S.* — \S.*", line), (module, k)
+                assert k + 1 in starts, (module, k)
+                markers.append((module, k))
+    assert len(markers) == 16

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,16 +22,21 @@ from orbiquint.recillas import (
 perm_st = st.permutations(range(1, 5)).map(lambda p: Perm(tuple(p)))
 
 
+def _compose(a, b):
+    """(a b)(x) = a(b(x)); the package itself never composes permutations."""
+    return Perm(tuple(a(b(x)) for x in range(1, a.n + 1)))
+
+
+def _cycle_type(p):
+    return tuple(sorted(map(len, p.cycles()), reverse=True))
+
+
 @given(perm_st)
 def test_perm_algebra(p):
     e = Perm.identity(4)
-    assert p * e == p and e * p == p
+    assert all(e(x) == x for x in range(1, 5))
+    assert Perm.from_cycles(p.cycles()) == p
     assert parse_perm(str(p)) == p
-
-
-@given(perm_st, perm_st, perm_st)
-def test_perm_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
 
 
 def test_perm_parsing():
@@ -46,9 +53,9 @@ def test_perm_parsing():
 
 
 def test_cycle_type_and_order():
-    assert parse_perm("(1 2 3 4)").cycle_type() == (4,)
-    assert parse_perm("(1 2)(3 4)").cycle_type() == (2, 2)
-    assert parse_perm("(1 2 3)").order() == 3
+    assert parse_perm("(1 2 3 4)").cycles() == [(1, 2, 3, 4)]
+    assert _cycle_type(parse_perm("(1 2)(3 4)")) == (2, 2)
+    assert lcm(*map(len, parse_perm("(1 2 3)").cycles())) == 3
     assert str(Perm.identity(4)) == "id"
 
 
@@ -74,21 +81,17 @@ def test_character_identity_all():
 
 def test_induced_multiplicative_sample():
     a, b = parse_perm("(1 2 3)"), parse_perm("(1 2)(3 4)")
-    assert induced_on_partitions(a * b) == induced_on_partitions(
-        a
-    ) * induced_on_partitions(b)
-    assert induced_on_transpositions(a * b) == induced_on_transpositions(
-        a
-    ) * induced_on_transpositions(b)
+    for induced in (induced_on_partitions, induced_on_transpositions):
+        assert induced(_compose(a, b)) == _compose(induced(a), induced(b))
 
 
 def test_correspondence_data():
     data = tetragonal_to_trigonal([parse_perm("(1 2 3)")])
-    assert data.trigonal[0].cycle_type() == (3,)
-    assert data.double[0].cycle_type() == (3, 3)
+    assert _cycle_type(data.trigonal[0]) == (3,)
+    assert _cycle_type(data.double[0]) == (3, 3)
     # Klein four (the identity and the double transpositions) acts
     # trivially on the partitions
-    klein_four = [s for s in s4_elements() if s.cycle_type() in ((1, 1, 1, 1), (2, 2))]
+    klein_four = [s for s in s4_elements() if _cycle_type(s) in ((1, 1, 1, 1), (2, 2))]
     assert len(klein_four) == 4
     for v in klein_four:
         assert induced_on_partitions(v) == Perm.identity(3)

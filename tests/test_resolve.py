@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -347,6 +347,53 @@ def test_left_stage_fibers_satisfy_zariski():
             assert full == {"s1": 1, "s2": 2, "F": 3, "t1": 1}
         assert sum(m * matrix["sigma"][u] for u, m in full.items()) == 1, n
         assert sum(m * matrix["C"][u] for u, m in full.items()) == (4 if n <= 10 else 3), n
+
+
+def _hull_rays(u, v):
+    """Rays of the minimal resolution of the cone (u, v), from u to v: the
+    lattice points on the bounded edges of the convex hull of the cone's
+    nonzero lattice points, found by gift wrapping over a bounding box."""
+    def det(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+
+    o = 1 if det(u, v) > 0 else -1
+    box = [(s * u[0] + t * v[0], s * u[1] + t * v[1]) for s in (0, 1) for t in (0, 1)]
+    xs, ys = [x for x, _ in box], [y for _, y in box]
+    cone = [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
+            if (x, y) != (0, 0) and det(u, (x, y)) * o >= 0 and det((x, y), v) * o >= 0]
+    rays = [u]
+    while rays[-1] != v:
+        w = rays[-1]
+        ahead = sorted((p for p in cone if det(w, p) * o > 0),
+                       key=lambda p: abs(p[0] - w[0]) + abs(p[1] - w[1]))
+        rays.append(next(p for p in ahead if all(
+            det((p[0] - w[0], p[1] - w[1]), (q[0] - w[0], q[1] - w[1])) * o <= 0 for q in cone)))
+    return rays
+
+
+def test_sigma_side_matches_toric_fan():
+    # the coarse scroll near the fiber over 0 is toric, with rays sigma =
+    # (0, 1), F = primitive (r, -(r ceil(a) - ra)), tau = (0, -1) and the
+    # fiber over infinity (-1, ceil(a)); resolving its cones gives sigma,
+    # the s-chain and F in order, and u[i-1] + u[i+1] = b[i] u[i] gives
+    # each self-intersection -b[i] (Fulton, Introduction to Toric
+    # Varieties, 2.6).  Checked on the sigma side for the 90 fibers r <= 12,
+    # a = k/r <= 2 non-integral; the tau-side chain disagrees with the fan
+    # from r = 5 on (r = 5, a = 2/5: the fan gives -2, -3, the library -3, -2)
+    fibers = [(r, Fraction(k, r)) for r in range(2, 13) for k in range(1, 2 * r) if gcd(k, r) == 1]
+    assert len(fibers) == 90
+    for r, a in fibers:
+        c = r * ceil(a) - (r * a).numerator
+        f = (r // gcd(r, c), -c // gcd(r, c))
+        ring = [(-1, ceil(a))] + _hull_rays((0, 1), f) + [_hull_rays(f, (0, -1))[1]]
+        fan = []
+        for p, u, q in zip(ring, ring[1:], ring[2:]):
+            b = (p[0] + q[0]) // u[0] if u[0] else (p[1] + q[1]) // u[1]
+            assert (p[0] + q[0], p[1] + q[1]) == (b * u[0], b * u[1])
+            fan.append(-b)
+        config = build_coarse_fiber_config(r, a)
+        schain = [v.id for v in config.vertices if re.fullmatch(r"s\d+", v.id)]
+        assert fan == [config.vertex(v).self_int for v in ["sigma", *schain, "F"]], (r, a)
 
 
 @st.composite
