@@ -16,7 +16,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import covergraphs, resolve
-from .covergraphs import R_OPTIONS, rh_ramification
+from .covergraphs import R_OPTIONS, BaseShape, rh_ramification
 from .orbiscroll import adjunction_degree, frac, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
 from .resolve import geometric_genus, pa_hirzebruch
@@ -47,11 +47,11 @@ class Table1Row:
 
 def _branch_pairs() -> dict[int, tuple[int, int]]:
     """Branch-count pairs (b1, b2) per graph type (t), from the t-th
-    one-node degree split; the first component has more branch points."""
-    return {
-        t: (max(split), min(split))
-        for t, (_, split) in enumerate(covergraphs.one_node_splits(18), 1)
-    }
+    one-node degree split of shapes I-III in order; the first component
+    has more branch points."""
+    splits = [split for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
+              for split in covergraphs.degree_splits(shape, 18)]
+    return {t: (max(split), min(split)) for t, split in enumerate(splits, 1)}
 
 
 def node_orbit_count(r: int, b: int) -> int:

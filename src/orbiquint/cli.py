@@ -50,6 +50,19 @@ def _tsv_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join("\t".join(r) for r in [headers] + rows) + "\n"
 
 
+def _dot_graph(
+    name: str, nodes: list[tuple[str, str, str]], edges: list[tuple[str, str, int]]
+) -> str:
+    """Graphviz text: nodes as (id, label, shape), edges as (v, w, mult);
+    an edge shows its multiplicity as a label when it is not 1."""
+    out = [f"graph {name} {{"]
+    out.extend(f'  "{v}" [label="{label}", shape={shape}];' for v, label, shape in nodes)
+    out.extend(f'  "{v}" -- "{w}"' + (f' [label="{m}"]' if m != 1 else "") + ";"
+               for v, w, m in edges)
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
@@ -269,7 +282,17 @@ def cmd_boundary_graphs(args) -> tuple[str, int]:
     if args.format == "json":
         return covergraphs.families_json(families) + "\n", 0
     if args.format == "dot":
-        return "\n".join(g.to_dot() for fam in families for g in fam.graphs), 0
+        # the mains and the tail E; redundant tails and their edges are left out
+        def cover_dot(g: covergraphs.CoverGraph) -> str:
+            kept = {c.id: c for c in g.components if not c.redundant}
+            return _dot_graph(
+                "cover",
+                [(c.id, f"{c.id}:{c.degree}", "doublecircle" if c.side == "main" else "circle")
+                 for c in kept.values()],
+                [(e.main_id, e.tail_id, e.local_degree) for e in g.node_edges
+                 if e.tail_id in kept],
+            )
+        return "\n".join(cover_dot(g) for fam in families for g in fam.graphs), 0
     headers = ["type", "shape", "param ranges", "graphs"]
     rows = [
         [str(fam.type_index), fam.shape.name,
@@ -311,7 +334,7 @@ def cmd_coarse(args) -> tuple[str, int]:
 
 
 def cmd_diagrams(args) -> tuple[str, int]:
-    from .resolve import DIAGRAM_ITEMS, ResolveError
+    from .resolve import DIAGRAM_ITEMS, ResolveError, Role
 
     if args.item not in DIAGRAM_ITEMS:
         raise ResolveError(
@@ -320,7 +343,13 @@ def cmd_diagrams(args) -> tuple[str, int]:
     it = DIAGRAM_ITEMS[args.item]
     config = it.build() if args.stage == "left" else it.contract()
     if args.format == "dot":
-        return config.to_dot(), 0
+        shapes = {Role.DIRECTRIX: "box", Role.MAIN: "doublecircle"}
+        return _dot_graph(
+            "config",
+            [(v.id, f"{v.id} ({v.self_int})", shapes.get(v.role, "circle"))
+             for v in config.vertices],
+            sorted((e.v, e.w, e.mult) for e in config.edges),
+        ), 0
     if args.format == "json":
         return _json_dump({
             "item": args.item, "r": it.r, "a": frac_str(it.a),

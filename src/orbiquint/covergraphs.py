@@ -177,24 +177,15 @@ class CoverGraph:
             if c.side == "tail" and (include_redundant or not c.redundant)
         ]
 
-    def component(self, cid: str) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
     def beta_total(self) -> int:
         return sum(c.beta for c in self.components)
-
-    def main_beta_sum(self) -> int:
-        return sum(c.beta for c in self.mains())
 
     def moduli_dimension(self) -> int:
         """Dimension bookkeeping of the boundary locus: moving branch
         points on the main base, plus the node position when the main
         carries all three marked points (shape I), plus the tail branch
         points surviving the pointed automorphisms of the tail base."""
-        dim = self.main_beta_sum()
+        dim = sum(c.beta for c in self.mains())
         if self.shape is BaseShape.I:
             dim += 1
         tail_moving = sum(c.beta for c in self.tails())
@@ -249,25 +240,6 @@ class CoverGraph:
         0 with sorted keys.  The graphs of one enumeration share their
         components and edges as frozen objects, so a hit goes by identity."""
         return self._json_text(0, True)
-
-    def to_dot(self) -> str:
-        """Graphviz text of the main and non-redundant tail components."""
-        lines = ["graph cover {"]
-        for c in self.components:
-            if c.redundant:
-                continue
-            shape = "doublecircle" if c.side == "main" else "circle"
-            lines.append(
-                f'  "{c.id}" [label="{c.id}:{c.degree}", shape={shape}];'
-            )
-        for e in self.node_edges:
-            tail = self.component(e.tail_id)
-            if tail.redundant:
-                continue
-            label = f' [label="{e.local_degree}"]' if e.local_degree != 1 else ""
-            lines.append(f'  "{e.main_id}" -- "{e.tail_id}"{label};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -380,12 +352,6 @@ def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
     if shape is BaseShape.IV:
         raise ShapeError("degree_splits applies to shapes I-III")
     return [split for s, split, _ in _one_node_types(total_degree) if s is shape]
-
-
-def one_node_splits(total_degree: int) -> list[tuple[BaseShape, tuple[int, int]]]:
-    """The (shape, degree split) pairs of shapes I-III in type order: the
-    t-th pair is graph type (t)."""
-    return [(shape, split) for shape, split, _ in _one_node_types(total_degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +526,15 @@ def check_cover(graph: CoverGraph) -> list[str]:
 
 def _skeleton(
     d: int, shape: BaseShape, degrees: tuple[int, ...], locals_: tuple[int, ...],
-    tail_degree: int, type_index: int, *, params: tuple[int, ...] = (),
-    r_options: tuple[int, ...] = (),
+    type_index: int, *, params: tuple[int, ...] = (), r_options: tuple[int, ...] = (),
 ) -> CoverGraph:
-    """Main components, the non-redundant tail E, and their redundant completion."""
+    """Main components, the non-redundant tail E (its degree the sum of
+    the node locals), and their redundant completion."""
     marks = shape.main_marked
     mains = [_make_component(f"M{i+1}", "main", k, marks, (l,), False)
              for i, (k, l) in enumerate(zip(degrees, locals_))]
     tmark = (shape.tail_marked,) if shape.tail_marked else ()
-    tail = _make_component("E", "tail", tail_degree, tmark, locals_, False)
+    tail = _make_component("E", "tail", sum(locals_), tmark, locals_, False)
     edges = [_node_edge(m.id, "E", l) for m, l in zip(mains, locals_)]
     return complete_redundant(CoverGraph(
         d, shape, tuple(mains + [tail]), tuple(edges), type_index, params, r_options
@@ -603,10 +569,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
             raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
                              f"{feasible}, expected only {[minimal]}")
     for index, (shape, split, locals_) in enumerate(_one_node_types(total), 1):
-        graph = _skeleton(
-            d, shape, split, locals_, sum(locals_), index,
-            r_options=R_OPTIONS.get(index, ()),
-        )
+        graph = _skeleton(d, shape, split, locals_, index, r_options=R_OPTIONS.get(index, ()))
         families.append(BoundaryType(index, shape, (), (graph,)))
 
     # shape IV: 1, 2, or 3 main components, their degrees stepped as in I-III
@@ -623,7 +586,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
         locals_ranges = [node_local_range(k) for k in degrees]
         ranges = tuple((r[0], r[-1]) for r in locals_ranges)
         graphs = tuple(
-            _skeleton(d, BaseShape.IV, degrees, locals_, sum(locals_), index, params=locals_)
+            _skeleton(d, BaseShape.IV, degrees, locals_, index, params=locals_)
             for locals_ in itertools.product(*locals_ranges)
         )
         families.append(BoundaryType(index, BaseShape.IV, ranges, graphs))

@@ -84,11 +84,12 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in nontrivial)
 
 
-def parse_perm(text: str, n: int = 4) -> Perm:
-    """Parse cycle notation: "(1 2 3)(4)" and "(1,2,3)" both accepted."""
+def parse_perm(text: str) -> Perm:
+    """Parse cycle notation on {1..4}: "(1 2 3)(4)" and "(1,2,3)" both
+    accepted; a point outside 1..4 is refused."""
     text = text.strip()
     if text in ("id", "()", "e", ""):
-        return Perm.identity(n)
+        return Perm.identity()
     if not re.fullmatch(r"(\(\s*\d+(\s*[,\s]\s*\d+)*\s*\))+", text):
         raise PermError(f"malformed cycle notation: {text!r}")
     cycles = []
@@ -100,8 +101,7 @@ def parse_perm(text: str, n: int = 4) -> Perm:
     flat = [x for c in cycles for x in c]
     if len(flat) != len(set(flat)):
         raise PermError(f"overlapping cycles: {text!r}")
-    n = max(n, max(flat))
-    return Perm.from_cycles(cycles, n)
+    return Perm.from_cycles(cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,19 @@ def _act_on_set(sigma: Perm, s: frozenset) -> frozenset:
     )
 
 
+def _induced(sigma: Perm, objects: Sequence[frozenset]) -> Perm:
+    index = {obj: k + 1 for k, obj in enumerate(objects)}
+    return Perm(tuple(index[_act_on_set(sigma, obj)] for obj in objects))
+
+
+def induced_on_partitions(sigma: Perm) -> Perm:
+    return _induced(sigma, PAIR_PARTITIONS)
+
+
+def induced_on_transpositions(sigma: Perm) -> Perm:
+    return _induced(sigma, TRANSPOSITIONS)
+
+
 @dataclass(frozen=True)
 class FixCounts:
     fix4: int
@@ -137,13 +150,14 @@ class FixCounts:
 
 
 def fix_counts(sigma: Perm) -> FixCounts:
-    """Fixed points of sigma on {1..4}, the pair-partitions, the transpositions."""
+    """Fixed points of sigma on {1..4} and of its induced actions on the
+    pair-partitions and the transpositions."""
     if sigma.n != 4:
         raise PermError("fix_counts needs an element of S4")
-    fix4 = sum(1 for x in range(1, 5) if sigma(x) == x)
-    fix3 = sum(1 for p in PAIR_PARTITIONS if _act_on_set(sigma, p) == p)
-    fix6 = sum(1 for t in TRANSPOSITIONS if _act_on_set(sigma, t) == t)
-    return FixCounts(fix4, fix3, fix6)
+    return FixCounts(*(
+        sum(k == x for k, x in enumerate(p.images, 1))
+        for p in (sigma, induced_on_partitions(sigma), induced_on_transpositions(sigma))
+    ))
 
 
 def recillas_character_check(sigma: Perm) -> bool:
@@ -156,19 +170,6 @@ def recillas_character_check(sigma: Perm) -> bool:
 class CorrespondenceData:
     trigonal: tuple[Perm, ...]  # induced actions on the 3 pair-partitions
     double: tuple[Perm, ...]  # induced actions on the 6 transpositions
-
-
-def _induced(sigma: Perm, objects: Sequence[frozenset]) -> Perm:
-    index = {obj: k + 1 for k, obj in enumerate(objects)}
-    return Perm(tuple(index[_act_on_set(sigma, obj)] for obj in objects))
-
-
-def induced_on_partitions(sigma: Perm) -> Perm:
-    return _induced(sigma, PAIR_PARTITIONS)
-
-
-def induced_on_transpositions(sigma: Perm) -> Perm:
-    return _induced(sigma, TRANSPOSITIONS)
 
 
 def tetragonal_to_trigonal(mon: Sequence[Perm]) -> CorrespondenceData:

@@ -159,21 +159,6 @@ class CurveConfig:
                 raise ResolveError(f"bad config line: {line!r}")
         return cls(vertices, edges)
 
-    def to_dot(self) -> str:
-        lines = ["graph config {"]
-        for v in self.vertices:
-            shape = {"Directrix": "box", "MainCurve": "doublecircle"}.get(
-                v.role.value, "circle"
-            )
-            lines.append(
-                f'  "{v.id}" [label="{v.id} ({v.self_int})", shape={shape}];'
-            )
-        for e in sorted(self.edges, key=lambda e: (e.v, e.w, e.mult)):
-            label = f' [label="{e.mult}"]' if e.mult != 1 else ""
-            lines.append(f'  "{e.v}" -- "{e.w}"{label};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def config_isomorphic(c1: CurveConfig, c2: CurveConfig) -> bool:
     """Graph isomorphism respecting roles, self-intersections, and edge

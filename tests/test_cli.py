@@ -112,6 +112,28 @@ def test_coarse(capsys):
     assert data["fiber_multiplicity"] == 3
 
 
+@pytest.mark.parametrize("r, a", [("2", "1/3"), ("0", "1/2"), ("2", "-1/2")])
+def test_coarse_domain_errors(capsys, r, a):
+    code, out, err = run(capsys, "coarse", "--r", r, f"--a={a}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error (ValueError): ")
+
+
+def test_boundary_graphs_dot_leaves_out_redundant_tails(capsys):
+    # one Graphviz graph per cover graph: every main and the tail E, none
+    # of the redundant tails
+    code, out, _ = run(capsys, "boundary-graphs", "--d", "3", "--format", "dot")
+    assert code == 0
+    blocks = out.split("\n\n")
+    graphs = [g for f in covergraphs.enumerate_boundary_types(3) for g in f.graphs]
+    assert len(blocks) == len(graphs) == 119
+    for block, g in zip(blocks, graphs):
+        assert block.startswith("graph cover {")
+        for c in g.components:
+            assert (f'"{c.id}" [label="{c.id}:{c.degree}"' in block) != c.redundant
+        assert block.count(" -- ") == len(g.mains())
+
+
 def test_diagrams(capsys):
     code, out, _ = run(capsys, "diagrams", "--item", "1")
     assert code == 0
@@ -309,7 +331,7 @@ _PIN_CASES = [
     *(["table1", "--format", f, "--out", "/nonexistent/dir/x.tsv"]
       for f in ("md", "json")),
 ]
-_PIN_SHA256 = "a729407ed82422c2e82f079ed6e66ac51afbd2a956ecba277f121850d0334193"
+_PIN_SHA256 = "98a56addb46f4eebd02773bf307a9e44da1c2ba96442b3f1f8ceff49a981c71b"
 
 
 def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):

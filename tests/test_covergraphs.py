@@ -108,13 +108,6 @@ def test_perturbations_all_invalid_sample():
     assert all(check_cover(m) for m in muts)
 
 
-def test_to_dot_contains_components():
-    g = enumerate_boundary_types(3)[6].graphs[0]
-    dot = g.to_dot()
-    for comp in g.mains():
-        assert comp.id in dot
-
-
 @functools.cache
 def _graphs(d):
     return tuple(g for f in enumerate_boundary_types(d) for g in f.graphs)
@@ -206,11 +199,12 @@ def test_enumeration_rejects_extra_feasible_tail(monkeypatch):
 
 
 def test_one_node_splits_number_the_types():
-    # types (1)-(5) at d = 3 are the one-node splits in order, and the
-    # branch-count pairs of Table 1 come from the same sequence
+    # types (1)-(5) at d = 3 are the one-node splits of shapes I-III in
+    # order, and the branch-count pairs of Table 1 come from the same sequence
     from orbiquint import classify
 
-    splits = covergraphs.one_node_splits(18)
+    splits = [(shape, split) for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
+              for split in degree_splits(shape, 18)]
     assert splits == [(BaseShape.I, (6, 12)), (BaseShape.II, (9, 9)), (BaseShape.II, (3, 15)),
                       (BaseShape.III, (8, 10)), (BaseShape.III, (2, 16))]
     families = enumerate_boundary_types(3)[:5]
@@ -218,6 +212,36 @@ def test_one_node_splits_number_the_types():
         (t, shape) for t, (shape, _) in enumerate(splits, 1)]
     assert classify._branch_pairs() == {
         t: (max(split), min(split)) for t, (_, split) in enumerate(splits, 1)}
+
+
+def _edited(g, cid, **changes):
+    return replace(g, components=tuple(replace(c, **changes) if c.id == cid else c
+                                       for c in g.components))
+
+
+# (component, field changes, the diagnostic they must raise) on the d = 3
+# type (1) graph: mains M1 (degree 6, beta 3) and M2 (degree 12, beta 8),
+# tail E (degree 2, beta 2) and 16 redundant tails R1..R16 of degree 1
+_BROKEN_COVERS = [
+    ("M1", {"profiles": (("0", RamProfile((2, 2))), ("1", RamProfile((3, 3))),
+                         ("inf", RamProfile((1,) * 6)))},
+     "profile over 0 sums to 16, expected 18"),
+    ("M1", {"profiles": (("0", RamProfile((1, 1, 2, 2))), ("1", RamProfile((3, 3))),
+                         ("inf", RamProfile((1,) * 6)))},
+     "profile over 0 must be all 2s, got (1, 1, 2, 2, 2, 2, 2, 2, 2, 2)"),
+    ("E", {"profiles": (("inf", RamProfile((1, 1))),)}, "profile over inf on wrong side for E"),
+    ("M2", {"genus": -1, "beta": 6}, "negative genus for M2"),
+    ("E", {"genus": -2, "beta": -2}, "negative moving branch count for E"),
+    ("R1", {"redundant": False}, "more than one non-redundant tail component"),
+    ("R1", {"genus": 1, "beta": 2}, "component R1 marked redundant but ramified"),
+]
+
+
+@pytest.mark.parametrize("cid, changes, message", _BROKEN_COVERS)
+def test_check_cover_diagnostics(cid, changes, message):
+    g = enumerate_boundary_types(3)[0].graphs[0]
+    assert check_cover(g) == []
+    assert message in check_cover(_edited(g, cid, **changes))
 
 
 def test_complete_redundant_stamped_tail_sharing_an_id():

@@ -27,6 +27,12 @@ _ROOT = Path(__file__).resolve().parent.parent
 _DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
+def _outside_paths() -> list[Path]:
+    """The callers outside the package whose uses count: the acceptance
+    suite and the benchmark harness."""
+    return [_ROOT / "tests" / "test_acceptance.py", *sorted((_ROOT / "perfbench").glob("*.py"))]
+
+
 def _package_trees() -> dict[str, ast.Module]:
     package = Path(covergraphs.__file__).parent
     return {p.name: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
@@ -75,7 +81,7 @@ def test_package_has_no_orphan_definitions():
     # the package (for a method: outside its own definition), by the
     # acceptance suite, or by the benchmark harness
     trees = _package_trees()
-    outside = [_ROOT / "tests" / "test_acceptance.py", *sorted((_ROOT / "perfbench").glob("*.py"))]
+    outside = _outside_paths()
     external = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in outside))
     stmts = [(module, s) for module, tree in trees.items() for s in tree.body]
     refs = [_referenced_names(s) for _, s in stmts]
@@ -104,6 +110,68 @@ def test_package_has_no_orphan_definitions():
     assert orphans == []
 
 
+# each operator method and the operator node that calls it: a binary
+# method (with its reflected and in-place forms), a unary or a comparison
+_BINARY = {"add": ast.Add, "sub": ast.Sub, "mul": ast.Mult, "matmul": ast.MatMult,
+           "truediv": ast.Div, "floordiv": ast.FloorDiv, "mod": ast.Mod, "pow": ast.Pow,
+           "lshift": ast.LShift, "rshift": ast.RShift, "and": ast.BitAnd, "or": ast.BitOr,
+           "xor": ast.BitXor}
+_OPERATOR_METHODS = {
+    **{f"__{pre}{name}__": op for name, op in _BINARY.items() for pre in ("", "r", "i")},
+    "__neg__": ast.USub, "__pos__": ast.UAdd, "__invert__": ast.Invert,
+    "__lt__": ast.Lt, "__le__": ast.LtE, "__gt__": ast.Gt, "__ge__": ast.GtE,
+    "__eq__": ast.Eq, "__ne__": ast.NotEq,
+}
+
+
+def _scope_uses(scope: ast.AST) -> list[tuple[set[str], set[type]]]:
+    """(names, operator node types) of the scope and of each function
+    nested in it, every function counted as a scope of its own."""
+    names: set[str] = set()
+    ops: set[type] = set()
+    inner = []
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            inner += _scope_uses(n)
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, (ast.BinOp, ast.AugAssign, ast.UnaryOp)):
+            ops.add(type(n.op))
+        elif isinstance(n, ast.Compare):
+            ops.update(map(type, n.ops))
+        todo.extend(ast.iter_child_nodes(n))
+    return [(names, ops), *inner]
+
+
+def test_package_operator_methods_are_used():
+    # a name search cannot see an operator method's callers; each one a
+    # package class defines must meet its operator in a function (of the
+    # package, the acceptance suite or the benchmark harness) that names
+    # the class or a package function annotated to return it
+    trees = _package_trees()
+    scopes = [u for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in _outside_paths())]
+              for u in _scope_uses(tree)]
+    functions = [n for tree in trees.values() for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.returns is not None]
+    unused = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            owner = re.compile(rf"\b{cls.name}\b")
+            related = {cls.name} | {f.name for f in functions if owner.search(ast.unparse(f.returns))}
+            unused += [
+                (module, cls.name, m.name) for m in cls.body
+                if isinstance(m, ast.FunctionDef) and m.name in _OPERATOR_METHODS
+                and not any(_OPERATOR_METHODS[m.name] in ops and names & related
+                            for names, ops in scopes)
+            ]
+    assert unused == []
+
+
 def _read_names(tree: ast.AST) -> set[str]:
     """Attribute names a syntax tree reads, and dotted-name strings."""
     names = set()
@@ -120,7 +188,7 @@ def test_package_dataclass_fields_are_read():
     # every field of a package dataclass is read somewhere: by a package
     # statement, by the acceptance suite or by the benchmark harness
     trees = _package_trees()
-    outside = [_ROOT / "tests" / "test_acceptance.py", *sorted((_ROOT / "perfbench").glob("*.py"))]
+    outside = _outside_paths()
     read = set().union(*map(_read_names, trees.values()),
                        *(_read_names(ast.parse(p.read_text())) for p in outside))
     unread = [

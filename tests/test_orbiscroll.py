@@ -92,6 +92,27 @@ def test_coarse_singularities_conjugate(r, k):
         assert cs.fiber_multiplicity == r // __import__("math").gcd(r, k)
 
 
+@pytest.mark.parametrize("r, a, message", [
+    (0, Fraction(1, 2), "r must be >= 1"),
+    (-3, 1, "r must be >= 1"),
+    (2, Fraction(-1, 2), "a must be >= 0"),
+    (2, Fraction(1, 3), r"r\*a must be an integer"),
+    (4, Fraction(1, 8), r"r\*a must be an integer"),
+])
+def test_coarse_singularities_domain(r, a, message):
+    with pytest.raises(ValueError, match=message):
+        coarse_singularities(r, a)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (Fraction(-1, 12), 18, "a must be >= 0"),
+    (0, -6, "b must be >= 0"),
+])
+def test_branch_relation_domain(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        tetragonal_branch_relation(a, b)
+
+
 def test_cqs_canonicalization():
     assert CQSData(3, 5).q == 2
     assert CQSData(1, 7).q == 0

@@ -52,6 +52,16 @@ def test_perm_parsing():
         parse_perm("(1 2)(2 3)")
 
 
+@pytest.mark.parametrize("text, point", [
+    ("(1 5)", 5), ("(5 1)", 5), ("(0 2)", 0), ("(1 2)(3 4000000000)", 4000000000),
+])
+def test_parse_perm_is_s4_only(text, point):
+    # a point outside 1..4 is refused before any image list is built, so
+    # the cost does not grow with the number typed
+    with pytest.raises(PermError, match=f"point {point} out of range 1..4"):
+        parse_perm(text)
+
+
 def test_cycle_type_and_order():
     assert parse_perm("(1 2 3 4)").cycles() == [(1, 2, 3, 4)]
     assert _cycle_type(parse_perm("(1 2)(3 4)")) == (2, 2)
@@ -77,6 +87,22 @@ def test_fix_counts_examples():
 
 def test_character_identity_all():
     assert all(recillas_character_check(s) for s in s4_elements())
+
+
+def _relabel(s, obj):
+    return frozenset(_relabel(s, x) if isinstance(x, frozenset) else s(x) for x in obj)
+
+
+def test_fix_counts_are_fixed_points_on_the_s4_sets():
+    # fix3 and fix6 count the pair-partitions and transpositions that
+    # sigma's relabelling leaves in place, on all of S4
+    for s in s4_elements():
+        c = fix_counts(s)
+        assert c.fix4 == sum(s(x) == x for x in range(1, 5))
+        assert c.fix3 == sum(_relabel(s, p) == p for p in PAIR_PARTITIONS)
+        assert c.fix6 == sum(_relabel(s, t) == t for t in TRANSPOSITIONS)
+    with pytest.raises(PermError, match="needs an element of S4"):
+        fix_counts(Perm.identity(5))
 
 
 def test_induced_multiplicative_sample():

@@ -371,6 +371,30 @@ def _hull_rays(u, v):
     return rays
 
 
+# the 90 reduced fibers r <= 12, a = k/r <= 2 non-integral
+_FAN_FIBERS = [(r, Fraction(k, r)) for r in range(2, 13) for k in range(1, 2 * r) if gcd(k, r) == 1]
+
+
+def _fan_fiber_ray(r, a):
+    """The primitive ray F = (r, -(r ceil(a) - ra)) of the fiber over 0."""
+    c = r * ceil(a) - (r * a).numerator
+    return (r // gcd(r, c), -c // gcd(r, c))
+
+
+def _fan_self_ints(rays):
+    """-b[i] for each interior ray u[i], from u[i-1] + u[i+1] = b[i] u[i]."""
+    out = []
+    for p, u, q in zip(rays, rays[1:], rays[2:]):
+        b = (p[0] + q[0]) // u[0] if u[0] else (p[1] + q[1]) // u[1]
+        assert (p[0] + q[0], p[1] + q[1]) == (b * u[0], b * u[1])
+        out.append(-b)
+    return out
+
+
+def _chain(config, letter):
+    return [v.self_int for v in config.vertices if re.fullmatch(letter + r"\d+", v.id)]
+
+
 def test_sigma_side_matches_toric_fan():
     # the coarse scroll near the fiber over 0 is toric, with rays sigma =
     # (0, 1), F = primitive (r, -(r ceil(a) - ra)), tau = (0, -1) and the
@@ -378,22 +402,26 @@ def test_sigma_side_matches_toric_fan():
     # the s-chain and F in order, and u[i-1] + u[i+1] = b[i] u[i] gives
     # each self-intersection -b[i] (Fulton, Introduction to Toric
     # Varieties, 2.6).  Checked on the sigma side for the 90 fibers r <= 12,
-    # a = k/r <= 2 non-integral; the tau-side chain disagrees with the fan
-    # from r = 5 on (r = 5, a = 2/5: the fan gives -2, -3, the library -3, -2)
-    fibers = [(r, Fraction(k, r)) for r in range(2, 13) for k in range(1, 2 * r) if gcd(k, r) == 1]
-    assert len(fibers) == 90
-    for r, a in fibers:
-        c = r * ceil(a) - (r * a).numerator
-        f = (r // gcd(r, c), -c // gcd(r, c))
+    # a = k/r <= 2 non-integral; the tau side is the next test
+    assert len(_FAN_FIBERS) == 90
+    for r, a in _FAN_FIBERS:
+        f = _fan_fiber_ray(r, a)
         ring = [(-1, ceil(a))] + _hull_rays((0, 1), f) + [_hull_rays(f, (0, -1))[1]]
-        fan = []
-        for p, u, q in zip(ring, ring[1:], ring[2:]):
-            b = (p[0] + q[0]) // u[0] if u[0] else (p[1] + q[1]) // u[1]
-            assert (p[0] + q[0], p[1] + q[1]) == (b * u[0], b * u[1])
-            fan.append(-b)
         config = build_coarse_fiber_config(r, a)
-        schain = [v.id for v in config.vertices if re.fullmatch(r"s\d+", v.id)]
-        assert fan == [config.vertex(v).self_int for v in ["sigma", *schain, "F"]], (r, a)
+        sides = [config.vertex("sigma").self_int, *_chain(config, "s"), config.vertex("F").self_int]
+        assert _fan_self_ints(ring) == sides, (r, a)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the tau-side chain is built the wrong way round in the 40 "
+    "non-palindromic fibers; perfbench/oracle.py::fiber_config pins today's orientation"))
+def test_tau_side_matches_toric_fan():
+    # the fan's t-chain, read from F to tau, gives t1, t2, .. in order;
+    # at r = 5, a = 2/5 the fan gives -2, -3 and the library builds -3, -2
+    wrong = [(r, a) for r, a in _FAN_FIBERS
+             if _fan_self_ints(_hull_rays(_fan_fiber_ray(r, a), (0, -1)))
+             != _chain(build_coarse_fiber_config(r, a), "t")]
+    assert wrong == []
 
 
 @st.composite
