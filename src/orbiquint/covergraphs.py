@@ -55,16 +55,17 @@ class BaseShape(enum.Enum):
 
     @property
     def main_marked(self) -> tuple[str, ...]:
-        return tuple(p for p in MARKED if p != self.tail_marked)
+        return _MAIN_MARKED[self]
 
     @property
     def redundant_degree(self) -> int:
         """Degree (= node local degree) of a redundant tail component."""
-        t = self.tail_marked
-        return 1 if t in (None, "inf") else PART[t]
+        return _REDUNDANT_DEGREE[self]
 
 
 _TAIL_MARKED = {BaseShape.I: None, BaseShape.II: "0", BaseShape.III: "1", BaseShape.IV: "inf"}
+_MAIN_MARKED = {s: tuple(p for p in MARKED if p != t) for s, t in _TAIL_MARKED.items()}
+_REDUNDANT_DEGREE = {s: 1 if t in (None, "inf") else PART[t] for s, t in _TAIL_MARKED.items()}
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,28 @@ class NodeEdge:
         return {"main": self.main_id, "tail": self.tail_id, "local": self.local_degree}
 
 
+def _json_render(value: object, depth: int, sort_keys: bool) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=sort_keys)`` lays it
+    out as a list element at nesting ``depth``."""
+    pad = "  " * depth
+    return pad + json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", "\n" + pad)
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def _json_fragment(item: Component | NodeEdge, depth: int, sort_keys: bool) -> str:
-    """One list element as ``json.dumps(indent=2, sort_keys=sort_keys)``
-    lays it out at nesting ``depth``.  The layout (depth, sort_keys) is
-    part of the memo key, so a fragment is reused only in its own layout."""
-    pad = "  " * depth
-    text = json.dumps(item.to_json_dict(), indent=2, sort_keys=sort_keys)
-    return pad + text.replace("\n", "\n" + pad)
+    """One component or edge, rendered by ``_json_render``.  The layout
+    (depth, sort_keys) is part of the memo key, so a fragment is reused
+    only in its own layout."""
+    return _json_render(item.to_json_dict(), depth, sort_keys)
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
+                    r_options: tuple[int, ...], depth: int, sort_keys: bool) -> str:
+    """A graph record with no params, components or edges, rendered by
+    ``_json_render`` once per family and layout."""
+    empty = CoverGraph(d, shape, (), (), type_index, (), r_options)
+    return _json_render(empty.to_json_dict(), depth, sort_keys)
 
 
 def _json_list(elements: list[str], depth: int) -> str:
@@ -138,19 +153,14 @@ def _json_list(elements: list[str], depth: int) -> str:
     return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
 
 
-def _json_splice(
-    skeleton: dict, lists: dict[str, list[str]], depth: int, sort_keys: bool
-) -> str:
-    """``skeleton`` as a list element at nesting ``depth``, laid out as
-    ``json.dumps(indent=2, sort_keys=sort_keys)`` does, with the rendered
-    elements of ``lists[key]`` where the skeleton holds ``"key": []``."""
-    pad = "  " * depth
-    text = pad + json.dumps(skeleton, indent=2, sort_keys=sort_keys).replace("\n", "\n" + pad)
+def _json_splice(text: str, lists: dict[str, list[str]], depth: int, sort_keys: bool) -> str:
+    """``text``, a record rendered at nesting ``depth``, with the rendered
+    elements of ``lists[key]`` where it holds ``"key": []``; ``lists``
+    goes in the record's key order."""
     out = []
-    for key in sorted(skeleton) if sort_keys else skeleton:
-        if key in lists:
-            head, _, text = text.partition(f'"{key}": []')
-            out += (head, f'"{key}": ', _json_list(lists[key], depth + 1))
+    for key in sorted(lists) if sort_keys else lists:
+        head, _, text = text.partition(f'"{key}": []')
+        out += (head, f'"{key}": ', _json_list(lists[key], depth + 1))
     out.append(text)
     return "".join(out)
 
@@ -203,31 +213,27 @@ class CoverGraph:
 
     # -- serialization ------------------------------------------------------
 
-    def _json_skeleton(self) -> dict:
-        """The JSON record with empty lists where the components and edges go."""
+    def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "shape": self.shape.value,
             "type": self.type_index,
             "params": list(self.params),
             "r_options": list(self.r_options),
-            "components": [],
-            "edges": [],
+            "components": [c.to_json_dict() for c in self.components],
+            "edges": [e.to_json_dict() for e in self.node_edges],
         }
-
-    def to_json_dict(self) -> dict:
-        record = self._json_skeleton()
-        record["components"] = [c.to_json_dict() for c in self.components]
-        record["edges"] = [e.to_json_dict() for e in self.node_edges]
-        return record
 
     def _json_text(self, depth: int, sort_keys: bool) -> str:
         """``self.to_json_dict()`` as ``json.dumps(indent=2,
         sort_keys=sort_keys)`` lays it out as a list element at nesting
-        ``depth``; the components and edges are memoised fragments."""
+        ``depth``: the family's template with the params, and the
+        components and edges as memoised fragments, spliced in."""
         # map keeps the per-item lookup loop in C; to_json runs once per graph
         depths, keys = itertools.repeat(depth + 2), itertools.repeat(sort_keys)
-        return _json_splice(self._json_skeleton(), {
+        return _json_splice(_graph_template(
+            self.d, self.shape, self.type_index, self.r_options, depth, sort_keys), {
+            "params": ["  " * (depth + 2) + str(p) for p in self.params],
             "components": list(map(_json_fragment, self.components, depths, keys)),
             "edges": list(map(_json_fragment, self.node_edges, depths, keys)),
         }, depth, sort_keys)
@@ -237,8 +243,9 @@ class CoverGraph:
         sort_keys=True)`` when every field holds its annotated type, as
         this module builds them (``1 == True`` and ``2 == 2.0`` share a
         fragment).  Fragments are memoised by item and layout, here depth
-        0 with sorted keys.  The graphs of one enumeration share their
-        components and edges as frozen objects, so a hit goes by identity."""
+        0 with sorted keys, and the record around them by family and
+        layout.  The graphs of one enumeration share their components and
+        edges as frozen objects, so a hit goes by identity."""
         return self._json_text(0, True)
 
 
@@ -257,13 +264,13 @@ def families_json(families: Iterable[BoundaryType]) -> str:
     ``to_json_dict()``.  Graphs sit at nesting depth 3, in insertion key
     order, and share the fragment cache with ``to_json``."""
     return _json_list([
-        _json_splice({
+        _json_splice(_json_render({
             "type": fam.type_index,
             "shape": fam.shape.name,
             "param_ranges": [list(r) for r in fam.param_ranges],
             "count": len(fam.graphs),
             "graphs": [],
-        }, {"graphs": [g._json_text(3, False) for g in fam.graphs]}, 1, False)
+        }, 1, False), {"graphs": [g._json_text(3, False) for g in fam.graphs]}, 1, False)
         for fam in families
     ], 0)
 
@@ -417,13 +424,29 @@ def node_local_range(k: int) -> range:
     return range(1, no_node + 2)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _redundant_block(main_id: str, u: int, tmark: tuple[str, ...], start: int,
+                     residual: int) -> tuple[tuple[Component, ...], tuple[NodeEdge, ...]]:
+    """The redundant tails R{start+1}, ... of degree ``u`` filling the
+    ``residual`` node-fiber degree of main ``main_id``, and their edges;
+    fails when the residual is not a nonnegative multiple of ``u``."""
+    if residual < 0 or residual % u:
+        raise ShapeError(
+            f"no integral redundant completion: component {main_id} has "
+            f"residual node-fiber degree {residual} (redundant degree {u})"
+        )
+    ids = [f"R{i}" for i in range(start + 1, start + residual // u + 1)]
+    return (tuple(_make_component(cid, "tail", u, tmark, (u,), True) for cid in ids),
+            tuple(_node_edge(main_id, cid, u) for cid in ids))
+
+
 def complete_redundant(graph: CoverGraph) -> CoverGraph:
     """Fill in the uniquely determined redundant tail components.
 
     Each main component's node fiber must consist of its non-redundant
     locals plus redundant tails of the shape's fixed degree; fails when
     the residual degree is not a nonnegative multiple of that degree.
-    Idempotent, and independent of component ordering.
+    Idempotent and order-free; enumerated graphs are built complete.
     """
     shape = graph.shape
     u = shape.redundant_degree
@@ -433,19 +456,12 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
     edges = [e for e in graph.node_edges if not by_id[e.tail_id].redundant]
     used = _node_fibers(edges)
     new_comps: list[Component] = []
-    new_edges: list[NodeEdge] = []
     for main in sorted(graph.mains(), key=lambda c: c.id):
         residual = main.degree - sum(used["main", main.id])
-        if residual < 0 or residual % u:
-            raise ShapeError(
-                f"no integral redundant completion: component {main.id} has "
-                f"residual node-fiber degree {residual} (redundant degree {u})"
-            )
-        for _ in range(residual // u):
-            cid = f"R{len(new_comps) + 1}"
-            new_comps.append(_make_component(cid, "tail", u, tmark, (u,), True))
-            new_edges.append(_node_edge(main.id, cid, u))
-    all_edges = tuple(edges + new_edges)
+        tails, tail_edges = _redundant_block(main.id, u, tmark, len(new_comps), residual)
+        new_comps += tails
+        edges += tail_edges
+    all_edges = tuple(edges)
     fibers = _node_fibers(all_edges)
 
     def rebeta(c: Component) -> Component:
@@ -528,17 +544,21 @@ def _skeleton(
     d: int, shape: BaseShape, degrees: tuple[int, ...], locals_: tuple[int, ...],
     type_index: int, *, params: tuple[int, ...] = (), r_options: tuple[int, ...] = (),
 ) -> CoverGraph:
-    """Main components, the non-redundant tail E (its degree the sum of
-    the node locals), and their redundant completion."""
-    marks = shape.main_marked
-    mains = [_make_component(f"M{i+1}", "main", k, marks, (l,), False)
-             for i, (k, l) in enumerate(zip(degrees, locals_))]
+    """Mains with their full node fibers, the non-redundant tail E (its
+    degree the sum of the node locals), then each main's redundant tails."""
+    u, marks = shape.redundant_degree, shape.main_marked
     tmark = (shape.tail_marked,) if shape.tail_marked else ()
+    edges = [_node_edge(f"M{i}", "E", l) for i, l in enumerate(locals_, 1)]
+    mains, tails = [], []
+    for i, (k, l) in enumerate(zip(degrees, locals_), 1):
+        block = _redundant_block(f"M{i}", u, tmark, len(tails), k - l)
+        tails += block[0]
+        edges += block[1]
+        mains.append(_make_component(f"M{i}", "main", k, marks,
+                                     (l,) + (u,) * len(block[0]), False))
     tail = _make_component("E", "tail", sum(locals_), tmark, locals_, False)
-    edges = [_node_edge(m.id, "E", l) for m, l in zip(mains, locals_)]
-    return complete_redundant(CoverGraph(
-        d, shape, tuple(mains + [tail]), tuple(edges), type_index, params, r_options
-    ))
+    return CoverGraph(d, shape, (*mains, tail, *tails), tuple(edges),
+                      type_index, params, r_options)
 
 
 # Orbinode orders r for the one-node types at d = 3: the S4 element

@@ -63,18 +63,18 @@ def _reference_boundary_json(families) -> str:
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_boundary_graphs_json_matches_reference_route(capsys, d):
+def test_boundary_graphs_json_matches_reference_route(capsys, cold_memos, d):
     families = covergraphs.enumerate_boundary_types(d)
     expected = _reference_boundary_json(families)
     graphs = [g for fam in families for g in fam.graphs]
     sorted_json = [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
     argv = ("boundary-graphs", "--d", str(d), "--format", "json")
-    covergraphs._json_fragment.cache_clear()
-    assert run(capsys, *argv) == (0, expected, "")  # cold fragment cache
+    cold_memos()
+    assert run(capsys, *argv) == (0, expected, "")  # cold fragments and templates
     assert run(capsys, *argv) == (0, expected, "")  # warm
-    # to_json caches the same components and edges in its own layout
-    # (depth 0, sorted keys); neither layout may serve the other
-    covergraphs._json_fragment.cache_clear()
+    # to_json caches the same components, edges and family templates in its
+    # own layout (depth 0, sorted keys); neither layout may serve the other
+    cold_memos()
     assert [g.to_json() for g in graphs] == sorted_json
     assert run(capsys, *argv) == (0, expected, "")
     assert [g.to_json() for g in graphs] == sorted_json

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -154,15 +155,34 @@ def test_node_local_range_is_the_branch_count_bound():
             covergraphs._make_component("M1", "main", k, marks, (locals_[-1] + 1,), False)
 
 
-def test_to_json_matches_to_json_dict():
+def test_to_json_matches_to_json_dict(cold_memos):
     mutants = [m for g in _graphs(3) for m in perturbations(g)]
     graphs = [*_graphs(3), *_graphs(4), *_graphs(5), *mutants]
     expected = [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
-    # first on a cold fragment cache, so every fragment is checked as first
-    # rendered, then again with every fragment reused
-    covergraphs._json_fragment.cache_clear()
+    # first on cold memos, so every fragment and family template is checked
+    # as first rendered, then again with each of them reused
+    cold_memos()
     for _ in range(2):
         assert [g.to_json() for g in graphs] == expected
+
+
+def test_to_json_renders_each_template_and_fragment_once(monkeypatch, cold_memos):
+    # json.dumps runs once per family's record template and once per
+    # distinct component or edge; the params are spliced in as text
+    graphs = [g for f in enumerate_boundary_types(4) for g in f.graphs]
+    calls = 0
+    real = json.dumps
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(covergraphs.json, "dumps", counted)
+    texts = [g.to_json() for g in graphs]
+    monkeypatch.undo()
+    items = {item for g in graphs for item in (*g.components, *g.node_edges)}
+    assert calls == len(enumerate_boundary_types(4)) + len(items) == 12 + 306
+    assert texts == [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
 
 
 @pytest.mark.parametrize("d, digest", [
@@ -255,9 +275,10 @@ def test_complete_redundant_stamped_tail_sharing_an_id():
         complete_redundant(replace(g, components=comps, node_edges=edges))
 
 
-def test_complete_redundant_rechecks_memoised_tails(monkeypatch):
-    # a stamped tail is taken from the memoised constructor; if that hands
-    # back a wrong beta, the re-check of every component still corrects it
+def test_complete_redundant_rechecks_memoised_tails(monkeypatch, cold_memos):
+    # the stamped tails come from the memoised redundant block, here built
+    # cold through a constructor that hands back a wrong beta; the re-check
+    # of every component still corrects it
     g = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
     real = covergraphs._make_component
 
@@ -265,23 +286,40 @@ def test_complete_redundant_rechecks_memoised_tails(monkeypatch):
         c = real(*args)
         return replace(c, beta=c.beta + 3) if c.redundant else c
     monkeypatch.setattr(covergraphs, "_make_component", wrong_beta)
+    tails, _ = covergraphs._redundant_block("M1", 1, ("inf",), 0, 16)
+    assert len(tails) == 16 and all(c.beta == 3 for c in tails)
     stamped = [c for c in complete_redundant(g).components if c.redundant]
     assert stamped and all(c.beta == 0 for c in stamped)
     assert complete_redundant(g) == g
 
 
-def _clear_memos():
-    for memo in vars(covergraphs).values():
-        if hasattr(memo, "cache_clear"):
-            memo.cache_clear()
+@pytest.mark.parametrize("d", range(1, 7))
+def test_enumerated_graphs_are_complete_and_valid(d):
+    # the enumerator assembles each graph complete; the normaliser and the
+    # validator must both leave it as it is
+    for g in _graphs(d):
+        assert complete_redundant(g) == g
+        assert check_cover(g) == []
+
+
+@pytest.mark.parametrize("d, total", [(1, 6), (2, 29), (3, 119), (4, 308), (5, 784),
+                                      (6, 2041), (7, 3632), (8, 6844)])
+def test_family_sizes_closed_form(d, total):
+    # a shape IV family is the product of its mains' node-local ranges,
+    # 5k/6 - 1 locals for a main of degree k; every other family is one graph
+    families = enumerate_boundary_types(d)
+    for f in families:
+        degrees = [c.degree for c in f.graphs[0].mains()]
+        expected = math.prod(5 * k // 6 - 1 for k in degrees) if f.shape is BaseShape.IV else 1
+        assert len(f.graphs) == expected
+    assert sum(len(f.graphs) for f in families) == total
 
 
 @pytest.mark.parametrize("d, pinned", [(3, 137), (6, 357)])
-def test_enumeration_builds_each_item_once(monkeypatch, d, pinned):
+def test_enumeration_builds_each_item_once(monkeypatch, cold_memos, d, pinned):
     # equal components and edges of one enumeration are one object, and
     # the component count stays near the distinct values, not per graph
     # (the per-graph construction made 1772 at d = 3 and 52517 at d = 6)
-    _clear_memos()
     built = 0
     real = covergraphs.Component.__init__
 
@@ -297,8 +335,7 @@ def test_enumeration_builds_each_item_once(monkeypatch, d, pinned):
     assert built <= pinned
 
 
-def test_memoised_constructors_cache_no_failure():
-    _clear_memos()
+def test_memoised_constructors_cache_no_failure(cold_memos):
     for args in [("M1", "main", 7, ("0", "1"), (1,), False),  # 7 is odd
                  ("E", "tail", 1, (), (3,), False)]:  # negative branch count
         for _ in range(2):
