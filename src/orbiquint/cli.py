@@ -278,6 +278,11 @@ def cmd_table1(args) -> tuple[str, int]:
 def cmd_boundary_graphs(args) -> tuple[str, int]:
     from . import covergraphs
 
+    if args.d != 3:
+        raise covergraphs.ShapeError(
+            f"boundary-graphs supports d = 3 only, got d = {args.d}: the orbinode "
+            "orders (R_OPTIONS) and the split exclusions are recorded for total degree 18"
+        )
     families = covergraphs.enumerate_boundary_types(args.d)
     if args.format == "json":
         return covergraphs.families_json(families) + "\n", 0
@@ -531,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DOMAIN_ERRORS = (ValueError, KeyError, FileNotFoundError, ZeroDivisionError)
+_DOMAIN_ERRORS = (ValueError, OSError, ZeroDivisionError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

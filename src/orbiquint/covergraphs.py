@@ -75,10 +75,6 @@ class RamProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(sorted(self.parts)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
     @functools.cached_property
     def ram(self) -> int:
         return sum(p - 1 for p in self.parts)
@@ -93,12 +89,6 @@ class Component:
     redundant: bool
     profiles: tuple[tuple[str, RamProfile], ...]  # over marked points on its side
     beta: int  # moving branch points on this component
-
-    def profile_over(self, pt: str) -> Optional[RamProfile]:
-        for p, prof in self.profiles:
-            if p == pt:
-                return prof
-        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,28 +112,27 @@ class NodeEdge:
         return {"main": self.main_id, "tail": self.tail_id, "local": self.local_degree}
 
 
-def _json_render(value: object, depth: int, sort_keys: bool) -> str:
-    """``value`` as ``json.dumps(indent=2, sort_keys=sort_keys)`` lays it
-    out as a list element at nesting ``depth``."""
+def _nest(text: str, depth: int) -> str:
+    """``text``, a JSON value rendered at nesting 0, laid out as a list
+    element at nesting ``depth``."""
     pad = "  " * depth
-    return pad + json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", "\n" + pad)
+    return pad + text.replace("\n", "\n" + pad)
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _json_fragment(item: Component | NodeEdge, depth: int, sort_keys: bool) -> str:
-    """One component or edge, rendered by ``_json_render``.  The layout
-    (depth, sort_keys) is part of the memo key, so a fragment is reused
-    only in its own layout."""
-    return _json_render(item.to_json_dict(), depth, sort_keys)
+def _json_fragment(item: Component | NodeEdge) -> str:
+    """One component or edge, laid out where it sits in a graph record:
+    an element of its list at nesting 2."""
+    return _nest(json.dumps(item.to_json_dict(), indent=2), 2)
 
 
 @functools.lru_cache(maxsize=1 << 8)
 def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
-                    r_options: tuple[int, ...], depth: int, sort_keys: bool) -> str:
-    """A graph record with no params, components or edges, rendered by
-    ``_json_render`` once per family and layout."""
-    empty = CoverGraph(d, shape, (), (), type_index, (), r_options)
-    return _json_render(empty.to_json_dict(), depth, sort_keys)
+                    r_options: tuple[int, ...]) -> str:
+    """A graph record with no params, components or edges, rendered once
+    per family."""
+    return json.dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict(),
+                      indent=2)
 
 
 def _json_list(elements: list[str], depth: int) -> str:
@@ -153,12 +142,12 @@ def _json_list(elements: list[str], depth: int) -> str:
     return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
 
 
-def _json_splice(text: str, lists: dict[str, list[str]], depth: int, sort_keys: bool) -> str:
+def _json_splice(text: str, lists: dict[str, list[str]], depth: int) -> str:
     """``text``, a record rendered at nesting ``depth``, with the rendered
     elements of ``lists[key]`` where it holds ``"key": []``; ``lists``
     goes in the record's key order."""
     out = []
-    for key in sorted(lists) if sort_keys else lists:
+    for key in lists:
         head, _, text = text.partition(f'"{key}": []')
         out += (head, f'"{key}": ', _json_list(lists[key], depth + 1))
     out.append(text)
@@ -203,14 +192,6 @@ class CoverGraph:
         dim += max(0, tail_moving - tail_gauge)
         return dim
 
-    def global_profile(self, pt: str) -> RamProfile:
-        parts: list[int] = []
-        for c in self.components:
-            prof = c.profile_over(pt)
-            if prof is not None:
-                parts.extend(prof.parts)
-        return RamProfile(tuple(parts))
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -224,29 +205,20 @@ class CoverGraph:
             "edges": [e.to_json_dict() for e in self.node_edges],
         }
 
-    def _json_text(self, depth: int, sort_keys: bool) -> str:
-        """``self.to_json_dict()`` as ``json.dumps(indent=2,
-        sort_keys=sort_keys)`` lays it out as a list element at nesting
-        ``depth``: the family's template with the params, and the
-        components and edges as memoised fragments, spliced in."""
-        # map keeps the per-item lookup loop in C; to_json runs once per graph
-        depths, keys = itertools.repeat(depth + 2), itertools.repeat(sort_keys)
-        return _json_splice(_graph_template(
-            self.d, self.shape, self.type_index, self.r_options, depth, sort_keys), {
-            "params": ["  " * (depth + 2) + str(p) for p in self.params],
-            "components": list(map(_json_fragment, self.components, depths, keys)),
-            "edges": list(map(_json_fragment, self.node_edges, depths, keys)),
-        }, depth, sort_keys)
-
     def to_json(self) -> str:
-        """Byte-identical to ``json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True)`` when every field holds its annotated type, as
-        this module builds them (``1 == True`` and ``2 == 2.0`` share a
-        fragment).  Fragments are memoised by item and layout, here depth
-        0 with sorted keys, and the record around them by family and
-        layout.  The graphs of one enumeration share their components and
-        edges as frozen objects, so a hit goes by identity."""
-        return self._json_text(0, True)
+        """Byte-identical to ``json.dumps(self.to_json_dict(), indent=2)``
+        when every field holds its annotated type, as this module builds
+        them (``1 == True`` and ``2 == 2.0`` share a fragment): the
+        family's template with the params, and the components and edges
+        as memoised fragments, spliced in.  The graphs of one enumeration
+        share their components and edges as frozen objects, so a fragment
+        hit goes by identity."""
+        # map keeps the per-item lookup loop in C; to_json runs once per graph
+        return _json_splice(_graph_template(self.d, self.shape, self.type_index, self.r_options), {
+            "params": [_nest(str(p), 2) for p in self.params],
+            "components": list(map(_json_fragment, self.components)),
+            "edges": list(map(_json_fragment, self.node_edges)),
+        }, 0)
 
 
 @dataclass(frozen=True)
@@ -261,16 +233,16 @@ def families_json(families: Iterable[BoundaryType]) -> str:
     """The family list of ``boundary-graphs --format json``: byte-identical
     to ``json.dumps(records, indent=2)``, each record holding a family's
     type, shape, param ranges, graph count and its graphs'
-    ``to_json_dict()``.  Graphs sit at nesting depth 3, in insertion key
-    order, and share the fragment cache with ``to_json``."""
+    ``to_json_dict()``.  Each graph is its ``to_json()`` text, nested at
+    depth 3."""
     return _json_list([
-        _json_splice(_json_render({
+        _json_splice(_nest(json.dumps({
             "type": fam.type_index,
             "shape": fam.shape.name,
             "param_ranges": [list(r) for r in fam.param_ranges],
             "count": len(fam.graphs),
             "graphs": [],
-        }, 1, False), {"graphs": [g._json_text(3, False) for g in fam.graphs]}, 1, False)
+        }, indent=2), 1), {"graphs": [_nest(g.to_json(), 3) for g in fam.graphs]}, 1)
         for fam in families
     ], 0)
 
@@ -500,17 +472,18 @@ def check_cover(graph: CoverGraph) -> list[str]:
                 f"node fiber of {c.id} sums to {fiber_degree}, expected {c.degree}"
             )
 
-    # marked-point profiles
-    expected_sides = {pt: ("tail" if pt == shape.tail_marked else "main") for pt in MARKED}
+    # marked-point profiles: what each component holds over pt, and all of it
+    by_point = [dict(c.profiles) for c in graph.components]
     for pt in MARKED:
-        part = PART[pt]
-        prof = graph.global_profile(pt)
-        if prof.total != total:
-            diags.append(f"profile over {pt} sums to {prof.total}, expected {total}")
-        if any(p != part for p in prof.parts):
-            diags.append(f"profile over {pt} must be all {part}s, got {prof.parts}")
-        for c in graph.components:
-            if (c.profile_over(pt) is not None) != (c.side == expected_sides[pt]):
+        part, side = PART[pt], "tail" if pt == shape.tail_marked else "main"
+        held = [profiles.get(pt) for profiles in by_point]
+        parts = tuple(sorted(p for prof in held if prof for p in prof.parts))
+        if sum(parts) != total:
+            diags.append(f"profile over {pt} sums to {sum(parts)}, expected {total}")
+        if any(p != part for p in parts):
+            diags.append(f"profile over {pt} must be all {part}s, got {parts}")
+        for c, prof in zip(graph.components, held):
+            if (prof is not None) != (c.side == side):
                 diags.append(f"profile over {pt} on wrong side for {c.id}")
 
     # per-component Riemann-Hurwitz: beta = rh_ramification(deg, g) - ram
@@ -569,7 +542,11 @@ R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
 
 
 def enumerate_boundary_types(d: int) -> list[BoundaryType]:
-    """The boundary-divisor dual-graph families for covering degree 6d."""
+    """The boundary-divisor dual-graph families for covering degree 6d.
+
+    Validated at d = 3 only: ``R_OPTIONS`` is keyed by type index at
+    total degree 18 and ``_EXCLUDED_SPLITS`` applies only there, so at
+    other d the r_options land on other families unchecked."""
     if d < 1:
         raise ShapeError("d must be >= 1")
     total = 6 * d

@@ -52,12 +52,13 @@ class Perm:
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
-    def from_cycles(cls, cycles: Iterable[Sequence[int]], n: int = 4) -> "Perm":
-        images = list(range(1, n + 1))
+    def from_cycles(cls, cycles: Iterable[Sequence[int]]) -> "Perm":
+        """The element of S4 with these cycles."""
+        images = [1, 2, 3, 4]
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                if not 1 <= a <= n:
-                    raise PermError(f"point {a} out of range 1..{n}")
+                if not 1 <= a <= 4:
+                    raise PermError(f"point {a} out of range 1..4")
                 images[a - 1] = b
         return cls(tuple(images))
 

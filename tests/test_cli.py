@@ -38,7 +38,7 @@ def test_json_round_trip(capsys):
     for argv in (
         ["table1", "--format", "json"],
         ["classify", "--format", "json"],
-        ["boundary-graphs", "--d", "1", "--format", "json"],
+        ["boundary-graphs", "--d", "3", "--format", "json"],
         ["resolve", "--r", "7", "--q", "3", "--format", "json"],
     ):
         code, out, _ = run(capsys, *argv)
@@ -49,7 +49,7 @@ def test_json_round_trip(capsys):
 
 def _reference_boundary_json(families) -> str:
     # one json.dumps of the whole family tree, every graph as its
-    # to_json_dict(): the layout the CLI's spliced fragments must reproduce
+    # to_json_dict(): the layout families_json must reproduce
     return json.dumps([
         {
             "type": fam.type_index,
@@ -64,20 +64,27 @@ def _reference_boundary_json(families) -> str:
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_boundary_graphs_json_matches_reference_route(capsys, cold_memos, d):
+    # the CLI serves d = 3 only; at the other d its writer, families_json,
+    # is checked directly
     families = covergraphs.enumerate_boundary_types(d)
     expected = _reference_boundary_json(families)
-    graphs = [g for fam in families for g in fam.graphs]
-    sorted_json = [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
-    argv = ("boundary-graphs", "--d", str(d), "--format", "json")
+
+    def render():
+        if d == 3:
+            return run(capsys, "boundary-graphs", "--d", "3", "--format", "json")
+        return 0, covergraphs.families_json(families) + "\n", ""
     cold_memos()
-    assert run(capsys, *argv) == (0, expected, "")  # cold fragments and templates
-    assert run(capsys, *argv) == (0, expected, "")  # warm
-    # to_json caches the same components, edges and family templates in its
-    # own layout (depth 0, sorted keys); neither layout may serve the other
-    cold_memos()
-    assert [g.to_json() for g in graphs] == sorted_json
-    assert run(capsys, *argv) == (0, expected, "")
-    assert [g.to_json() for g in graphs] == sorted_json
+    assert render() == (0, expected, "")  # cold fragments and templates
+    assert render() == (0, expected, "")  # warm
+
+
+@pytest.mark.parametrize("d", ["0", "1", "4", "6"])
+def test_boundary_graphs_refuses_d_other_than_3(capsys, d):
+    # R_OPTIONS and the split exclusions are d = 3 data (total degree 18)
+    for fmt in ("md", "json", "dot"):
+        code, out, err = run(capsys, "boundary-graphs", "--d", d, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "ShapeError" in err and "d = 3 only" in err
 
 
 def test_boundary_graphs_json_renders_each_item_once(capsys, monkeypatch):
@@ -258,6 +265,17 @@ def test_out_flag(tmp_path, capsys):
     assert dest.read_text() == (GOLDEN / "table1.tsv").read_text()
 
 
+def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
+    # a directory, and a path under a file: exit 1 with the error's class
+    (tmp_path / "file").write_text("")
+    for path, cls in ((tmp_path, "IsADirectoryError"),
+                      (tmp_path / "file" / "x.tsv", "NotADirectoryError")):
+        code, out, err = run(capsys, "table1", "--format", "md", "--out", str(path))
+        assert (code, out) == (1, "") and err.startswith(f"error ({cls}): ")
+        code, out, err = run(capsys, "table1", "--format", "json", "--out", str(path))
+        assert (code, out) == (1, "") and json.loads(err)["error"]["code"] == cls
+
+
 def test_env_override(tmp_path, capsys, monkeypatch):
     shutil.copytree(GOLDEN, tmp_path / "g2")
     monkeypatch.setenv("ORBIQUINT_GOLDEN", str(tmp_path / "g2"))
@@ -331,7 +349,7 @@ _PIN_CASES = [
     *(["table1", "--format", f, "--out", "/nonexistent/dir/x.tsv"]
       for f in ("md", "json")),
 ]
-_PIN_SHA256 = "98a56addb46f4eebd02773bf307a9e44da1c2ba96442b3f1f8ceff49a981c71b"
+_PIN_SHA256 = "e4d838f3686c30343a96514b30c15607cd0c62954fda5f35bf0fc334ec456fa4"
 
 
 def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):

@@ -58,7 +58,7 @@ def test_degree_splits_at_18():
 def test_ram_profile():
     p = RamProfile((3, 1, 2))
     assert p.parts == (1, 2, 3)
-    assert p.total == 6 and p.ram == 3
+    assert p.ram == 3
 
 
 def test_enumeration_d3_structure():
@@ -70,9 +70,9 @@ def test_enumeration_d3_structure():
             assert check_cover(g) == []
             assert g.beta_total() == 13
             # global profiles: all 2s over 0, all 3s over 1, etale over inf
-            assert set(g.global_profile("0").parts) == {2}
-            assert set(g.global_profile("1").parts) == {3}
-            assert set(g.global_profile("inf").parts) == {1}
+            for pt, part in covergraphs.PART.items():
+                assert {p for c in g.components for q, prof in c.profiles if q == pt
+                        for p in prof.parts} == {part}
 
 
 def test_enumeration_small_d():
@@ -91,7 +91,7 @@ def test_graph_json_round_trip():
     g = enumerate_boundary_types(3)[5].graphs[0]
     data = json.loads(g.to_json())
     assert data == g.to_json_dict()
-    assert g.to_json() == json.dumps(g.to_json_dict(), indent=2, sort_keys=True)
+    assert g.to_json() == json.dumps(g.to_json_dict(), indent=2)
 
 
 def test_complete_redundant_stable():
@@ -158,7 +158,7 @@ def test_node_local_range_is_the_branch_count_bound():
 def test_to_json_matches_to_json_dict(cold_memos):
     mutants = [m for g in _graphs(3) for m in perturbations(g)]
     graphs = [*_graphs(3), *_graphs(4), *_graphs(5), *mutants]
-    expected = [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
+    expected = [json.dumps(g.to_json_dict(), indent=2) for g in graphs]
     # first on cold memos, so every fragment and family template is checked
     # as first rendered, then again with each of them reused
     cold_memos()
@@ -182,12 +182,38 @@ def test_to_json_renders_each_template_and_fragment_once(monkeypatch, cold_memos
     monkeypatch.undo()
     items = {item for g in graphs for item in (*g.components, *g.node_edges)}
     assert calls == len(enumerate_boundary_types(4)) + len(items) == 12 + 306
-    assert texts == [json.dumps(g.to_json_dict(), indent=2, sort_keys=True) for g in graphs]
+    assert texts == [json.dumps(g.to_json_dict(), indent=2) for g in graphs]
+
+
+def test_families_json_nests_each_graphs_to_json(monkeypatch, cold_memos):
+    # one JSON text per graph: once to_json has rendered every d = 3 graph
+    # (8 family templates, 212 distinct components and edges), the
+    # boundary-graphs writer dumps only its 8 family records and nests
+    # each graph's to_json() three levels deep
+    graphs = [g for f in enumerate_boundary_types(3) for g in f.graphs]
+    calls = 0
+    real = json.dumps
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(covergraphs.json, "dumps", counted)
+    texts = [g.to_json() for g in graphs]
+    assert calls == 8 + 212
+    calls = 0
+    out = covergraphs.families_json(enumerate_boundary_types(3))
+    monkeypatch.undo()
+    assert calls == 8
+    pos = 0
+    for text in texts:
+        nested = "      " + text.replace("\n", "\n      ")
+        pos = out.index(nested, pos) + len(nested)
 
 
 @pytest.mark.parametrize("d, digest", [
-    (3, "a817958a50ecc26880fa47a6b994d1a76792905ec84738ea490953506590f27a"),
-    (4, "ac10a5cea45ec919d6c8171b92eb79cc8d421e6f8251545077e24aecbd960062"),
+    (3, "f6a6f8f1247902af079a2321e1ccebbf1616ec461f18073b0afe2ca619b1b86f"),
+    (4, "09b012134207cc2ec2767076f4fcee9f5cdef491fbf972108771534d1393a4f5"),
 ])
 def test_to_json_bytes_pinned(d, digest):
     text = "".join(g.to_json() for g in _graphs(d))
