@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import covergraphs, resolve
 from .covergraphs import R_OPTIONS, BaseShape, rh_ramification
-from .orbiscroll import adjunction_degree, frac, tetragonal_branch_relation
+from .orbiscroll import BranchRelation, adjunction_degree, frac, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
 from .resolve import geometric_genus, pa_hirzebruch
 
@@ -98,65 +98,53 @@ def component_genus_adjunction(r: int, m: Fraction, a: Fraction, b: int) -> int:
     return _tetragonal_genus(ram, f"r={r}, b={b}, a={a}, m={m} (adjunction route)")
 
 
-def _candidate_numerators(r: int, b: int) -> list[int]:
-    """Numerators k = r*a of the nonnegative twists a with denominator
-    exactly r, passing the smoothness criterion (a <= b/12 or a = b/6)."""
+def _smooth_twists(r: int, b: int) -> dict[int, BranchRelation]:
+    """Branch relation of each nonnegative twist a = k/r with denominator
+    exactly r that passes the smoothness criterion, keyed by k = r*a."""
+    rels = {k: tetragonal_branch_relation(Fraction(k, r), b)
+            for k in range(r * b // 6 + 1) if gcd(k, r) == 1}
+    return {k: rel for k, rel in rels.items() if rel.smooth_ok}
+
+
+def _twist_pairs(
+    r: int, b1: int, b2: int
+) -> list[tuple[int, int, BranchRelation, BranchRelation]]:
+    """Signed numerators (k1, k2), sorted, of smooth twists v = k/r with
+    |v1 + v2| = 1, i.e. k1 + k2 = +-r, with the relations of |k1| and |k2|.
+
+    One pair per class under the overall sign: k1 >= 0, and k2 > 0 when
+    k1 = 0.  When b1 = b2 the swap folds too, keeping the pair least
+    under (|k1|, |k2|, k1, k2); that is the one with k1 <= |k2|, since
+    |k1| = |k2| only for k1 = k2 = r/2.
+    """
+    tw1, tw2 = _smooth_twists(r, b1), _smooth_twists(r, b2)
     return [
-        k for k in range(r * b // 6 + 1)
-        if gcd(k, r) == 1
-        and tetragonal_branch_relation(Fraction(k, r), b).smooth_ok
+        (k1, k2, rel1, tw2[abs(k2)])
+        for k1, rel1 in tw1.items()
+        for k2 in (-r - k1, r - k1)
+        if abs(k2) in tw2 and (k1 > 0 or k2 > 0)
+        and not (b1 == b2 and abs(k2) < k1)
     ]
 
 
 def table1() -> list[Table1Row]:
     """The 16 possibilities for the one-node types (1)-(5).
 
-    The sign/twist search runs over the integer numerators k = r*a: the
-    signed pair (s1*k1, s2*k2) gives |v1 + v2| = 1 exactly when
-    |s1*k1 + s2*k2| = r.  Fractions are built only for the surviving rows.
+    Each row's m and disc come from the branch relations that admitted
+    its twists; Fractions v = k/r are built only for the rows.
     """
     rows: list[Table1Row] = []
-    n = 0
     for t, (b1, b2) in _branch_pairs().items():
-        found: set[tuple[int, int, int]] = set()  # (r, k1, k2), signed
         for r in R_OPTIONS[t]:
             if (r * b1) % 6 or (r * b2) % 6:
                 continue
-            for k1, k2 in itertools.product(
-                _candidate_numerators(r, b1), _candidate_numerators(r, b2)
-            ):
-                for s1, s2 in itertools.product((1, -1), repeat=2):
-                    if (k1 == 0 and s1 < 0) or (k2 == 0 and s2 < 0):
-                        continue
-                    if abs(s1 * k1 + s2 * k2) != r:
-                        continue
-                    found.add((r, *_canonical_pair(
-                        (s1 * k1, s2 * k2), symmetric=(b1 == b2))))
-        # for a fixed r, numerators order exactly as the twists k/r do
-        for r, k1, k2 in sorted(found):
-            n += 1
-            v1, v2 = Fraction(k1, r), Fraction(k2, r)
-            m1 = tetragonal_branch_relation(abs(v1), b1).m
-            m2 = tetragonal_branch_relation(abs(v2), b2).m
-            rows.append(
-                Table1Row(
-                    n, t, r, v1, v2, m1, m2,
-                    component_genus(r, b1), component_genus(r, b2),
-                    6 * abs(k1) == r * b1, 6 * abs(k2) == r * b2,
-                )
-            )
+            g1, g2 = component_genus(r, b1), component_genus(r, b2)
+            for k1, k2, rel1, rel2 in _twist_pairs(r, b1, b2):
+                rows.append(Table1Row(
+                    len(rows) + 1, t, r, Fraction(k1, r), Fraction(k2, r),
+                    rel1.m, rel2.m, g1, g2, rel1.disc, rel2.disc,
+                ))
     return rows
-
-
-def _canonical_pair(v: tuple[int, int], symmetric: bool) -> tuple[int, int]:
-    def sign_canon(p):
-        first = p[0] if p[0] != 0 else p[1]
-        return (-p[0], -p[1]) if first < 0 else p
-
-    reps = [sign_canon(v)]
-    if symmetric:
-        reps.append(sign_canon((v[1], v[0])))
-    return min(reps, key=lambda p: (abs(p[0]), abs(p[1]), p[0], p[1]))
 
 
 # ---------------------------------------------------------------------------

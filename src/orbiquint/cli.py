@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .orbiscroll import coarse_singularities, frac, frac_str
+from .orbiscroll import coarse_singularities, frac
 
 if TYPE_CHECKING:
     from . import classify
@@ -84,8 +84,8 @@ def _table1_records() -> list[dict]:
     return [
         {
             "row": r.row, "type": r.graph_type, "r": r.r,
-            "v1": frac_str(r.v1), "v2": frac_str(r.v2),
-            "m1": frac_str(r.m1), "m2": frac_str(r.m2),
+            "v1": str(r.v1), "v2": str(r.v2),
+            "m1": str(r.m1), "m2": str(r.m2),
             "g1": r.g1, "g2": r.g2, "disc1": r.disc1, "disc2": r.disc2,
         }
         for r in classify.table1()
@@ -165,8 +165,8 @@ def _model_dict(e: classify.LocalModelEntry) -> dict:
              "side": list(c.side)}
             for c in e.components
         ],
-        "sigmaA2": None if e.sigmaA2 is None else frac_str(e.sigmaA2),
-        "sigmaB2": None if e.sigmaB2 is None else frac_str(e.sigmaB2),
+        "sigmaA2": None if e.sigmaA2 is None else str(e.sigmaA2),
+        "sigmaB2": None if e.sigmaB2 is None else str(e.sigmaB2),
         "provenance": {
             "l": e.provenance.l, "n": e.provenance.n, "m": e.provenance.m,
             "sings": [f"A{k}" for k in e.provenance.sings],
@@ -308,9 +308,15 @@ def cmd_boundary_graphs(args) -> tuple[str, int]:
     return _md_table(headers, rows), 0
 
 
+# the chain of 1/r(1, r-1) has r - 1 entries: its cost follows the value typed
+_RESOLVE_MAX_R = 10**6
+
+
 def cmd_resolve(args) -> tuple[str, int]:
     from . import resolve
 
+    if args.r > _RESOLVE_MAX_R:
+        raise resolve.ResolveError(f"r exceeds the bound r <= {_RESOLVE_MAX_R}")
     chain = resolve.hj_expand(args.r, args.q)
     if args.format == "json":
         return _json_dump(
@@ -325,13 +331,13 @@ def cmd_coarse(args) -> tuple[str, int]:
     if args.format == "json":
         return _json_dump({
             "r": args.r,
-            "a": frac_str(a),
+            "a": str(a),
             "at_sigma": {"r": cs.at_sigma.r, "q": cs.at_sigma.q},
             "at_tau": {"r": cs.at_tau.r, "q": cs.at_tau.q},
             "fiber_multiplicity": cs.fiber_multiplicity,
         }), 0
     return (
-        f"coarse F_{frac_str(a)} over P^1({args.r}-th root of 0): "
+        f"coarse F_{a} over P^1({args.r}-th root of 0): "
         f"1/{cs.at_sigma.r}(1,{cs.at_sigma.q}) at sigma(0), "
         f"1/{cs.at_tau.r}(1,{cs.at_tau.q}) at tau(0), "
         f"fiber multiplicity {cs.fiber_multiplicity}\n"
@@ -357,7 +363,7 @@ def cmd_diagrams(args) -> tuple[str, int]:
         ), 0
     if args.format == "json":
         return _json_dump({
-            "item": args.item, "r": it.r, "a": frac_str(it.a),
+            "item": args.item, "r": it.r, "a": str(it.a),
             "stage": args.stage,
             "vertices": [
                 {"id": v.id, "self_int": v.self_int, "role": v.role.value}
@@ -400,12 +406,12 @@ def cmd_parity(args) -> tuple[str, int]:
     p = parity.section_parity(sc)
     if args.format == "json":
         return _json_dump({
-            "pieces": [frac_str(x) for x in sc.pieces],
-            "total": frac_str(sc.total),
+            "pieces": [str(x) for x in sc.pieces],
+            "total": str(sc.total),
             "parity": p.value,
             "ambient": p.ambient,
         }), 0
-    return (f"total {frac_str(sc.total)}: {p.value} "
+    return (f"total {sc.total}: {p.value} "
             f"(degeneration of {p.ambient})\n"), 0
 
 
@@ -466,7 +472,7 @@ def cmd_genus(args) -> tuple[str, int]:
 
 
 def cmd_verify_golden(args) -> tuple[str, int]:
-    root = Path(args.golden) if args.golden else _golden_dir()
+    root = _golden_dir() if args.golden is None else Path(args.golden)
     if not root.is_dir():
         raise FileNotFoundError(f"golden directory not found: {root}")
     ok, report = verify_golden(root)
@@ -544,7 +550,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         text, status = args.fn(args)
         # written inside the try: an unwritable --out exits 1, not a traceback
-        if args.out:
+        if args.out is not None:
             Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)

@@ -29,17 +29,10 @@ def frac(x: FracLike) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-def frac_str(x: Fraction) -> str:
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class BranchRelation:
     m: Fraction
+    disc: bool  # a = b/6: the curve is the directrix plus a disjoint residual
     smooth_ok: bool
 
 
@@ -78,7 +71,7 @@ def adjunction_degree(n: int, m: FracLike, a: FracLike) -> Fraction:
 def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
     """m = b/6 + 2a for a tetragonal class 4 sigma + m F with b branch points.
 
-    The smoothness criterion is: either a <= b/12 or a = b/6.
+    The smoothness criterion is: either a <= b/12 or a = b/6 (disc).
     """
     a = frac(a)
     if a < 0:
@@ -86,8 +79,8 @@ def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
     if b < 0:
         raise ValueError("b must be >= 0")
     m = Fraction(b, 6) + 2 * a
-    smooth_ok = a <= Fraction(b, 12) or a == Fraction(b, 6)
-    return BranchRelation(m, smooth_ok)
+    disc = a == Fraction(b, 6)
+    return BranchRelation(m, disc, a <= Fraction(b, 12) or disc)
 
 
 def coarse_singularities(r: int, a: FracLike) -> CoarseSingularities:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .orbiscroll import FracLike, frac, frac_str
+from .orbiscroll import FracLike, frac
 
 
 class ParityError(ValueError):
@@ -67,7 +67,7 @@ class SectionClass:
         object.__setattr__(self, "pieces", tuple(frac(p) for p in pieces))
         for p in self.pieces:
             if p.denominator not in (1, 2):
-                raise ParityError(f"piece {frac_str(p)} is not in (1/2)Z")
+                raise ParityError(f"piece {p} is not in (1/2)Z")
         object.__setattr__(self, "total", sum(self.pieces, Fraction(0)))
 
 
@@ -77,7 +77,7 @@ def section_parity(sc: SectionClass) -> Parity:
     total = sc.total
     if total.denominator != 1:
         raise ParityError(
-            f"section self-intersection {frac_str(total)} is not an integer"
+            f"section self-intersection {total} is not an integer"
         )
     return Parity.EVEN if total % 2 == 0 else Parity.ODD
 

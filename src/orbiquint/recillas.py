@@ -48,8 +48,9 @@ class Perm:
         return self.images[x - 1]
 
     @classmethod
-    def identity(cls, n: int = 4) -> "Perm":
-        return cls(tuple(range(1, n + 1)))
+    def identity(cls) -> "Perm":
+        """The identity of S4."""
+        return cls((1, 2, 3, 4))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]]) -> "Perm":

@@ -1,6 +1,7 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -124,6 +125,62 @@ def test_table1_disc_is_disjoint_directrix():
         for v, m, b, disc in zip((row.v1, row.v2), (row.m1, row.m2),
                                  pairs[row.graph_type], (row.disc1, row.disc2)):
             assert disc == (m - 4 * abs(v) == -abs(v)) == (abs(v) == Fraction(b, 6))
+
+
+def _sign_search_pairs(r, b1, b2):
+    """Reference route to classify._twist_pairs: every sign choice on the
+    smooth numerators k = r*a (12k <= rb or 6k = rb, gcd(k, r) = 1) with
+    |k1 + k2| = r, each pair folded to its least form under the overall
+    sign and, when b1 = b2, the swap."""
+    def smooth(b):
+        return [k for k in range(r * b // 6 + 1)
+                if gcd(k, r) == 1 and (12 * k <= r * b or 6 * k == r * b)]
+
+    def sign_canon(p):
+        first = p[0] if p[0] != 0 else p[1]
+        return (-p[0], -p[1]) if first < 0 else p
+
+    found = set()
+    for k1, k2 in itertools.product(smooth(b1), smooth(b2)):
+        for s1, s2 in itertools.product((1, -1), repeat=2):
+            if (k1 == 0 and s1 < 0) or (k2 == 0 and s2 < 0):
+                continue
+            if abs(s1 * k1 + s2 * k2) != r:
+                continue
+            v = (s1 * k1, s2 * k2)
+            reps = [sign_canon(v)] + ([sign_canon(v[::-1])] if b1 == b2 else [])
+            found.add(min(reps, key=lambda p: (abs(p[0]), abs(p[1]), p[0], p[1])))
+    return sorted(found)
+
+
+def test_twist_pairs_match_sign_search():
+    # the canonical pairs listed directly equal the folded four-way sign
+    # search over r <= 8 and b1, b2 <= 36, and each pair carries the
+    # branch relations of its twists |k1|/r and |k2|/r
+    for r in range(1, 9):
+        for b1 in range(37):
+            for b2 in range(37):
+                got = classify._twist_pairs(r, b1, b2)
+                assert [p[:2] for p in got] == _sign_search_pairs(r, b1, b2), (r, b1, b2)
+                for k1, k2, rel1, rel2 in got:
+                    assert rel1 == tetragonal_branch_relation(Fraction(abs(k1), r), b1)
+                    assert rel2 == tetragonal_branch_relation(Fraction(abs(k2), r), b2)
+
+
+def test_table1_builds_one_relation_per_candidate_twist(monkeypatch):
+    # m and disc are read off the relations that admitted each twist: one
+    # relation per coprime candidate k/r and branch count (42), none
+    # rebuilt per row
+    calls = []
+    real = classify.tetragonal_branch_relation
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(classify, "tetragonal_branch_relation", counted)
+    table1()
+    assert len(calls) == 42
 
 
 def test_hyperelliptic_tail_genus():

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -274,6 +275,48 @@ def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
         assert (code, out) == (1, "") and err.startswith(f"error ({cls}): ")
         code, out, err = run(capsys, "table1", "--format", "json", "--out", str(path))
         assert (code, out) == (1, "") and json.loads(err)["error"]["code"] == cls
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_empty_paths_are_paths(tmp_path, capsys, monkeypatch, fmt):
+    # an explicitly empty --out or --golden names the working directory;
+    # it is not read as "not given"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "resolve", "--r", "3", "--q", "2",
+                         "--format", fmt, "--out", "")
+    assert (code, out) == (1, "")
+    if fmt == "json":
+        assert json.loads(err)["error"]["code"] == "IsADirectoryError"
+    else:
+        assert err.startswith("error (IsADirectoryError): ")
+    code, out, _ = run(capsys, "verify-golden", "--golden", "", "--format", fmt)
+    assert code == 1
+    assert (not json.loads(out)["ok"]) if fmt == "json" else "missing file" in out
+    shutil.copytree(GOLDEN, tmp_path / "g")
+    monkeypatch.chdir(tmp_path / "g")
+    code, _, _ = run(capsys, "verify-golden", "--golden", "", "--format", fmt)
+    assert code == 0
+
+
+@pytest.mark.parametrize("r", [10**6 + 1, int("9" * 4000)], ids=["1000001", "4000-digits"])
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_resolve_refuses_r_above_bound(capsys, r, fmt):
+    # the chain of 1/r(1, r-1) has r - 1 entries; r is refused before
+    # anything is built, so the refusal is immediate whatever was typed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "resolve", "--r", str(r), "--q", str(r - 1),
+                         "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "") and "r <= 1000000" in err
+    if fmt == "json":
+        assert json.loads(err)["error"]["code"] == "ResolveError"
+    else:
+        assert err.startswith("error (ResolveError): ")
+
+
+def test_resolve_accepts_r_at_bound(capsys):
+    code, out, _ = run(capsys, "resolve", "--r", str(10**6), "--q", "1")
+    assert (code, out) == (0, "[1000000]\n")
 
 
 def test_env_override(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from orbiquint.orbiscroll import (
     adjunction_degree,
     coarse_singularities,
     frac,
-    frac_str,
     tetragonal_branch_relation,
 )
 
@@ -19,7 +18,7 @@ fractions_st = st.fractions(
 
 @given(fractions_st)
 def test_frac_str_round_trip(x):
-    assert frac(frac_str(x)) == x
+    assert frac(str(x)) == x
 
 
 def test_frac_coercions():
@@ -57,6 +56,17 @@ def test_branch_relation_smoothness():
     assert rel.smooth_ok
     assert not tetragonal_branch_relation(Fraction(b, 12) + Fraction(1, 120), b).smooth_ok
     assert tetragonal_branch_relation(Fraction(b, 6), b).smooth_ok
+
+
+def test_branch_relation_disc_grid():
+    # disc holds exactly at a = b/6, and smooth_ok exactly when a <= b/12
+    # or disc, over a = k/24 <= 9 and b = 0..48
+    for b in range(49):
+        for k in range(24 * 9 + 1):
+            a = Fraction(k, 24)
+            rel = tetragonal_branch_relation(a, b)
+            assert rel.disc == (6 * a == b), (a, b)
+            assert rel.smooth_ok == (12 * a <= b or rel.disc), (a, b)
 
 
 def test_coarse_singularities():
