@@ -16,8 +16,10 @@ Riemann-Hurwitz branch counts.  Where the tail's marked point sits
 decides the one-node splits: full profiles make each main degree a
 multiple of the lcm of the parts over its marked points, matching node
 degrees split the tail's degree among the mains, and redundant tails
-fill each main's remaining node fiber.  Memoised constructors build each
-distinct component and edge once; graphs share them as frozen objects.
+fill each main's remaining node fiber.  Components, node edges and
+ramification profiles are tuples (``NamedTuple``), hashed and compared in
+C; memoised constructors build each distinct one once, and the graphs of
+an enumeration share them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 MARKED = ("0", "1", "inf")
 
@@ -48,6 +50,10 @@ class BaseShape(enum.Enum):
     II = "II"    # 0 on the tail
     III = "III"  # 1 on the tail
     IV = "IV"    # infinity on the tail
+
+    # members are singletons that compare by identity: hash them in C too
+    # (Enum's own __hash__ is a Python function, run on every memo lookup)
+    __hash__ = object.__hash__
 
     @property
     def tail_marked(self) -> Optional[str]:
@@ -68,20 +74,24 @@ _MAIN_MARKED = {s: tuple(p for p in MARKED if p != t) for s, t in _TAIL_MARKED.i
 _REDUNDANT_DEGREE = {s: 1 if t in (None, "inf") else PART[t] for s, t in _TAIL_MARKED.items()}
 
 
-@dataclass(frozen=True)
-class RamProfile:
+class _RamParts(NamedTuple):
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
 
-    @functools.cached_property
+class RamProfile(_RamParts):
+    """A ramification profile; the constructor sorts its parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int]) -> RamProfile:
+        return super().__new__(cls, tuple(sorted(parts)))
+
+    @property
     def ram(self) -> int:
-        return sum(p - 1 for p in self.parts)
+        return sum(self.parts) - len(self.parts)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: str
     side: str  # "main" | "tail"
     degree: int
@@ -102,8 +112,7 @@ class Component:
         }
 
 
-@dataclass(frozen=True)
-class NodeEdge:
+class NodeEdge(NamedTuple):
     main_id: str
     tail_id: str
     local_degree: int
@@ -210,9 +219,9 @@ class CoverGraph:
         when every field holds its annotated type, as this module builds
         them (``1 == True`` and ``2 == 2.0`` share a fragment): the
         family's template with the params, and the components and edges
-        as memoised fragments, spliced in.  The graphs of one enumeration
-        share their components and edges as frozen objects, so a fragment
-        hit goes by identity."""
+        as memoised fragments, spliced in.  Components and edges are
+        tuples, so a fragment hit hashes and compares them in C, with no
+        Python-level ``__hash__`` or ``__eq__``."""
         # map keeps the per-item lookup loop in C; to_json runs once per graph
         return _json_splice(_graph_template(self.d, self.shape, self.type_index, self.r_options), {
             "params": [_nest(str(p), 2) for p in self.params],
@@ -339,11 +348,11 @@ def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
 
 def _component_beta(
     degree: int, genus: int, profiles: Iterable[tuple[str, RamProfile]],
-    node_locals: Iterable[int],
+    node_locals: Sequence[int],
 ) -> int:
     """Moving branch count: the ramification Riemann-Hurwitz requires,
     less what the fixed profiles and the node fibers already carry."""
-    ram = sum(p.ram for _, p in profiles) + sum(l - 1 for l in node_locals)
+    ram = sum([p.ram for _, p in profiles]) + sum(node_locals) - len(node_locals)
     return rh_ramification(degree, genus) - ram
 
 
@@ -357,7 +366,7 @@ def _node_fibers(edges: Iterable[NodeEdge]) -> defaultdict[tuple[str, str], list
 
 
 # Memoised constructors: equal components, edges and profiles are one
-# shared frozen object (tails E built from different node locals meet in
+# shared tuple (tails E built from different node locals meet in
 # ``_component``).  Arguments always go in positionally, so a value has
 # one cache entry; a ShapeError is raised again, never cached.
 _component = functools.lru_cache(maxsize=1 << 12)(Component)
@@ -447,65 +456,116 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
     return replace(graph, components=final, node_edges=all_edges)
 
 
+def _unreached(keys: list[tuple[str, str]], mains_of: defaultdict[str, list[str]]) -> list[str]:
+    """Ids of the components, keyed by (side, id), that the first one does
+    not reach; ``mains_of`` holds the main id of each edge under its tail
+    id.  Every edge joins a main to a tail, so mains meet through the tails
+    they share, and a tail is reached with any of its mains.  Each tail's
+    mains are scanned once, so the work is linear in the edges."""
+    if not keys:
+        return []
+    shared: defaultdict[str, list[str]] = defaultdict(list)  # main id -> tails it shares
+    for tail_id, ids in mains_of.items():
+        if len(ids) > 1:
+            for main_id in ids:
+                shared[main_id].append(tail_id)
+    side, cid = keys[0]
+    todo = [cid] if side == "main" else mains_of[cid][:]
+    reached, passed = set(todo), set()
+    while todo:
+        for tail_id in shared[todo.pop()]:
+            if tail_id not in passed:
+                passed.add(tail_id)
+                new = [main_id for main_id in mains_of[tail_id] if main_id not in reached]
+                reached.update(new)
+                todo += new
+    return [cid for side, cid in keys[1:] if (
+        cid not in reached if side == "main" else reached.isdisjoint(mains_of[cid]))]
+
+
 def check_cover(graph: CoverGraph) -> list[str]:
-    """Admissibility diagnostics; empty list means valid."""
+    """Admissibility diagnostics; empty list means valid.  Each component
+    is checked locally (degrees, profiles, node fibers, Riemann-Hurwitz),
+    and the graph globally: its dual graph is a tree and its moving branch
+    points number ``generic_branch_count(d)`` (a ShapeError for d < 1)."""
     diags: list[str] = []
     shape = graph.shape
     total = 6 * graph.d
-    ids = {c.id for c in graph.components}
-    for e in graph.node_edges:
-        if e.main_id not in ids or e.tail_id not in ids:
+    comps, edges = graph.components, graph.node_edges
+    # the components field by field (each a tuple, so this runs in C)
+    ids, sides, degrees, genera, redundant, profiles, betas = (
+        zip(*comps) if comps else ((),) * len(Component._fields))
+    keys = list(zip(sides, ids))
+    known = set(keys)
+    mains_of: defaultdict[str, list[str]] = defaultdict(list)
+    for e in edges:
+        if ("main", e.main_id) not in known or ("tail", e.tail_id) not in known:
             diags.append(f"edge references unknown component: {e}")
             return diags
+        mains_of[e.tail_id].append(e.main_id)
+
+    # the source degenerates from a rational curve: its dual graph is a
+    # tree, connected with one edge fewer than components
+    if len(edges) != len(comps) - 1:
+        diags.append(f"{len(edges)} node edges on {len(comps)} components, "
+                     f"a tree has {len(comps) - 1}")
+    unreached = _unreached(keys, mains_of)
+    if unreached:
+        diags.append(f"dual graph is not connected: {', '.join(unreached)} "
+                     f"not reached from {ids[0]}")
 
     for side in ("main", "tail"):
-        deg = sum(c.degree for c in graph.components if c.side == side)
+        deg = sum(k for s, k in zip(sides, degrees) if s == side)
         if deg != total:
             diags.append(f"total degree over {side} is {deg}, expected {total}")
 
     # node fibers: every component's node locals must sum to its degree
-    fibers = _node_fibers(graph.node_edges)
-    for c in graph.components:
-        fiber_degree = sum(fibers[c.side, c.id])
-        if fiber_degree != c.degree:
-            diags.append(
-                f"node fiber of {c.id} sums to {fiber_degree}, expected {c.degree}"
-            )
+    node_fibers = _node_fibers(edges)
+    fibers = [node_fibers[key] for key in keys]
+    for cid, degree, fiber in zip(ids, degrees, fibers):
+        if sum(fiber) != degree:
+            diags.append(f"node fiber of {cid} sums to {sum(fiber)}, expected {degree}")
 
     # marked-point profiles: what each component holds over pt, and all of it
-    by_point = [dict(c.profiles) for c in graph.components]
+    by_point = list(map(dict, profiles))
+    on_side = {"main": set(shape.main_marked), "tail": set(MARKED) - set(shape.main_marked)}
+    misplaced = [(s, cid, held) for (s, cid), held in zip(keys, by_point)
+                 if held.keys() != on_side.get(s, set())]
     for pt in MARKED:
         part, side = PART[pt], "tail" if pt == shape.tail_marked else "main"
-        held = [profiles.get(pt) for profiles in by_point]
-        parts = tuple(sorted(p for prof in held if prof for p in prof.parts))
+        parts = tuple(sorted(itertools.chain.from_iterable(
+            held[pt].parts for held in by_point if pt in held)))
         if sum(parts) != total:
             diags.append(f"profile over {pt} sums to {sum(parts)}, expected {total}")
-        if any(p != part for p in parts):
+        if parts.count(part) != len(parts):
             diags.append(f"profile over {pt} must be all {part}s, got {parts}")
-        for c, prof in zip(graph.components, held):
-            if (prof is not None) != (c.side == side):
-                diags.append(f"profile over {pt} on wrong side for {c.id}")
+        for s, cid, held in misplaced:
+            if (pt in held) != (s == side):
+                diags.append(f"profile over {pt} on wrong side for {cid}")
 
     # per-component Riemann-Hurwitz: beta = rh_ramification(deg, g) - ram
-    for c in graph.components:
-        two_g = c.beta - _component_beta(c.degree, 0, c.profiles, fibers[c.side, c.id])
+    for cid, degree, genus, profs, beta, fiber in zip(ids, degrees, genera, profiles, betas,
+                                                      fibers):
+        two_g = beta - _component_beta(degree, 0, profs, fiber)
         if two_g % 2:
-            diags.append(f"non-integral genus for {c.id}")
-        elif two_g // 2 != c.genus:
-            diags.append(
-                f"genus of {c.id} is {two_g // 2} by Riemann-Hurwitz, stored {c.genus}"
-            )
-        elif c.genus < 0:
-            diags.append(f"negative genus for {c.id}")
-        if c.beta < 0:
-            diags.append(f"negative moving branch count for {c.id}")
+            diags.append(f"non-integral genus for {cid}")
+        elif two_g // 2 != genus:
+            diags.append(f"genus of {cid} is {two_g // 2} by Riemann-Hurwitz, stored {genus}")
+        elif genus < 0:
+            diags.append(f"negative genus for {cid}")
+        if beta < 0:
+            diags.append(f"negative moving branch count for {cid}")
+
+    beta, expected = graph.beta_total(), generic_branch_count(graph.d)
+    if beta != expected:
+        diags.append(f"moving branch points sum to {beta}, expected {expected}")
 
     nonred = graph.tails(include_redundant=False)
     if len(nonred) > 1:
         diags.append("more than one non-redundant tail component")
-    for c in graph.tails():
-        if c.redundant and (c.beta != 0 or len(fibers[c.side, c.id]) != 1):
-            diags.append(f"component {c.id} marked redundant but ramified")
+    for (s, cid), r, beta, fiber in zip(keys, redundant, betas, fibers):
+        if r and s == "tail" and (beta != 0 or len(fiber) != 1):
+            diags.append(f"component {cid} marked redundant but ramified")
     return diags
 
 
@@ -541,6 +601,24 @@ def _skeleton(
 R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
 
 
+@functools.lru_cache(maxsize=1 << 8)
+def _check_minimal_tail(shape: BaseShape, total: int) -> None:
+    """Shapes I-III: the tail-moduli filter must force the minimal tail
+    (e, s) among tails of degree up to ``total``.  Memoised like the
+    constructors: a pass is kept, a ShapeError is raised again."""
+    step = shape.redundant_degree
+    minimal = (max(step, 2), 2)
+    feasible = [
+        (e, s)
+        for e in range(minimal[0], total + 1, step)
+        for s in range(2, e + 1)
+        if tail_moduli_filter(shape, e, s)
+    ]
+    if feasible != [minimal]:
+        raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
+                         f"{feasible}, expected only {[minimal]}")
+
+
 def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     """The boundary-divisor dual-graph families for covering degree 6d.
 
@@ -552,19 +630,8 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     total = 6 * d
     families: list[BoundaryType] = []
 
-    # shapes I-III: the moduli filter must force the minimal tail (e, s)
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
-        step = shape.redundant_degree
-        minimal = (max(step, 2), 2)
-        feasible = [
-            (e, s)
-            for e in range(minimal[0], total + 1, step)
-            for s in range(2, e + 1)
-            if tail_moduli_filter(shape, e, s)
-        ]
-        if feasible != [minimal]:
-            raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
-                             f"{feasible}, expected only {[minimal]}")
+        _check_minimal_tail(shape, total)
     for index, (shape, split, locals_) in enumerate(_one_node_types(total), 1):
         graph = _skeleton(d, shape, split, locals_, index, r_options=R_OPTIONS.get(index, ()))
         families.append(BoundaryType(index, shape, (), (graph,)))
@@ -597,19 +664,19 @@ def canonical_params(params: tuple[int, ...]) -> tuple[int, ...]:
 
 def perturbations(graph: CoverGraph) -> list[CoverGraph]:
     """All +-1 perturbations of a single local degree or component degree."""
+    # each copy goes through the constructor with the graph's fields as
+    # keywords: dataclasses.replace costs several times as much per copy
+    fields = vars(graph)
     out = []
-    for i, e in enumerate(graph.node_edges):
+    edges, comps = graph.node_edges, graph.components
+    for i, e in enumerate(edges):
         for delta in (-1, 1):
-            if e.local_degree + delta < 1:
-                continue
-            edges = list(graph.node_edges)
-            edges[i] = NodeEdge(e.main_id, e.tail_id, e.local_degree + delta)
-            out.append(replace(graph, node_edges=tuple(edges)))
-    for i, c in enumerate(graph.components):
+            if e.local_degree + delta >= 1:
+                moved = e._replace(local_degree=e.local_degree + delta)
+                out.append(CoverGraph(**{**fields, "node_edges": edges[:i] + (moved,) + edges[i + 1:]}))
+    for i, c in enumerate(comps):
         for delta in (-1, 1):
-            if c.degree + delta < 1:
-                continue
-            comps = list(graph.components)
-            comps[i] = replace(c, degree=c.degree + delta)
-            out.append(replace(graph, components=tuple(comps)))
+            if c.degree + delta >= 1:
+                moved = c._replace(degree=c.degree + delta)
+                out.append(CoverGraph(**{**fields, "components": comps[:i] + (moved,) + comps[i + 1:]}))
     return out

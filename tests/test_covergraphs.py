@@ -2,7 +2,8 @@ import functools
 import hashlib
 import json
 import math
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from orbiquint import covergraphs
 from orbiquint.covergraphs import (
     BaseShape,
+    NodeEdge,
     RamProfile,
     ShapeError,
     branch_count_tail,
@@ -123,8 +125,8 @@ def _degrees(g):
 def _blanked(g):
     """Everything of g but its node local degrees and component degrees."""
     return (g.d, g.shape, g.type_index, g.params, g.r_options,
-            [{**vars(e), "local_degree": 0} for e in g.node_edges],
-            [{**vars(c), "degree": 0} for c in g.components])
+            [{**e._asdict(), "local_degree": 0} for e in g.node_edges],
+            [{**c._asdict(), "degree": 0} for c in g.components])
 
 
 def test_perturbations_exact():
@@ -211,6 +213,50 @@ def test_families_json_nests_each_graphs_to_json(monkeypatch, cold_memos):
         pos = out.index(nested, pos) + len(nested)
 
 
+def test_warm_to_json_calls_no_python_hash_or_eq():
+    # components, edges and profiles are tuples, hashed and compared in C:
+    # once every fragment is rendered, a fragment hit runs no Python-level
+    # __hash__ or __eq__
+    graphs = _graphs(3)
+    for g in graphs:
+        g.to_json()
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for g in graphs:
+            g.to_json()
+    finally:
+        sys.setprofile(previous)
+    assert calls["to_json"] == len(graphs) == 119
+    assert calls["__hash__"] == calls["__eq__"] == 0
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_equal_records_hash_and_render_alike(cold_memos, d):
+    # two cold enumerations build equal records as different objects; each
+    # pair hashes alike and renders the same fragment text
+    def records():
+        return [item for f in enumerate_boundary_types(d) for g in f.graphs
+                for item in (*g.components, *g.node_edges)]
+    first = records()
+    first_texts = list(map(covergraphs._json_fragment, first))
+    cold_memos()
+    second = records()
+    assert second == first
+    assert not any(a is b for a, b in zip(first, second))
+    assert list(map(hash, second)) == list(map(hash, first))
+    profiles = [(p, q) for a, b in zip(first, second) if hasattr(a, "profiles")
+                for (_, p), (_, q) in zip(a.profiles, b.profiles)]
+    assert profiles and all(p == q and hash(p) == hash(q) for p, q in profiles)
+    cold_memos()
+    assert list(map(covergraphs._json_fragment, second)) == first_texts
+
+
 @pytest.mark.parametrize("d, digest", [
     (3, "f6a6f8f1247902af079a2321e1ccebbf1616ec461f18073b0afe2ca619b1b86f"),
     (4, "09b012134207cc2ec2767076f4fcee9f5cdef491fbf972108771534d1393a4f5"),
@@ -234,14 +280,17 @@ def test_complete_redundant_idempotent_and_order_free(data):
     assert Counter(again.node_edges) == Counter(g.node_edges)
 
 
-def test_enumeration_rejects_extra_feasible_tail(monkeypatch):
+def test_enumeration_rejects_extra_feasible_tail(monkeypatch, cold_memos):
+    # the minimal-tail scan is memoised per (shape, total degree); a failed
+    # scan is not kept, so every call runs it again and raises again
     real = covergraphs.tail_moduli_filter
     monkeypatch.setattr(
         covergraphs, "tail_moduli_filter",
         lambda shape, e, s: real(shape, e, s) or (shape, e, s) == (BaseShape.II, 4, 3),
     )
-    with pytest.raises(ShapeError, match="tail-moduli filter admits"):
-        enumerate_boundary_types(3)
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="tail-moduli filter admits"):
+            enumerate_boundary_types(3)
 
 
 def test_one_node_splits_number_the_types():
@@ -261,7 +310,7 @@ def test_one_node_splits_number_the_types():
 
 
 def _edited(g, cid, **changes):
-    return replace(g, components=tuple(replace(c, **changes) if c.id == cid else c
+    return replace(g, components=tuple(c._replace(**changes) if c.id == cid else c
                                        for c in g.components))
 
 
@@ -290,13 +339,78 @@ def test_check_cover_diagnostics(cid, changes, message):
     assert message in check_cover(_edited(g, cid, **changes))
 
 
+def _split_edge(g, main_id, tail_id):
+    """g with its main_id-tail_id edge of local 2 split into two edges of
+    local 1, redundant tails and branch counts re-derived."""
+    edges = []
+    for e in g.node_edges:
+        split = (e.main_id, e.tail_id, e.local_degree) == (main_id, tail_id, 2)
+        edges += [NodeEdge(main_id, tail_id, 1)] * 2 if split else [e]
+    return complete_redundant(replace(g, node_edges=tuple(edges)))
+
+
+def _cut_m1(g):
+    """The d = 3 two-main shape IV graph g with locals (1, 2), its edge
+    M1-E removed and E shrunk to degree 2: M1 and its redundant tails
+    come off the rest."""
+    tail = covergraphs._make_component("E", "tail", 2, ("inf",), (2,), False)
+    return complete_redundant(replace(
+        g, components=tuple(tail if c.id == "E" else c for c in g.components),
+        node_edges=tuple(e for e in g.node_edges if (e.main_id, e.tail_id) != ("M1", "E"))))
+
+
+def test_check_cover_checks_tree_and_branch_total():
+    # every component passes its local checks in each mutant; only the
+    # global invariants fail: a tree, and 5d - 2 = 13 moving branch points
+    one_main = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
+    two_mains = next(g for g in _graphs(3) if g.type_index == 7 and g.params == (1, 2))
+    cycle = _split_edge(one_main, "M1", "E")
+    assert NodeEdge("M1", "E", 1) in cycle.node_edges and cycle.beta_total() == 15
+    assert check_cover(cycle) == ["18 node edges on 18 components, a tree has 17",
+                                  "moving branch points sum to 15, expected 13"]
+    cut = _cut_m1(two_mains)
+    assert check_cover(cut) == [
+        "17 node edges on 19 components, a tree has 18",
+        "dual graph is not connected: M2, E, R13, R14, R15, R16 not reached from M1",
+        "moving branch points sum to 11, expected 13"]
+    # the split M2-E edge closes a cycle and restores both counts
+    assert check_cover(_split_edge(cut, "M2", "E")) == [
+        "dual graph is not connected: M2, E, R13, R14, R15, R16 not reached from M1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unreached_matches_plain_search(data):
+    # the main-to-main search against a search over every (side, id) key;
+    # mains and tails draw ids from one pool, so a main and a tail may
+    # share an id and must stay apart
+    n_mains, n_tails = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
+    keys = data.draw(st.permutations([("main", f"C{i}") for i in range(n_mains)]
+                                     + [("tail", f"C{j}") for j in range(n_tails)]))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n_mains - 1), st.integers(0, n_tails - 1)),
+                               max_size=10)) if n_tails else []
+    mains_of = defaultdict(list)
+    neighbours = defaultdict(set)
+    for i, j in edges:
+        mains_of[f"C{j}"].append(f"C{i}")
+        neighbours["main", f"C{i}"].add(("tail", f"C{j}"))
+        neighbours["tail", f"C{j}"].add(("main", f"C{i}"))
+    reached, todo = {keys[0]}, [keys[0]]
+    while todo:
+        for key in neighbours[todo.pop()] - reached:
+            reached.add(key)
+            todo.append(key)
+    assert covergraphs._unreached(keys, mains_of) == [
+        cid for side, cid in keys if (side, cid) not in reached]
+
+
 def test_complete_redundant_stamped_tail_sharing_an_id():
     # the stamped tail R1 inherits the node fiber of a non-redundant tail
     # named R1; with local degree 2 there its branch count goes negative
     g = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
-    comps = tuple(replace(c, id="R1") if c.id == "E" else c
+    comps = tuple(c._replace(id="R1") if c.id == "E" else c
                   for c in g.components if not c.redundant)
-    edges = tuple(replace(e, tail_id="R1") for e in g.node_edges if e.tail_id == "E")
+    edges = tuple(e._replace(tail_id="R1") for e in g.node_edges if e.tail_id == "E")
     with pytest.raises(ShapeError, match="negative branch count for component R1"):
         complete_redundant(replace(g, components=comps, node_edges=edges))
 
@@ -310,7 +424,7 @@ def test_complete_redundant_rechecks_memoised_tails(monkeypatch, cold_memos):
 
     def wrong_beta(*args):
         c = real(*args)
-        return replace(c, beta=c.beta + 3) if c.redundant else c
+        return c._replace(beta=c.beta + 3) if c.redundant else c
     monkeypatch.setattr(covergraphs, "_make_component", wrong_beta)
     tails, _ = covergraphs._redundant_block("M1", 1, ("inf",), 0, 16)
     assert len(tails) == 16 and all(c.beta == 3 for c in tails)
@@ -347,13 +461,13 @@ def test_enumeration_builds_each_item_once(monkeypatch, cold_memos, d, pinned):
     # the component count stays near the distinct values, not per graph
     # (the per-graph construction made 1772 at d = 3 and 52517 at d = 6)
     built = 0
-    real = covergraphs.Component.__init__
+    real = covergraphs.Component.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         nonlocal built
         built += 1
-        real(self, *args, **kwargs)
-    monkeypatch.setattr(covergraphs.Component, "__init__", counted)
+        return real(cls, *args, **kwargs)
+    monkeypatch.setattr(covergraphs.Component, "__new__", counted)
     items = [item for f in enumerate_boundary_types(d) for g in f.graphs
              for item in (*g.components, *g.node_edges)]
     shared = {}

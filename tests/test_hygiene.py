@@ -185,8 +185,9 @@ def _read_names(tree: ast.AST) -> set[str]:
 
 
 def test_package_dataclass_fields_are_read():
-    # every field of a package dataclass is read somewhere: by a package
-    # statement, by the acceptance suite or by the benchmark harness
+    # every field of a package record (a dataclass or a NamedTuple) is
+    # read somewhere: by a package statement, by the acceptance suite or
+    # by the benchmark harness
     trees = _package_trees()
     outside = _outside_paths()
     read = set().union(*map(_read_names, trees.values()),
@@ -196,7 +197,8 @@ def test_package_dataclass_fields_are_read():
         for module, tree in trees.items()
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
-        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        and (any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+             or any("NamedTuple" in ast.unparse(b) for b in cls.bases))
         for s in cls.body
         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
         and s.target.id not in read
