@@ -638,11 +638,13 @@ def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
 
 
 def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> Parity:
-    """Parity of a combination-table row.  Nontrivial-cover rows (one
-    tail genus) have moot parity.  Trivial-cover rows are odd; for all
-    but the rows in PARITY_UNCONFIRMED_ROWS this is confirmed by an odd
+    """Parity of a combination-table row.  A row whose local models
+    switch sides under the monodromy has a nontrivial intermediate double
+    cover and moot parity.  Trivial-cover rows are odd; for all but the
+    rows in PARITY_UNCONFIRMED_ROWS this is confirmed by an odd
     glued-section self-intersection."""
-    if len(row.tail_genera) == 1:
+    models = [lookup(label, None) for label in row.c1] + [lookup(row.c2, row.c2_p)]
+    if any(c.side for model in models for c in model.components):
         return Parity.MOOT
     parities = type7_section_parities(row, lookup)
     if not parities:

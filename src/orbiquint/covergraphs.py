@@ -16,10 +16,12 @@ Riemann-Hurwitz branch counts.  Where the tail's marked point sits
 decides the one-node splits: full profiles make each main degree a
 multiple of the lcm of the parts over its marked points, matching node
 degrees split the tail's degree among the mains, and redundant tails
-fill each main's remaining node fiber.  Components, node edges and
-ramification profiles are tuples (``NamedTuple``), hashed and compared in
-C; memoised constructors build each distinct one once, and the graphs of
-an enumeration share them.
+fill each main's remaining node fiber.  Every record is a tuple, hashed
+and compared in C: graphs, families, components and node edges are
+``NamedTuple``s, copied with ``_replace``, and a ramification profile is
+a tuple of its parts whose one constructor sorts them.  Memoised
+constructors build each distinct component, edge and profile once, and
+the graphs of an enumeration share them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import functools
 import itertools
 import json
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -74,21 +75,26 @@ _MAIN_MARKED = {s: tuple(p for p in MARKED if p != t) for s, t in _TAIL_MARKED.i
 _REDUNDANT_DEGREE = {s: 1 if t in (None, "inf") else PART[t] for s, t in _TAIL_MARKED.items()}
 
 
-class _RamParts(NamedTuple):
-    parts: tuple[int, ...]
-
-
-class RamProfile(_RamParts):
-    """A ramification profile; the constructor sorts its parts."""
+class RamProfile(tuple):
+    """A ramification profile: the tuple of its parts, which its one
+    constructor sorts.  It offers no ``_replace`` or ``_make`` that could
+    skip the sort."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]) -> RamProfile:
-        return super().__new__(cls, tuple(sorted(parts)))
+        return super().__new__(cls, sorted(parts))
+
+    def __repr__(self) -> str:
+        return f"RamProfile(parts={self.parts!r})"
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def ram(self) -> int:
-        return sum(self.parts) - len(self.parts)
+        return sum(self) - len(self)
 
 
 class Component(NamedTuple):
@@ -163,8 +169,7 @@ def _json_splice(text: str, lists: dict[str, list[str]], depth: int) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(NamedTuple):
     d: int
     shape: BaseShape
     components: tuple[Component, ...]
@@ -230,8 +235,7 @@ class CoverGraph:
         }, 0)
 
 
-@dataclass(frozen=True)
-class BoundaryType:
+class BoundaryType(NamedTuple):
     type_index: int
     shape: BaseShape
     param_ranges: tuple[tuple[int, int], ...]  # inclusive (lo, hi) per parameter
@@ -303,6 +307,15 @@ def _main_step(shape: BaseShape) -> int:
     return lcm(*(PART[p] for p in shape.main_marked))
 
 
+def _main_splits(total: int, step: int, n: int) -> list[tuple[int, ...]]:
+    """The n-part splits of ``total`` into positive multiples of
+    ``step``, each a descending tuple, in ascending lexicographic order."""
+    parts = range(total - total % step, 0, -step)
+    # combinations of the descending parts come in descending order
+    return [split for split in itertools.combinations_with_replacement(parts, n)
+            if sum(split) == total][::-1]
+
+
 # recorded: shape III boundary pictures — (4, 14) passes every stated filter, yet is not drawn
 _EXCLUDED_SPLITS = {(BaseShape.III, 18): {(4, 14)}}
 
@@ -323,9 +336,9 @@ def _one_node_types(
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
         u, step = shape.redundant_degree, _main_step(shape)
         tail_degree = max(u, 2)
-        for k1 in reversed(range(step, total_degree // 2 + 1, step)):
-            split = (k1, total_degree - k1)
-            if split[1] % step or split in _EXCLUDED_SPLITS.get((shape, total_degree), ()):
+        for big, small in _main_splits(total_degree, step, 2):
+            split = (small, big)
+            if split in _EXCLUDED_SPLITS.get((shape, total_degree), ()):
                 continue
             for l1 in range(1, tail_degree):
                 locals_ = (l1, tail_degree - l1)
@@ -453,7 +466,7 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
             c.id, c.side, c.degree, c.genus, c.redundant, c.profiles, beta)
 
     final = tuple(rebeta(c) for c in comps + new_comps)
-    return replace(graph, components=final, node_edges=all_edges)
+    return graph._replace(components=final, node_edges=all_edges)
 
 
 def _unreached(keys: list[tuple[str, str]], mains_of: defaultdict[str, list[str]]) -> list[str]:
@@ -534,7 +547,7 @@ def check_cover(graph: CoverGraph) -> list[str]:
     for pt in MARKED:
         part, side = PART[pt], "tail" if pt == shape.tail_marked else "main"
         parts = tuple(sorted(itertools.chain.from_iterable(
-            held[pt].parts for held in by_point if pt in held)))
+            held[pt] for held in by_point if pt in held)))
         if sum(parts) != total:
             diags.append(f"profile over {pt} sums to {sum(parts)}, expected {total}")
         if parts.count(part) != len(parts):
@@ -638,14 +651,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
 
     # shape IV: 1, 2, or 3 main components, their degrees stepped as in I-III
     step = _main_step(BaseShape.IV)
-    main_splits: list[tuple[int, ...]] = []
-    for n_comp in (1, 2, 3):
-        for parts in itertools.combinations_with_replacement(
-            range(step, total + 1, step), n_comp
-        ):
-            if sum(parts) == total:
-                main_splits.append(tuple(sorted(parts, reverse=True)))
-    main_splits.sort(key=lambda p: (len(p), p))
+    main_splits = [split for n in (1, 2, 3) for split in _main_splits(total, step, n)]
     for index, degrees in enumerate(main_splits, len(families) + 1):
         locals_ranges = [node_local_range(k) for k in degrees]
         ranges = tuple((r[0], r[-1]) for r in locals_ranges)
@@ -664,19 +670,16 @@ def canonical_params(params: tuple[int, ...]) -> tuple[int, ...]:
 
 def perturbations(graph: CoverGraph) -> list[CoverGraph]:
     """All +-1 perturbations of a single local degree or component degree."""
-    # each copy goes through the constructor with the graph's fields as
-    # keywords: dataclasses.replace costs several times as much per copy
-    fields = vars(graph)
     out = []
     edges, comps = graph.node_edges, graph.components
     for i, e in enumerate(edges):
         for delta in (-1, 1):
             if e.local_degree + delta >= 1:
                 moved = e._replace(local_degree=e.local_degree + delta)
-                out.append(CoverGraph(**{**fields, "node_edges": edges[:i] + (moved,) + edges[i + 1:]}))
+                out.append(graph._replace(node_edges=edges[:i] + (moved,) + edges[i + 1:]))
     for i, c in enumerate(comps):
         for delta in (-1, 1):
             if c.degree + delta >= 1:
                 moved = c._replace(degree=c.degree + delta)
-                out.append(CoverGraph(**{**fields, "components": comps[:i] + (moved,) + comps[i + 1:]}))
+                out.append(graph._replace(components=comps[:i] + (moved,) + comps[i + 1:]))
     return out

@@ -19,12 +19,16 @@ FracLike = Union[int, Fraction, str]
 
 
 def frac(x: FracLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction, or "p/q", integer or plain decimal string
+    to an exact Fraction.  Exponent notation is refused before Fraction
+    sees it: Fraction expands "1e30000000" into 10**30000000."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x.lower():
+            raise ValueError(f"exponent notation is not accepted: {x!r}")
         return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
 

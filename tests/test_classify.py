@@ -420,6 +420,22 @@ def test_table_parities():
     assert PARITY_UNCONFIRMED_ROWS == frozenset({12})
 
 
+def test_row_parity_follows_its_models():
+    # the Table 2/3 split is read off the models the row names, not off
+    # its tail-genus count: a Table 2 row re-pointed at Table 3's
+    # side-switching c2 model is moot, and so is a Table 3 row given two
+    # tail genera
+    lookup = classify._model_lookup()
+    row = TABLE2_ROWS[2]
+    assert (row.c2, row.c2_p, len(row.tail_genera)) == ("2.3", 0, 2)
+    assert type7_row_parity(row, 3, lookup) is Parity.ODD
+    switched = replace(row, c2="2.4")
+    assert all(c.side for c in lookup(switched.c2, switched.c2_p).components)
+    assert type7_row_parity(switched, 3, lookup) is Parity.MOOT
+    two_tails = replace(TABLE3_ROWS[0], tail_genera=(2, -1))
+    assert type7_row_parity(two_tails, None, lookup) is Parity.MOOT
+
+
 def test_interior_rows():
     # the rows classify_type_1_5 drops as interior are the genus-6 rows
     kept = {int(src.rsplit(" ", 1)[1]) for r in classify_type_1_5() for src in r.sources}

@@ -314,6 +314,27 @@ def test_resolve_refuses_r_above_bound(capsys, r, fmt):
         assert err.startswith("error (ResolveError): ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["parity", "--pieces", "1e10000000"],
+    ["parity", "--pieces", "1e30000000"],
+    ["coarse", "--r", "2", "--a", "1e10000000"],
+], ids=["parity-1e10000000", "parity-1e30000000", "coarse-1e10000000"])
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_exponent_notation_refused_at_once(argv, fmt):
+    # Fraction expands an exponent into 10**e, so each of these
+    # 11-character inputs costs seconds to minutes; a child refuses them
+    # before anything is built
+    start = time.perf_counter()
+    p = _python("-m", "orbiquint.cli", *argv, "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (p.returncode, p.stdout) == (1, "")
+    assert f"exponent notation is not accepted: '{argv[-1]}'" in p.stderr
+    if fmt == "json":
+        assert json.loads(p.stderr)["error"]["code"] == "ValueError"
+    else:
+        assert p.stderr.startswith("error (ValueError): ")
+
+
 def test_resolve_accepts_r_at_bound(capsys):
     code, out, _ = run(capsys, "resolve", "--r", str(10**6), "--q", "1")
     assert (code, out) == (0, "[1000000]\n")

@@ -1,10 +1,12 @@
+import copy
 import functools
 import hashlib
+import itertools
 import json
 import math
+import pickle
 import sys
 from collections import Counter, defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,9 +60,19 @@ def test_degree_splits_at_18():
 
 
 def test_ram_profile():
+    # every construction path sorts the parts: the constructor, copies
+    # and pickles (which pass the parts back through it), and any
+    # _replace or _make the type offers (namedtuple's skip __new__)
     p = RamProfile((3, 1, 2))
-    assert p.parts == (1, 2, 3)
-    assert p.ram == 3
+    made = [p, copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+    if hasattr(RamProfile, "_replace"):
+        made.append(p._replace(parts=(3, 1, 2)))
+    if hasattr(RamProfile, "_make"):
+        made.append(RamProfile._make([(3, 1, 2)]))
+    assert [(type(q), q.parts, q.ram) for q in made] == [(RamProfile, (1, 2, 3), 3)] * len(made)
+    assert repr(p) == "RamProfile(parts=(1, 2, 3))"
+    # hashed and compared in C, like the other records
+    assert RamProfile.__hash__ is tuple.__hash__ and RamProfile.__eq__ is tuple.__eq__
 
 
 def test_enumeration_d3_structure():
@@ -275,7 +287,7 @@ def test_complete_redundant_idempotent_and_order_free(data):
         comps = [c for c in comps if not c.redundant]
     kept = {c.id for c in comps}
     edges = data.draw(st.permutations([e for e in g.node_edges if e.tail_id in kept]))
-    again = complete_redundant(replace(g, components=tuple(comps), node_edges=tuple(edges)))
+    again = complete_redundant(g._replace(components=tuple(comps), node_edges=tuple(edges)))
     assert Counter(again.components) == Counter(g.components)
     assert Counter(again.node_edges) == Counter(g.node_edges)
 
@@ -310,8 +322,8 @@ def test_one_node_splits_number_the_types():
 
 
 def _edited(g, cid, **changes):
-    return replace(g, components=tuple(c._replace(**changes) if c.id == cid else c
-                                       for c in g.components))
+    return g._replace(components=tuple(c._replace(**changes) if c.id == cid else c
+                                     for c in g.components))
 
 
 # (component, field changes, the diagnostic they must raise) on the d = 3
@@ -346,7 +358,7 @@ def _split_edge(g, main_id, tail_id):
     for e in g.node_edges:
         split = (e.main_id, e.tail_id, e.local_degree) == (main_id, tail_id, 2)
         edges += [NodeEdge(main_id, tail_id, 1)] * 2 if split else [e]
-    return complete_redundant(replace(g, node_edges=tuple(edges)))
+    return complete_redundant(g._replace(node_edges=tuple(edges)))
 
 
 def _cut_m1(g):
@@ -354,8 +366,8 @@ def _cut_m1(g):
     M1-E removed and E shrunk to degree 2: M1 and its redundant tails
     come off the rest."""
     tail = covergraphs._make_component("E", "tail", 2, ("inf",), (2,), False)
-    return complete_redundant(replace(
-        g, components=tuple(tail if c.id == "E" else c for c in g.components),
+    return complete_redundant(g._replace(
+        components=tuple(tail if c.id == "E" else c for c in g.components),
         node_edges=tuple(e for e in g.node_edges if (e.main_id, e.tail_id) != ("M1", "E"))))
 
 
@@ -412,7 +424,7 @@ def test_complete_redundant_stamped_tail_sharing_an_id():
                   for c in g.components if not c.redundant)
     edges = tuple(e._replace(tail_id="R1") for e in g.node_edges if e.tail_id == "E")
     with pytest.raises(ShapeError, match="negative branch count for component R1"):
-        complete_redundant(replace(g, components=comps, node_edges=edges))
+        complete_redundant(g._replace(components=comps, node_edges=edges))
 
 
 def test_complete_redundant_rechecks_memoised_tails(monkeypatch, cold_memos):
@@ -516,3 +528,144 @@ def test_branch_count_tail_grid():
                         branch_count_tail(shape, e, s)
                 else:
                     assert branch_count_tail(shape, e, s) == count(e, s), (shape, e, s)
+
+
+def _rederived(g, components, edges):
+    """g with these components and edges, each component's branch count
+    re-derived from its node fiber as ``complete_redundant`` does, but
+    no redundant tail restamped."""
+    fibers = covergraphs._node_fibers(edges)
+    return g._replace(node_edges=tuple(edges), components=tuple(
+        c._replace(beta=covergraphs._component_beta(c.degree, c.genus, c.profiles,
+                                                    fibers[c.side, c.id]))
+        for c in components))
+
+
+def _merged_r1_r2(g, locals_):
+    """g with its redundant tails R1 and R2 (both on M1, degree 1) merged
+    into one tail R1 of degree 2, joined to M1 by edges of ``locals_``."""
+    comps = [c._replace(degree=2) if c.id == "R1" else c for c in g.components if c.id != "R2"]
+    edges = [e for e in g.node_edges if e.tail_id not in ("R1", "R2")]
+    return _rederived(g, comps, edges + [NodeEdge("M1", "R1", l) for l in locals_])
+
+
+def _moved_r1(g):
+    """g with its redundant tail R1 moved from M1 to M2."""
+    return _rederived(g, g.components, [
+        e._replace(main_id="M2") if e.tail_id == "R1" else e for e in g.node_edges])
+
+
+@pytest.mark.parametrize("mutate, diagnostics", [
+    # M1 loses the branch point R1 gains, so only R1's own check fires
+    (lambda g: _merged_r1_r2(g, (2,)), ["component R1 marked redundant but ramified"]),
+    (lambda g: _merged_r1_r2(g, (1, 1)), [
+        "18 node edges on 18 components, a tree has 17",
+        "moving branch points sum to 15, expected 13",
+        "component R1 marked redundant but ramified"]),
+    (_moved_r1, [
+        "node fiber of M1 sums to 5, expected 6",
+        "node fiber of M2 sums to 13, expected 12"]),
+], ids=["merged-double-local", "merged-two-edges", "moved"])
+def test_check_cover_rejects_redundant_tail_mutants(mutate, diagnostics):
+    # the d = 3 type (1) graph: M1 (degree 6) carries R1..R5 and M2
+    # (degree 12) R6..R16, all of degree 1 with one edge of local 1
+    g = enumerate_boundary_types(3)[0].graphs[0]
+    assert [e.main_id for e in g.node_edges if e.tail_id in ("R1", "R2")] == ["M1", "M1"]
+    assert check_cover(g) == []
+    assert check_cover(mutate(g)) == diagnostics
+
+
+# caps the definition search shares with the enumerator: in shape IV at
+# most 3 mains and E with at most 3 node points (the tree check admits
+# one per main); in shapes I-III 2 mains and E with s = 2 node points
+_MAX_MAINS_IV = 3
+_MAINS_ONE_NODE = 2
+_S_ONE_NODE = 2
+
+
+def _up_to_ids(g):
+    """g with its ids forgotten: its dual graph (a tree) rooted at the
+    non-redundant tail, each component by its data and its subtrees
+    sorted with the local degree of the edge to each."""
+    comps = {(c.side, c.id): c for c in g.components}
+    adjacent = defaultdict(list)
+    for e in g.node_edges:
+        adjacent["main", e.main_id].append((e.local_degree, ("tail", e.tail_id)))
+        adjacent["tail", e.tail_id].append((e.local_degree, ("main", e.main_id)))
+
+    def rooted(key, parent):
+        c = comps[key]
+        return (c.side, c.degree, c.genus, c.redundant, c.profiles, c.beta, tuple(sorted(
+            (local, rooted(other, key)) for local, other in adjacent[key] if other != parent)))
+    (root,) = [key for key, c in comps.items() if c.side == "tail" and not c.redundant]
+    return g.d, g.shape, rooted(root, None)
+
+
+def _rational(cid, side, degree, marked, locals_, redundant=False):
+    """A rational component with full profiles over ``marked`` and its
+    Riemann-Hurwitz branch count 2*degree - 2 less the ramification of
+    those profiles and of its node points."""
+    profiles = tuple((pt, RamProfile((covergraphs.PART[pt],) * (degree // covergraphs.PART[pt])))
+                     for pt in marked)
+    ram = sum(sum(p) - len(p) for _, p in profiles) + sum(locals_) - len(locals_)
+    return covergraphs.Component(cid, side, degree, 0, redundant, profiles, 2 * degree - 2 - ram)
+
+
+def _candidate(d, shape, degrees, node_points):
+    """Mains of these degrees, the tail E with these (main, local) node
+    points, and each main's node fiber filled by redundant tails of the
+    shape's degree u; None when E's locals overfill a main."""
+    u = shape.redundant_degree
+    tail_marked = (shape.tail_marked,) if shape.tail_marked else ()
+    mains, tails, edges = [], [], []
+    for i, k in enumerate(degrees, 1):
+        mine = [l for j, l in node_points if j == i]
+        if sum(mine) > k:
+            return None
+        reds = [f"R{len(tails) + r}" for r in range(1, (k - sum(mine)) // u + 1)]
+        tails += [_rational(r, "tail", u, tail_marked, (u,), True) for r in reds]
+        edges += [NodeEdge(f"M{i}", "E", l) for l in mine] + [NodeEdge(f"M{i}", r, u) for r in reds]
+        mains.append(_rational(f"M{i}", "main", k, shape.main_marked, mine + [u] * len(reds)))
+    locals_ = [l for _, l in node_points]
+    tail = _rational("E", "tail", sum(locals_), tail_marked, locals_)
+    return covergraphs.CoverGraph(d, shape, (*mains, tail, *tails), tuple(edges))
+
+
+def _definition_graphs(d):
+    """The graphs the definition admits at covering degree 6d: mains whose
+    degrees are multiples of the lcm of the parts over their marked
+    points, and a tail E whose s node points each meet a main, kept when
+    tail_moduli_filter (shapes I-III) and check_cover accept them."""
+    total = 6 * d
+    for shape in BaseShape:
+        one_node = shape is not BaseShape.IV
+        step = math.lcm(*(covergraphs.PART[pt] for pt in shape.main_marked))
+        mains = [_MAINS_ONE_NODE] if one_node else range(1, _MAX_MAINS_IV + 1)
+        node_point_counts = [_S_ONE_NODE] if one_node else range(1, _MAX_MAINS_IV + 1)
+        splits = [degrees for n in mains
+                  for degrees in itertools.combinations_with_replacement(range(step, total + 1, step), n)
+                  if sum(degrees) == total]
+        for degrees in splits:
+            points = [(i, l) for i, k in enumerate(degrees, 1) for l in range(1, k + 1)]
+            for s in node_point_counts:
+                for node_points in itertools.combinations_with_replacement(points, s):
+                    e = sum(l for _, l in node_points)
+                    # E's full profile over the tail's marked point has parts u
+                    if e % shape.redundant_degree or (
+                            one_node and not tail_moduli_filter(shape, e, s)):
+                        continue
+                    g = _candidate(d, shape, degrees, node_points)
+                    if g is not None and not check_cover(g):
+                        yield g
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_enumeration_matches_definition_search(d):
+    # an independent route: the enumerator lists, up to relabelling of
+    # ids, exactly the graphs the definition admits; the one stated
+    # difference is _EXCLUDED_SPLITS, the shape III split (4, 14) at d = 3
+    searched = {_up_to_ids(g) for g in _definition_graphs(d)}
+    enumerated = {_up_to_ids(g) for g in _graphs(d)}
+    assert enumerated <= searched
+    extra = [(shape, sorted(c[1] for _, c in tree[-1])) for _, shape, tree in searched - enumerated]
+    assert extra == ([(BaseShape.III, [4, 14])] if d == 3 else [])

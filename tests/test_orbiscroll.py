@@ -27,6 +27,15 @@ def test_frac_coercions():
     assert frac(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         frac(1.5)
+    # strings: p/q, integers and plain decimals; exponent notation is
+    # refused before Fraction expands it
+    assert [frac(t) for t in ("-7/4", " 12 ", "1.25", "-.5")] == [
+        Fraction(-7, 4), Fraction(12), Fraction(5, 4), Fraction(-1, 2)]
+    for text in ("1e3", "2E-1", "1.5e0", "1e30000000"):
+        with pytest.raises(ValueError, match="exponent notation is not accepted"):
+            frac(text)
+    with pytest.raises(ZeroDivisionError, match=r"Fraction\(1, 0\)"):
+        frac("1/0")
 
 
 def test_adjunction_degree():
