@@ -16,7 +16,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import covergraphs, resolve
-from .covergraphs import R_OPTIONS, BaseShape, rh_ramification
+from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
 from .orbiscroll import BranchRelation, adjunction_degree, frac, tetragonal_branch_relation
 from .parity import Parity, SectionClass, section_parity, tail_section_contribution
 from .resolve import geometric_genus, pa_hirzebruch
@@ -181,6 +181,11 @@ class StableCurveDesc:
     vertices: tuple[VertexDesc, ...]
     edges: tuple[tuple[int, int], ...]  # index pairs; (i, i) is a loop
 
+    def __post_init__(self) -> None:
+        phantom = [e for e in self.edges if not all(0 <= v < len(self.vertices) for v in e)]
+        if phantom:
+            raise ClassifyError(f"edges {phantom} name no vertex of {len(self.vertices)}")
+
     def canonical(self) -> "StableCurveDesc":
         """Vertices sorted by label; among the orders that permute equally
         labelled vertices only, the one with the least edge tuple wins, so
@@ -213,10 +218,7 @@ def arithmetic_genus(genera: Sequence[int], delta: int) -> int:
 
 def stable_pa(desc: StableCurveDesc) -> int:
     """Arithmetic genus of the nodal curve: sum g_v + |E| - |V| + 1."""
-    reached = {0}  # grown by the edges that touch it, once per vertex
-    for _ in desc.vertices:
-        reached |= {v for e in desc.edges if reached & set(e) for v in e}
-    if len(reached) != len(desc.vertices):
+    if not desc.vertices or unreached(range(len(desc.vertices)), desc.edges):
         raise ClassifyError("disconnected stable curve")
     return arithmetic_genus([v.genus for v in desc.vertices], len(desc.edges))
 

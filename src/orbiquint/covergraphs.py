@@ -5,9 +5,11 @@ The generic cover is a degree-6d map from a rational curve to the
 and etale over infinity.  At the boundary the base breaks into a main
 component M and a tail T joined at a node t; the cover breaks into
 components over M and over T, joined at nodes with matching local
-degrees.  "Redundant" tail components are unramified away from the node
-and the tail's marked point and are determined uniquely by the rest of
-the graph.
+degrees.  Exactly one tail component, E, is non-redundant; the
+"redundant" ones are unramified away from the node and the tail's marked
+point and are determined uniquely by the rest of the graph.  A component
+is keyed by (side, id), so a main and a tail may share an id, and one
+plain search over those keys checks that the dual graph is connected.
 
 The enumerator implements the constrained search: base shapes I-IV by
 the location of the marked points, the tail-moduli filter b - 2 <=
@@ -32,7 +34,7 @@ import itertools
 import json
 from collections import defaultdict
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 MARKED = ("0", "1", "inf")
 
@@ -57,7 +59,7 @@ class BaseShape(enum.Enum):
     __hash__ = object.__hash__
 
     @property
-    def tail_marked(self) -> Optional[str]:
+    def tail_marked(self) -> tuple[str, ...]:
         return _TAIL_MARKED[self]
 
     @property
@@ -70,9 +72,17 @@ class BaseShape(enum.Enum):
         return _REDUNDANT_DEGREE[self]
 
 
-_TAIL_MARKED = {BaseShape.I: None, BaseShape.II: "0", BaseShape.III: "1", BaseShape.IV: "inf"}
-_MAIN_MARKED = {s: tuple(p for p in MARKED if p != t) for s, t in _TAIL_MARKED.items()}
-_REDUNDANT_DEGREE = {s: 1 if t in (None, "inf") else PART[t] for s, t in _TAIL_MARKED.items()}
+def _part_lcm(marked: tuple[str, ...]) -> int:
+    """The lcm of the profile parts over these marked points: a component
+    with full profiles there has a degree that is a multiple of it."""
+    return lcm(*(PART[p] for p in marked))
+
+
+_TAIL_MARKED = {BaseShape.I: (), BaseShape.II: ("0",), BaseShape.III: ("1",),
+                BaseShape.IV: ("inf",)}
+_MAIN_MARKED = {s: tuple(p for p in MARKED if p not in t) for s, t in _TAIL_MARKED.items()}
+# a redundant tail has the least degree its full profile allows
+_REDUNDANT_DEGREE = {s: _part_lcm(t) for s, t in _TAIL_MARKED.items()}
 
 
 class RamProfile(tuple):
@@ -183,12 +193,8 @@ class CoverGraph(NamedTuple):
     def mains(self) -> list[Component]:
         return [c for c in self.components if c.side == "main"]
 
-    def tails(self, include_redundant: bool = True) -> list[Component]:
-        return [
-            c
-            for c in self.components
-            if c.side == "tail" and (include_redundant or not c.redundant)
-        ]
+    def tails(self) -> list[Component]:
+        return [c for c in self.components if c.side == "tail"]
 
     def beta_total(self) -> int:
         return sum(c.beta for c in self.components)
@@ -301,12 +307,6 @@ def tail_moduli_filter(shape: BaseShape, e: int, s: int) -> bool:
     return branch_count_tail(shape, e, s) - 2 <= max(0, s - 3)
 
 
-def _main_step(shape: BaseShape) -> int:
-    """Main degrees are multiples of the lcm of the profile parts over the
-    main's marked points: full profiles there must divide the degree."""
-    return lcm(*(PART[p] for p in shape.main_marked))
-
-
 def _main_splits(total: int, step: int, n: int) -> list[tuple[int, ...]]:
     """The n-part splits of ``total`` into positive multiples of
     ``step``, each a descending tuple, in ascending lexicographic order."""
@@ -326,15 +326,15 @@ def _one_node_types(
     """The (shape, main degree split, node locals) of shapes I-III in type
     order, derived from where the tail's marked point sits.
 
-    Each main degree is a multiple of ``_main_step``; the node locals
-    split the tail E's degree max(u, 2) (u the redundant degree) into one
-    part per main; each main's degree less its local is a nonnegative
-    multiple of u, filled by redundant tails.  Within a shape the most
-    balanced split comes first, ascending within each pair.
+    Each main degree is a multiple of ``_part_lcm`` of its marked points;
+    the node locals split the tail E's degree max(u, 2) (u the redundant
+    degree) into one part per main; each main's degree less its local is a
+    nonnegative multiple of u, filled by redundant tails.  Within a shape
+    the most balanced split comes first, ascending within each pair.
     """
     out = []
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
-        u, step = shape.redundant_degree, _main_step(shape)
+        u, step = shape.redundant_degree, _part_lcm(shape.main_marked)
         tail_degree = max(u, 2)
         for big, small in _main_splits(total_degree, step, 2):
             split = (small, big)
@@ -443,16 +443,15 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
     Idempotent and order-free; enumerated graphs are built complete.
     """
     shape = graph.shape
-    u = shape.redundant_degree
-    tmark = (shape.tail_marked,) if shape.tail_marked else ()
-    by_id = {c.id: c for c in reversed(graph.components)}  # first of each id wins
-    comps = [c for c in graph.components if not (c.side == "tail" and c.redundant)]
-    edges = [e for e in graph.node_edges if not by_id[e.tail_id].redundant]
+    stamped = {(c.side, c.id) for c in graph.components if c.side == "tail" and c.redundant}
+    comps = [c for c in graph.components if (c.side, c.id) not in stamped]
+    edges = [e for e in graph.node_edges if ("tail", e.tail_id) not in stamped]
     used = _node_fibers(edges)
     new_comps: list[Component] = []
     for main in sorted(graph.mains(), key=lambda c: c.id):
         residual = main.degree - sum(used["main", main.id])
-        tails, tail_edges = _redundant_block(main.id, u, tmark, len(new_comps), residual)
+        tails, tail_edges = _redundant_block(main.id, shape.redundant_degree, shape.tail_marked,
+                                             len(new_comps), residual)
         new_comps += tails
         edges += tail_edges
     all_edges = tuple(edges)
@@ -469,37 +468,32 @@ def complete_redundant(graph: CoverGraph) -> CoverGraph:
     return graph._replace(components=final, node_edges=all_edges)
 
 
-def _unreached(keys: list[tuple[str, str]], mains_of: defaultdict[str, list[str]]) -> list[str]:
-    """Ids of the components, keyed by (side, id), that the first one does
-    not reach; ``mains_of`` holds the main id of each edge under its tail
-    id.  Every edge joins a main to a tail, so mains meet through the tails
-    they share, and a tail is reached with any of its mains.  Each tail's
-    mains are scanned once, so the work is linear in the edges."""
-    if not keys:
-        return []
-    shared: defaultdict[str, list[str]] = defaultdict(list)  # main id -> tails it shares
-    for tail_id, ids in mains_of.items():
-        if len(ids) > 1:
-            for main_id in ids:
-                shared[main_id].append(tail_id)
-    side, cid = keys[0]
-    todo = [cid] if side == "main" else mains_of[cid][:]
-    reached, passed = set(todo), set()
-    while todo:
-        for tail_id in shared[todo.pop()]:
-            if tail_id not in passed:
-                passed.add(tail_id)
-                new = [main_id for main_id in mains_of[tail_id] if main_id not in reached]
-                reached.update(new)
-                todo += new
-    return [cid for side, cid in keys[1:] if (
-        cid not in reached if side == "main" else reached.isdisjoint(mains_of[cid]))]
+def unreached(nodes: Sequence[Hashable],
+              links: Iterable[tuple[Hashable, Hashable]]) -> list[Hashable]:
+    """The nodes that the first node does not reach over ``links``, each an
+    unordered pair of nodes (a loop joins a node to itself; an end that is
+    no node is a KeyError): the package's one connectivity search, for
+    cover dual graphs and stable curves."""
+    neighbours: dict[Hashable, list[Hashable]] = {node: [] for node in nodes}
+    for a, b in links:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    order = list(nodes[:1])  # grows while it is walked
+    reached = set(order)
+    for node in order:
+        for other in neighbours[node]:
+            if other not in reached:
+                reached.add(other)
+                order.append(other)
+    return [node for node in nodes if node not in reached]
 
 
 def check_cover(graph: CoverGraph) -> list[str]:
     """Admissibility diagnostics; empty list means valid.  Each component
     is checked locally (degrees, profiles, node fibers, Riemann-Hurwitz),
-    and the graph globally: its dual graph is a tree and its moving branch
+    and the graph globally: its dual graph, keyed by (side, id), is a tree
+    (connected by the one ``unreached`` search, with one edge fewer than
+    components), exactly one tail is non-redundant, and its moving branch
     points number ``generic_branch_count(d)`` (a ShapeError for d < 1)."""
     diags: list[str] = []
     shape = graph.shape
@@ -510,21 +504,19 @@ def check_cover(graph: CoverGraph) -> list[str]:
         zip(*comps) if comps else ((),) * len(Component._fields))
     keys = list(zip(sides, ids))
     known = set(keys)
-    mains_of: defaultdict[str, list[str]] = defaultdict(list)
-    for e in edges:
-        if ("main", e.main_id) not in known or ("tail", e.tail_id) not in known:
-            diags.append(f"edge references unknown component: {e}")
-            return diags
-        mains_of[e.tail_id].append(e.main_id)
+    links = [(("main", e.main_id), ("tail", e.tail_id)) for e in edges]
+    if not known.issuperset(itertools.chain.from_iterable(links)):
+        unknown = next(e for e, link in zip(edges, links) if not known.issuperset(link))
+        return [f"edge references unknown component: {unknown}"]
 
     # the source degenerates from a rational curve: its dual graph is a
     # tree, connected with one edge fewer than components
     if len(edges) != len(comps) - 1:
         diags.append(f"{len(edges)} node edges on {len(comps)} components, "
                      f"a tree has {len(comps) - 1}")
-    unreached = _unreached(keys, mains_of)
-    if unreached:
-        diags.append(f"dual graph is not connected: {', '.join(unreached)} "
+    cut_off = unreached(keys, links)
+    if cut_off:
+        diags.append(f"dual graph is not connected: {', '.join(cid for _, cid in cut_off)} "
                      f"not reached from {ids[0]}")
 
     for side in ("main", "tail"):
@@ -541,11 +533,11 @@ def check_cover(graph: CoverGraph) -> list[str]:
 
     # marked-point profiles: what each component holds over pt, and all of it
     by_point = list(map(dict, profiles))
-    on_side = {"main": set(shape.main_marked), "tail": set(MARKED) - set(shape.main_marked)}
+    on_side = {"main": set(shape.main_marked), "tail": set(shape.tail_marked)}
     misplaced = [(s, cid, held) for (s, cid), held in zip(keys, by_point)
                  if held.keys() != on_side.get(s, set())]
     for pt in MARKED:
-        part, side = PART[pt], "tail" if pt == shape.tail_marked else "main"
+        part, side = PART[pt], "tail" if pt in shape.tail_marked else "main"
         parts = tuple(sorted(itertools.chain.from_iterable(
             held[pt] for held in by_point if pt in held)))
         if sum(parts) != total:
@@ -569,12 +561,14 @@ def check_cover(graph: CoverGraph) -> list[str]:
         if beta < 0:
             diags.append(f"negative moving branch count for {cid}")
 
-    beta, expected = graph.beta_total(), generic_branch_count(graph.d)
+    beta, expected = sum(betas), generic_branch_count(graph.d)
     if beta != expected:
         diags.append(f"moving branch points sum to {beta}, expected {expected}")
 
-    nonred = graph.tails(include_redundant=False)
-    if len(nonred) > 1:
+    nonred = sum(s == "tail" and not r for s, r in zip(sides, redundant))
+    if nonred == 0:
+        diags.append("no non-redundant tail component")
+    elif nonred > 1:
         diags.append("more than one non-redundant tail component")
     for (s, cid), r, beta, fiber in zip(keys, redundant, betas, fibers):
         if r and s == "tail" and (beta != 0 or len(fiber) != 1):
@@ -592,8 +586,7 @@ def _skeleton(
 ) -> CoverGraph:
     """Mains with their full node fibers, the non-redundant tail E (its
     degree the sum of the node locals), then each main's redundant tails."""
-    u, marks = shape.redundant_degree, shape.main_marked
-    tmark = (shape.tail_marked,) if shape.tail_marked else ()
+    u, marks, tmark = shape.redundant_degree, shape.main_marked, shape.tail_marked
     edges = [_node_edge(f"M{i}", "E", l) for i, l in enumerate(locals_, 1)]
     mains, tails = [], []
     for i, (k, l) in enumerate(zip(degrees, locals_), 1):
@@ -650,7 +643,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
         families.append(BoundaryType(index, shape, (), (graph,)))
 
     # shape IV: 1, 2, or 3 main components, their degrees stepped as in I-III
-    step = _main_step(BaseShape.IV)
+    step = _part_lcm(BaseShape.IV.main_marked)
     main_splits = [split for n in (1, 2, 3) for split in _main_splits(total, step, n)]
     for index, degrees in enumerate(main_splits, len(families) + 1):
         locals_ranges = [node_local_range(k) for k in degrees]

@@ -252,6 +252,13 @@ def test_stable_pa():
     assert stable_pa(StableCurveDesc(tuple(v), ((2, 3), (1, 2), (0, 3)))) == 4
     with pytest.raises(ClassifyError):
         stable_pa(StableCurveDesc(tuple(v), ((0, 1), (2, 3))))
+    with pytest.raises(ClassifyError, match="disconnected"):
+        stable_pa(StableCurveDesc((), ()))
+    # an edge end that names no vertex is refused at construction, before
+    # it could count as a node or reach canonical()
+    for edges in (((0, 1), (2, 3)), ((1, -1),), ((0, 2),)):
+        with pytest.raises(ClassifyError, match="name no vertex of 2"):
+            StableCurveDesc((VertexDesc(1), VertexDesc(2)), edges)
     assert classify.arithmetic_genus([3, 2], 2) == 6
     assert classify.arithmetic_genus([5], 1) == 6
 

@@ -393,27 +393,73 @@ def test_check_cover_checks_tree_and_branch_total():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_unreached_matches_plain_search(data):
-    # the main-to-main search against a search over every (side, id) key;
-    # mains and tails draw ids from one pool, so a main and a tail may
-    # share an id and must stay apart
+    # the search over (side, id) keys against a search of its own; mains
+    # and tails draw ids from one pool, so a main and a tail may share an
+    # id and must stay apart
     n_mains, n_tails = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
     keys = data.draw(st.permutations([("main", f"C{i}") for i in range(n_mains)]
                                      + [("tail", f"C{j}") for j in range(n_tails)]))
     edges = data.draw(st.lists(st.tuples(st.integers(0, n_mains - 1), st.integers(0, n_tails - 1)),
                                max_size=10)) if n_tails else []
-    mains_of = defaultdict(list)
+    links = [(("main", f"C{i}"), ("tail", f"C{j}")) for i, j in edges]
     neighbours = defaultdict(set)
-    for i, j in edges:
-        mains_of[f"C{j}"].append(f"C{i}")
-        neighbours["main", f"C{i}"].add(("tail", f"C{j}"))
-        neighbours["tail", f"C{j}"].add(("main", f"C{i}"))
+    for main, tail in links:
+        neighbours[main].add(tail)
+        neighbours[tail].add(main)
     reached, todo = {keys[0]}, [keys[0]]
     while todo:
         for key in neighbours[todo.pop()] - reached:
             reached.add(key)
             todo.append(key)
-    assert covergraphs._unreached(keys, mains_of) == [
-        cid for side, cid in keys if (side, cid) not in reached]
+    assert covergraphs.unreached(keys, links) == [key for key in keys if key not in reached]
+
+
+def test_unreached_on_integer_nodes():
+    # the stable-curve use: vertex indices, loops and isolated vertices
+    assert covergraphs.unreached([], []) == []
+    assert covergraphs.unreached(range(1), [(0, 0)]) == []
+    assert covergraphs.unreached(range(3), [(0, 0), (1, 1), (2, 2)]) == [1, 2]
+    assert covergraphs.unreached(range(4), [(3, 2), (1, 1), (0, 3)]) == [1]
+    assert covergraphs.unreached(range(4), [(2, 3), (1, 2), (0, 3)]) == []
+
+
+def test_shape_marked_points_and_redundant_degree():
+    # the tail's marked points and the main's partition MARKED, and a
+    # redundant tail has the lcm of the parts over the tail's points
+    assert [s.redundant_degree for s in BaseShape] == [1, 2, 3, 1]
+    for shape in BaseShape:
+        marked = shape.main_marked + shape.tail_marked
+        assert sorted(marked) == sorted(covergraphs.MARKED) and len(set(marked)) == 3
+        assert isinstance(shape.tail_marked, tuple) and len(shape.tail_marked) <= 1
+    assert BaseShape.I.tail_marked == ()
+
+
+def test_check_cover_needs_a_non_redundant_tail():
+    # one shape IV main of degree 18 and 18 redundant tails of degree 1,
+    # each on its own edge of local 1: a tree with 13 branch points, but
+    # no tail E
+    main = covergraphs._make_component("M1", "main", 18, ("0", "1"), (1,) * 18, False)
+    tails = [covergraphs._make_component(f"R{i}", "tail", 1, ("inf",), (1,), True)
+             for i in range(1, 19)]
+    g = covergraphs.CoverGraph(3, BaseShape.IV, (main, *tails),
+                               tuple(NodeEdge("M1", t.id, 1) for t in tails))
+    assert g.beta_total() == 13
+    assert check_cover(g) == ["no non-redundant tail component"]
+
+
+def test_complete_redundant_tail_sharing_a_main_id():
+    # a redundant tail named like a main is found by its (side, id) key:
+    # completion drops it with its edge and restamps R1, R2, ...
+    g = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
+    renamed = g._replace(
+        components=tuple(c._replace(id="M1") if c.id == "R1" else c for c in g.components),
+        node_edges=tuple(e._replace(tail_id="M1") if e.tail_id == "R1" else e
+                         for e in g.node_edges))
+    assert ("tail", "M1") in {(c.side, c.id) for c in renamed.components}
+    assert check_cover(renamed) == []
+    completed = complete_redundant(renamed)
+    assert check_cover(completed) == []
+    assert completed == g
 
 
 def test_complete_redundant_stamped_tail_sharing_an_id():
@@ -615,8 +661,7 @@ def _candidate(d, shape, degrees, node_points):
     """Mains of these degrees, the tail E with these (main, local) node
     points, and each main's node fiber filled by redundant tails of the
     shape's degree u; None when E's locals overfill a main."""
-    u = shape.redundant_degree
-    tail_marked = (shape.tail_marked,) if shape.tail_marked else ()
+    u, tail_marked = shape.redundant_degree, shape.tail_marked
     mains, tails, edges = [], [], []
     for i, k in enumerate(degrees, 1):
         mine = [l for j, l in node_points if j == i]
