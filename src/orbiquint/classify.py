@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import covergraphs, resolve
 from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
@@ -30,8 +29,7 @@ class ClassifyError(ValueError):
 # Table 1: the one-node types (1)-(5)
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     row: int
     graph_type: int
     r: int
@@ -169,22 +167,31 @@ class Mark(enum.Enum):
     TANGENT_THIRD_POINT = "TangentLineThirdPoint"
 
 
-@dataclass(frozen=True)
-class VertexDesc:
+class VertexDesc(NamedTuple):
     genus: int
     tags: frozenset[Tag] = frozenset()
     marks: frozenset[Mark] = frozenset()
 
 
-@dataclass(frozen=True)
-class StableCurveDesc:
+class _StableCurveDescFields(NamedTuple):
     vertices: tuple[VertexDesc, ...]
     edges: tuple[tuple[int, int], ...]  # index pairs; (i, i) is a loop
 
-    def __post_init__(self) -> None:
-        phantom = [e for e in self.edges if not all(0 <= v < len(self.vertices) for v in e)]
+
+class StableCurveDesc(_StableCurveDescFields):
+    __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, vertices: tuple[VertexDesc, ...],
+                edges: tuple[tuple[int, int], ...]) -> StableCurveDesc:
+        unpaired = [e for e in edges if len(e) != 2]
+        if unpaired:
+            raise ClassifyError(f"edges {unpaired} are not vertex pairs")
+        phantom = [e for e in edges if not all(0 <= v < len(vertices) for v in e)]
         if phantom:
-            raise ClassifyError(f"edges {phantom} name no vertex of {len(self.vertices)}")
+            raise ClassifyError(f"edges {phantom} name no vertex of {len(vertices)}")
+        return super().__new__(cls, vertices, edges)
 
     def canonical(self) -> "StableCurveDesc":
         """Vertices sorted by label; among the orders that permute equally
@@ -275,8 +282,7 @@ THEOREM_DESCRIPTIONS: dict[int, StableCurveDesc] = {
 }
 
 
-@dataclass(frozen=True)
-class DivisorRecord:
+class DivisorRecord(NamedTuple):
     theorem_index: int
     desc: StableCurveDesc
     sources: tuple[str, ...]
@@ -374,16 +380,14 @@ def classify_type_6() -> list[DivisorRecord]:
 # Local models at the tail nodes (types (7) and (8))
 
 
-@dataclass(frozen=True)
-class ModelComponent:
+class ModelComponent(NamedTuple):
     genus: int
     top: tuple[int, ...] = ()  # attaching multiplicities on the A side
     bottom: tuple[int, ...] = ()  # on the B side
     side: tuple[int, ...] = ()  # when the monodromy switches the sides
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Singular model: curve of class n*s + m*F on F_l with A-singularities."""
 
     l: int
@@ -392,8 +396,7 @@ class Provenance:
     sings: tuple[int, ...]  # A_k indices
 
 
-@dataclass(frozen=True)
-class LocalModelEntry:
+class LocalModelEntry(NamedTuple):
     family: str  # "c1" | "c2"
     label: str  # e.g. "1.1" within c1, "2.3" within c2
     tag: str
@@ -577,8 +580,7 @@ def _model_lookup() -> ModelLookup:
 # Type (7): the two combination tables
 
 
-@dataclass(frozen=True)
-class Type7Row:
+class Type7Row(NamedTuple):
     c1: tuple[str, ...]  # c1 entry labels (a trailing ' marks the flip)
     c2: str
     c2_p: Optional[int]

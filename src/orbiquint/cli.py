@@ -13,7 +13,6 @@ errors into exit status 1 with a message on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -64,6 +63,8 @@ def _dot_graph(
 
 
 def _json_dump(obj) -> str:
+    import json  # here, so that the text formats do not load it
+
     return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 

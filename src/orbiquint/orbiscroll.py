@@ -10,10 +10,9 @@ here is exact rational arithmetic; no floating point is ever used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 FracLike = Union[int, Fraction, str]
 
@@ -33,32 +32,35 @@ def frac(x: FracLike) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class BranchRelation:
+class BranchRelation(NamedTuple):
     m: Fraction
     disc: bool  # a = b/6: the curve is the directrix plus a disjoint residual
     smooth_ok: bool
 
 
-@dataclass(frozen=True)
-class CQSData:
-    """A cyclic quotient singularity 1/r(1, q), canonicalized; r=1 is smooth."""
-
+class _CQSDataFields(NamedTuple):
     r: int
     q: int
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+
+class CQSData(_CQSDataFields):
+    """A cyclic quotient singularity 1/r(1, q), canonicalized; r=1 is smooth."""
+
+    __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, r: int, q: int) -> CQSData:
+        if r < 1:
             raise ValueError("r must be >= 1")
-        object.__setattr__(self, "q", self.q % self.r if self.r > 1 else 0)
+        return super().__new__(cls, r, q % r if r > 1 else 0)
 
     @property
     def smooth(self) -> bool:
         return self.r == 1 or self.q == 0
 
 
-@dataclass(frozen=True)
-class CoarseSingularities:
+class CoarseSingularities(NamedTuple):
     at_sigma: CQSData
     at_tau: CQSData
     fiber_multiplicity: int

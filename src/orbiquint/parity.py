@@ -12,9 +12,8 @@ decides whether the ambient scroll is a degeneration of F0 (even) or F1
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .orbiscroll import FracLike, frac
 
@@ -23,13 +22,19 @@ class ParityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ParityState:
+class _ParityStateFields(NamedTuple):
     h0_mod2: int = 0
 
-    def __post_init__(self) -> None:
-        if self.h0_mod2 not in (0, 1):
+
+class ParityState(_ParityStateFields):
+    __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, h0_mod2: int = 0) -> ParityState:
+        if h0_mod2 not in (0, 1):
             raise ParityError("h0_mod2 must be a bit")
+        return super().__new__(cls, h0_mod2)
 
 
 def epsilon_twist(state: ParityState) -> ParityState:
@@ -55,20 +60,27 @@ class Parity(enum.Enum):
         return {"Even": "F0", "Odd": "F1", "Moot": None}[self.value]
 
 
-@dataclass(frozen=True)
-class SectionClass:
-    """Self-intersection pieces of a section through a scroll degeneration;
-    each piece lies in (1/2)Z and the total must be an integer.  The total
-    is summed once here; equality and hashing use only the pieces."""
-
+class _SectionClassFields(NamedTuple):
     pieces: tuple[Fraction, ...]
 
-    def __init__(self, pieces: Sequence[FracLike]):
-        object.__setattr__(self, "pieces", tuple(frac(p) for p in pieces))
-        for p in self.pieces:
+
+class SectionClass(_SectionClassFields):
+    """Self-intersection pieces of a section through a scroll degeneration;
+    each piece lies in (1/2)Z and the total must be an integer.  The total
+    is summed once here and kept outside the tuple, so equality, hashing
+    and the repr use only the pieces."""
+
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, pieces: Sequence[FracLike]) -> SectionClass:
+        pieces = tuple(frac(p) for p in pieces)
+        for p in pieces:
             if p.denominator not in (1, 2):
                 raise ParityError(f"piece {p} is not in (1/2)Z")
-        object.__setattr__(self, "total", sum(self.pieces, Fraction(0)))
+        self = super().__new__(cls, pieces)
+        self.total = sum(pieces, Fraction(0))
+        return self
 
 
 def section_parity(sc: SectionClass) -> Parity:

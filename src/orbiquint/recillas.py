@@ -18,25 +18,29 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class PermError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of {1..n}, stored as the image tuple (1-based)."""
-
+class _PermFields(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+
+class Perm(_PermFields):
+    """A permutation of {1..n}, stored as the image tuple (1-based)."""
+
+    __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, images: Iterable[int]) -> Perm:
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise PermError(f"not a bijection of 1..{len(images)}: {images}")
+        return super().__new__(cls, images)
 
     @property
     def n(self) -> int:
@@ -144,8 +148,7 @@ def induced_on_transpositions(sigma: Perm) -> Perm:
     return _induced(sigma, TRANSPOSITIONS)
 
 
-@dataclass(frozen=True)
-class FixCounts:
+class FixCounts(NamedTuple):
     fix4: int
     fix3: int
     fix6: int
@@ -168,8 +171,7 @@ def recillas_character_check(sigma: Perm) -> bool:
     return 1 + c.fix6 == c.fix3 + c.fix4
 
 
-@dataclass(frozen=True)
-class CorrespondenceData:
+class CorrespondenceData(NamedTuple):
     trigonal: tuple[Perm, ...]  # induced actions on the 3 pair-partitions
     double: tuple[Perm, ...]  # induced actions on the 6 transpositions
 

@@ -31,10 +31,9 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .orbiscroll import FracLike, coarse_singularities, frac
 
@@ -47,15 +46,21 @@ class ResolveError(ValueError):
 # Hirzebruch-Jung chains
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Self-intersection chain b_1..b_k of a minimal CQS resolution."""
-
+class _ChainFields(NamedTuple):
     ints: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(b < 2 for b in self.ints):
+
+class Chain(_ChainFields):
+    """Self-intersection chain b_1..b_k of a minimal CQS resolution."""
+
+    __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, ints: tuple[int, ...]) -> Chain:
+        if any(b < 2 for b in ints):
             raise ResolveError("chain entries must all be >= 2")
+        return super().__new__(cls, ints)
 
 
 def hj_expand(r: int, q: int) -> Chain:
@@ -92,42 +97,69 @@ class Role(enum.Enum):
     MAIN = "MainCurve"
 
 
-@dataclass(frozen=True)
+# Vertex and Edge are __slots__ classes, not NamedTuples: config_isomorphic
+# reads their fields inside its permutation loop, and a slot read costs
+# about a quarter of a NamedTuple field read.
 class Vertex:
-    id: str
-    self_int: int
-    role: Role
+    __slots__ = ("id", "self_int", "role")
+
+    def __init__(self, id: str, self_int: int, role: Role) -> None:
+        self.id = id
+        self.self_int = self_int
+        self.role = role
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.self_int, self.role) == (other.id, other.self_int, other.role)
+
+    def __repr__(self) -> str:
+        return f"Vertex(id={self.id!r}, self_int={self.self_int!r}, role={self.role!r})"
 
 
-@dataclass(frozen=True)
 class Edge:
-    v: str
-    w: str
-    mult: int
+    __slots__ = ("v", "w", "mult")
+
+    def __init__(self, v: str, w: str, mult: int) -> None:
+        self.v = v
+        self.w = w
+        self.mult = mult
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.v, self.w, self.mult) == (other.v, other.w, other.mult)
+
+    def __repr__(self) -> str:
+        return f"Edge(v={self.v!r}, w={self.w!r}, mult={self.mult!r})"
 
 
-@dataclass
 class CurveConfig:
     """Dual graph of a curve configuration; edges form a multiset."""
 
-    vertices: list[Vertex] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        ids = [v.id for v in self.vertices]
+    def __init__(self, vertices: list[Vertex], edges: list[Edge]) -> None:
+        ids = [v.id for v in vertices]
         if len(set(ids)) != len(ids):
             raise ResolveError("duplicate vertex ids")
         for role in (Role.DIRECTRIX, Role.MAIN):
-            if sum(1 for v in self.vertices if v.role is role) > 1:
+            if sum(1 for v in vertices if v.role is role) > 1:
                 raise ResolveError(f"at most one {role.value} vertex")
         idset = set(ids)
-        for e in self.edges:
+        for e in edges:
             if e.v == e.w:
                 raise ResolveError("self-loops are not allowed")
             if e.mult < 1:
                 raise ResolveError("edge multiplicities must be >= 1")
             if e.v not in idset or e.w not in idset:
                 raise ResolveError(f"edge references unknown vertex: {e}")
+        self.vertices = vertices
+        self.edges = edges
+
+    def __reduce__(self) -> tuple:
+        # copies and pickles call the constructor, so none skips the check
+        return CurveConfig, (self.vertices, self.edges)
 
     def vertex(self, vid: str) -> Vertex:
         for v in self.vertices:
@@ -380,8 +412,7 @@ def geometric_genus(pa: int, ks: Iterable[int]) -> int:
 # The 13 resolution-contraction diagram items
 
 
-@dataclass(frozen=True)
-class DiagramItem:
+class DiagramItem(NamedTuple):
     """Left-hand side of a resolution-contraction diagram: the central
     fiber of the resolved coarse scroll F_a over P^1(r-th root of 0),
     with the main curve attached at the listed (vertex, multiplicity)

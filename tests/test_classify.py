@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -259,6 +258,10 @@ def test_stable_pa():
     for edges in (((0, 1), (2, 3)), ((1, -1),), ((0, 2),)):
         with pytest.raises(ClassifyError, match="name no vertex of 2"):
             StableCurveDesc((VertexDesc(1), VertexDesc(2)), edges)
+    # and so is an edge that is not a pair of vertices
+    for edges in (((0, 1, 2), (0, 1)), ((0,),), ((),)):
+        with pytest.raises(ClassifyError, match="not vertex pairs"):
+            StableCurveDesc((VertexDesc(1),) * 3, edges)
     assert classify.arithmetic_genus([3, 2], 2) == 6
     assert classify.arithmetic_genus([5], 1) == 6
 
@@ -380,7 +383,7 @@ def test_verify_golden_c2_builds(monkeypatch):
 def test_validate_recomputes_genus():
     e = enumerate_c1_models(2)[0]
     e.validate()
-    bad = replace(e, components=(replace(e.components[0], genus=1),) + e.components[1:])
+    bad = e._replace(components=(e.components[0]._replace(genus=1),) + e.components[1:])
     with pytest.raises(ClassifyError, match="arithmetic genus"):
         bad.validate()
 
@@ -436,10 +439,10 @@ def test_row_parity_follows_its_models():
     row = TABLE2_ROWS[2]
     assert (row.c2, row.c2_p, len(row.tail_genera)) == ("2.3", 0, 2)
     assert type7_row_parity(row, 3, lookup) is Parity.ODD
-    switched = replace(row, c2="2.4")
+    switched = row._replace(c2="2.4")
     assert all(c.side for c in lookup(switched.c2, switched.c2_p).components)
     assert type7_row_parity(switched, 3, lookup) is Parity.MOOT
-    two_tails = replace(TABLE3_ROWS[0], tail_genera=(2, -1))
+    two_tails = TABLE3_ROWS[0]._replace(tail_genera=(2, -1))
     assert type7_row_parity(two_tails, None, lookup) is Parity.MOOT
 
 

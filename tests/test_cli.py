@@ -377,6 +377,38 @@ def test_submodule_import_is_lazy():
     assert (p.returncode, p.stdout) == (0, "1\n")
 
 
+# Text-format runs, an error path among them, of the subcommands that do not
+# load covergraphs (which imports json itself), then one run of each of the
+# other four subcommands.
+_TEXT_ARGVS = [
+    ["resolve", "--r", "7", "--q", "3"], ["resolve", "--r", "7", "--q", "7"],
+    ["coarse", "--r", "3", "--a", "2/3"], ["diagrams", "--item", "7"],
+    ["recillas", "--monodromy", "(1 2 3);(1 2)(3 4)"], ["parity", "--pieces", "1,0,3"],
+    ["genus", "--l", "1", "--n", "4", "--m", "5", "--ak", "2"],
+]
+_OTHER_ARGVS = [["table1", "--format", "tsv"], ["boundary-graphs", "--d", "3"],
+                ["classify"], ["verify-golden"]]
+
+
+def test_subcommands_skip_costly_imports():
+    # each CLI child pays for what it imports: dataclasses (which loads
+    # inspect) is never needed, and json only where JSON is written; -S
+    # keeps site hooks, which are not the package's, out of the count
+    script = (
+        "import os, sys\n"
+        "from orbiquint import cli\n"
+        "def run(argvs):\n"
+        "    for argv in argvs:\n"
+        "        cli.main(argv + ['--out', os.devnull])\n"
+        "    return sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules))\n"
+        f"print(run({_TEXT_ARGVS!r}), run({_OTHER_ARGVS!r}))\n"
+    )
+    p = _python("-S", "-c", script)
+    assert p.returncode == 0, p.stderr
+    assert len({argv[0] for argv in _TEXT_ARGVS + _OTHER_ARGVS}) == 10  # every subcommand
+    assert p.stdout == "[] ['json']\n"
+
+
 # Every subcommand with each of its formats, the error paths, and --out to a
 # file and to a path that cannot be written. "{tmp}" stands for a temporary
 # directory, so the pinned digest does not depend on where it is.
