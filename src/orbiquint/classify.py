@@ -12,13 +12,19 @@ import enum
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import covergraphs, resolve
+from . import covergraphs
 from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
-from .orbiscroll import BranchRelation, adjunction_degree, frac, tetragonal_branch_relation
-from .parity import Parity, SectionClass, section_parity, tail_section_contribution
-from .resolve import geometric_genus, pa_hirzebruch
+from .orbiscroll import (
+    BranchRelation, adjunction_degree, frac, smooth_twist, tetragonal_branch_relation,
+)
+
+if TYPE_CHECKING:
+    from .parity import Parity
+
+# resolve and parity are imported inside the functions that use them (type
+# (6) genus, model validation, type (7) parities), so table1 loads neither.
 
 
 class ClassifyError(ValueError):
@@ -98,10 +104,10 @@ def component_genus_adjunction(r: int, m: Fraction, a: Fraction, b: int) -> int:
 
 def _smooth_twists(r: int, b: int) -> dict[int, BranchRelation]:
     """Branch relation of each nonnegative twist a = k/r with denominator
-    exactly r that passes the smoothness criterion, keyed by k = r*a."""
-    rels = {k: tetragonal_branch_relation(Fraction(k, r), b)
-            for k in range(r * b // 6 + 1) if gcd(k, r) == 1}
-    return {k: rel for k, rel in rels.items() if rel.smooth_ok}
+    exactly r that passes the smoothness criterion, keyed by k = r*a; the
+    criterion is tested in integers, so only those relations are built."""
+    return {k: tetragonal_branch_relation(Fraction(k, r), b)
+            for k in range(r * b // 6 + 1) if gcd(k, r) == 1 and smooth_twist(k, r, b)}
 
 
 def _twist_pairs(
@@ -350,6 +356,8 @@ _TYPE6_REDUCIBLE = {2: 3, 4: 6, 6: 8}
 def type6_main_genus(i: int) -> int:
     """Genus of the normalization of a curve of class 4s + 5F on F_1
     with an A_{i-1} singularity."""
+    from .resolve import geometric_genus, pa_hirzebruch
+
     return geometric_genus(pa_hirzebruch(1, 4, 5), [i - 1])
 
 
@@ -412,10 +420,12 @@ class LocalModelEntry(NamedTuple):
         )
 
     def validate(self) -> None:
+        from .resolve import delta_invariant, pa_hirzebruch
+
         if self.half_edge_total() != 4:
             raise ClassifyError(f"{self.family} {self.label}: half-edges != 4")
         p = self.provenance
-        delta = sum(resolve.delta_invariant(k) for k in p.sings)
+        delta = sum(delta_invariant(k) for k in p.sings)
         pa = arithmetic_genus([c.genus for c in self.components], delta)
         if pa != pa_hirzebruch(p.l, p.n, p.m):
             raise ClassifyError(
@@ -627,6 +637,8 @@ def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
     """Parities of all consistent glued sections for a trivial-cover row:
     each end section of C1 and C2 with each tail bundle, keeping only the
     combinations with integral total self-intersection."""
+    from .parity import SectionClass, section_parity, tail_section_contribution
+
     out = []
     c2 = lookup(row.c2, row.c2_p)
     for label in row.c1:
@@ -647,6 +659,8 @@ def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> P
     cover and moot parity.  Trivial-cover rows are odd; for all but the
     rows in PARITY_UNCONFIRMED_ROWS this is confirmed by an odd
     glued-section self-intersection."""
+    from .parity import Parity
+
     models = [lookup(label, None) for label in row.c1] + [lookup(row.c2, row.c2_p)]
     if any(c.side for model in models for c in model.components):
         return Parity.MOOT
@@ -659,6 +673,8 @@ def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> P
 
 
 def classify_type_7() -> list[DivisorRecord]:
+    from .parity import Parity
+
     lookup = _model_lookup()
     pairs = []
     for k, row in enumerate(TABLE2_ROWS, 1):

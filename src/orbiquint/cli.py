@@ -63,9 +63,9 @@ def _dot_graph(
 
 
 def _json_dump(obj) -> str:
-    import json  # here, so that the text formats do not load it
+    from .jsontext import dumps  # here, so that the text formats do not load json
 
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    return dumps(obj) + "\n"
 
 
 def _cells(record: dict, yes: str, no: str) -> list[str]:

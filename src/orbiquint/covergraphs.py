@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import json
 from collections import defaultdict
 from math import lcm
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
@@ -148,7 +147,9 @@ def _nest(text: str, depth: int) -> str:
 def _json_fragment(item: Component | NodeEdge) -> str:
     """One component or edge, laid out where it sits in a graph record:
     an element of its list at nesting 2."""
-    return _nest(json.dumps(item.to_json_dict(), indent=2), 2)
+    from .jsontext import dumps
+
+    return _nest(dumps(item.to_json_dict()), 2)
 
 
 @functools.lru_cache(maxsize=1 << 8)
@@ -156,8 +157,9 @@ def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
                     r_options: tuple[int, ...]) -> str:
     """A graph record with no params, components or edges, rendered once
     per family."""
-    return json.dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict(),
-                      indent=2)
+    from .jsontext import dumps
+
+    return dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict())
 
 
 def _json_list(elements: list[str], depth: int) -> str:
@@ -254,14 +256,16 @@ def families_json(families: Iterable[BoundaryType]) -> str:
     type, shape, param ranges, graph count and its graphs'
     ``to_json_dict()``.  Each graph is its ``to_json()`` text, nested at
     depth 3."""
+    from .jsontext import dumps
+
     return _json_list([
-        _json_splice(_nest(json.dumps({
+        _json_splice(_nest(dumps({
             "type": fam.type_index,
             "shape": fam.shape.name,
             "param_ranges": [list(r) for r in fam.param_ranges],
             "count": len(fam.graphs),
             "graphs": [],
-        }, indent=2), 1), {"graphs": [_nest(g.to_json(), 3) for g in fam.graphs]}, 1)
+        }), 1), {"graphs": [_nest(g.to_json(), 3) for g in fam.graphs]}, 1)
         for fam in families
     ], 0)
 

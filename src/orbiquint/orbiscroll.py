@@ -84,9 +84,15 @@ def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
         raise ValueError("a must be >= 0")
     if b < 0:
         raise ValueError("b must be >= 0")
-    m = Fraction(b, 6) + 2 * a
-    disc = a == Fraction(b, 6)
-    return BranchRelation(m, disc, a <= Fraction(b, 12) or disc)
+    k, r = a.numerator, a.denominator
+    # decided in integers: a = b/6 is 6k = rb, and m = (rb + 12k) / 6r
+    return BranchRelation(Fraction(r * b + 12 * k, 6 * r), 6 * k == r * b, smooth_twist(k, r, b))
+
+
+def smooth_twist(k: int, r: int, b: int) -> bool:
+    """The smoothness criterion a <= b/12 or a = b/6 for a = k/r, r > 0,
+    decided in integers: 12k <= rb or 6k = rb."""
+    return 12 * k <= r * b or 6 * k == r * b
 
 
 def coarse_singularities(r: int, a: FracLike) -> CoarseSingularities:

@@ -67,19 +67,24 @@ class _SectionClassFields(NamedTuple):
 class SectionClass(_SectionClassFields):
     """Self-intersection pieces of a section through a scroll degeneration;
     each piece lies in (1/2)Z and the total must be an integer.  The total
-    is summed once here and kept outside the tuple, so equality, hashing
-    and the repr use only the pieces."""
+    is summed once here, in integer half units, and kept outside the
+    tuple, so equality, hashing and the repr use only the pieces."""
 
     # namedtuple's _make, which _replace calls, would skip __new__'s check
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, pieces: Sequence[FracLike]) -> SectionClass:
         pieces = tuple(frac(p) for p in pieces)
+        halves = 0
         for p in pieces:
-            if p.denominator not in (1, 2):
+            if p.denominator == 2:
+                halves += p.numerator
+            elif p.denominator == 1:
+                halves += 2 * p.numerator
+            else:
                 raise ParityError(f"piece {p} is not in (1/2)Z")
         self = super().__new__(cls, pieces)
-        self.total = sum(pieces, Fraction(0))
+        self.total = Fraction(halves, 2)
         return self
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from orbiquint import classify, cli, covergraphs
 from orbiquint.covergraphs import BaseShape
+from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import (
     Parity,
     ParityError,
@@ -54,6 +55,17 @@ GOLDEN = Path(cli.__file__).parent / "golden"
 def test_c1_table1_byte_exact():
     assert cli.gen_table1_tsv() == (GOLDEN / "table1.tsv").read_text()
     assert len(cli.gen_table1_tsv().splitlines()) == 17  # header + 16 rows
+
+
+def test_c1_table1_rows_pass_the_branch_relation():
+    # table1 admits twists by the criterion in integers; each side of each
+    # row must also pass the public branch relation, with its m and disc
+    pairs = classify._branch_pairs()
+    for row in classify.table1():
+        b1, b2 = pairs[row.graph_type]
+        for v, m, disc, b in ((row.v1, row.m1, row.disc1, b1), (row.v2, row.m2, row.disc2, b2)):
+            rel = tetragonal_branch_relation(abs(v), b)
+            assert (rel.smooth_ok, rel.m, rel.disc) == (True, m, disc), (row.row, v, b)
 
 
 # -- criterion 2: boundary enumeration --------------------------------------

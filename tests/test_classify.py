@@ -167,9 +167,10 @@ def test_twist_pairs_match_sign_search():
 
 
 def test_table1_builds_one_relation_per_candidate_twist(monkeypatch):
-    # m and disc are read off the relations that admitted each twist: one
-    # relation per coprime candidate k/r and branch count (42), none
-    # rebuilt per row
+    # m and disc are read off the relations that admitted each twist: the
+    # smoothness criterion is tested in integers first, so one relation
+    # per smooth coprime candidate k/r and branch count (33 of the 42
+    # candidates), none rebuilt per row
     calls = []
     real = classify.tetragonal_branch_relation
 
@@ -179,7 +180,7 @@ def test_table1_builds_one_relation_per_candidate_twist(monkeypatch):
 
     monkeypatch.setattr(classify, "tetragonal_branch_relation", counted)
     table1()
-    assert len(calls) == 42
+    assert len(calls) == 33
 
 
 def test_hyperelliptic_tail_genus():

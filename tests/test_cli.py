@@ -409,6 +409,21 @@ def test_subcommands_skip_costly_imports():
     assert p.stdout == "[] ['json']\n"
 
 
+def test_table1_text_skips_json_resolve_and_parity():
+    # table1 reads only classify's one-node arithmetic: classify imports
+    # resolve and parity inside the functions that use them, and
+    # covergraphs loads the JSON writer only when it writes JSON
+    script = (
+        "import os, sys\n"
+        "from orbiquint import cli\n"
+        "cli.main(['table1', '--format', 'tsv', '--out', os.devnull])\n"
+        "print(sorted({'json', 'orbiquint.resolve', 'orbiquint.parity'} & set(sys.modules)))\n"
+    )
+    p = _python("-S", "-c", script)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "[]\n"
+
+
 # Every subcommand with each of its formats, the error paths, and --out to a
 # file and to a path that cannot be written. "{tmp}" stands for a temporary
 # directory, so the pinned digest does not depend on where it is.

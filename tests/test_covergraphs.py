@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbiquint import covergraphs
+from orbiquint import covergraphs, jsontext
 from orbiquint.covergraphs import (
     BaseShape,
     NodeEdge,
@@ -181,17 +181,17 @@ def test_to_json_matches_to_json_dict(cold_memos):
 
 
 def test_to_json_renders_each_template_and_fragment_once(monkeypatch, cold_memos):
-    # json.dumps runs once per family's record template and once per
+    # the JSON writer runs once per family's record template and once per
     # distinct component or edge; the params are spliced in as text
     graphs = [g for f in enumerate_boundary_types(4) for g in f.graphs]
     calls = 0
-    real = json.dumps
+    real = jsontext.dumps
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
-    monkeypatch.setattr(covergraphs.json, "dumps", counted)
+    monkeypatch.setattr(jsontext, "dumps", counted)
     texts = [g.to_json() for g in graphs]
     monkeypatch.undo()
     items = {item for g in graphs for item in (*g.components, *g.node_edges)}
@@ -206,13 +206,13 @@ def test_families_json_nests_each_graphs_to_json(monkeypatch, cold_memos):
     # each graph's to_json() three levels deep
     graphs = [g for f in enumerate_boundary_types(3) for g in f.graphs]
     calls = 0
-    real = json.dumps
+    real = jsontext.dumps
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
-    monkeypatch.setattr(covergraphs.json, "dumps", counted)
+    monkeypatch.setattr(jsontext, "dumps", counted)
     texts = [g.to_json() for g in graphs]
     assert calls == 8 + 212
     calls = 0

@@ -264,3 +264,38 @@ def test_recorded_markers_pinned():
                 assert k + 1 in starts, (module, k)
                 markers.append((module, k))
     assert len(markers) == 16
+
+
+def _module_level(tree: ast.AST):
+    """The nodes that run when a module is imported: all but the bodies
+    of functions."""
+    todo = [tree]
+    while todo:
+        n = todo.pop()
+        yield n
+        todo.extend(c for c in ast.iter_child_nodes(n)
+                    if not isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_package_writes_json_through_one_writer():
+    # json's encoder takes its pure-Python path whenever indent is set;
+    # indented JSON comes from jsontext.dumps, whose module is the only one
+    # that loads json on import, so a child that writes no JSON skips it
+    trees = _package_trees()
+    indented = [
+        (module, n.lineno)
+        for module, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) in ("dump", "dumps")
+        and any(k.arg == "indent" for k in n.keywords)
+    ]
+    assert indented == []
+    importers = {
+        module
+        for module, tree in trees.items()
+        for n in _module_level(tree)
+        if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "json" for a in n.names)
+        or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "json"
+    }
+    assert importers == {"jsontext.py"}

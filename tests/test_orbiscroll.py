@@ -8,6 +8,7 @@ from orbiquint.orbiscroll import (
     adjunction_degree,
     coarse_singularities,
     frac,
+    smooth_twist,
     tetragonal_branch_relation,
 )
 
@@ -68,14 +69,17 @@ def test_branch_relation_smoothness():
 
 
 def test_branch_relation_disc_grid():
-    # disc holds exactly at a = b/6, and smooth_ok exactly when a <= b/12
-    # or disc, over a = k/24 <= 9 and b = 0..48
+    # m = b/6 + 2a, disc holds exactly at a = b/6, and smooth_ok (and
+    # smooth_twist on the unreduced k/24) exactly when a <= b/12 or disc,
+    # over a = k/24 <= 9 and b = 0..48
     for b in range(49):
         for k in range(24 * 9 + 1):
             a = Fraction(k, 24)
             rel = tetragonal_branch_relation(a, b)
+            assert rel.m == Fraction(b, 6) + 2 * a, (a, b)
             assert rel.disc == (6 * a == b), (a, b)
             assert rel.smooth_ok == (12 * a <= b or rel.disc), (a, b)
+            assert smooth_twist(k, 24, b) == rel.smooth_ok, (a, b)
 
 
 def test_coarse_singularities():

@@ -14,7 +14,10 @@ from orbiquint.parity import (
     tail_section_contribution,
 )
 
-half_int = st.integers(min_value=-20, max_value=20).map(lambda k: Fraction(k, 2))
+# a half-integer k/2 as a SectionClass piece: a Fraction, a "k/2" string,
+# or an int when k is even
+half_int = st.integers(min_value=-20, max_value=20).flatmap(
+    lambda k: st.sampled_from([Fraction(k, 2), f"{k}/2", *([k // 2] if k % 2 == 0 else [])]))
 
 
 def test_state_bit_validation():
@@ -53,8 +56,11 @@ def test_section_class_validation():
 
 @given(st.lists(half_int, min_size=1, max_size=8))
 def test_section_parity_property(pieces):
+    # the total is summed in integer half units, and is still the exact
+    # Fraction sum of the pieces
     sc = SectionClass(pieces)
-    total = sum(pieces)
+    total = sum(map(Fraction, pieces))
+    assert sc.total == total and type(sc.total) is Fraction
     if total.denominator != 1:
         with pytest.raises(ParityError):
             section_parity(sc)
