@@ -318,8 +318,8 @@ ROWS_LOW_DIMENSION = frozenset({2, 5, 6, 13, 14})
 ROW_TO_THEOREM = {1: 13, 3: 9, 4: 9, 7: 6, 8: 1, 11: 6, 12: 10}
 
 
-def classify_type_1_5() -> list[DivisorRecord]:
-    rows = table1()
+def classify_type_1_5(rows: list[Table1Row]) -> list[DivisorRecord]:
+    """Divisors of the one-node types from the Table 1 rows."""
     if len(rows) != 16:
         raise ClassifyError(f"Table 1 has {len(rows)} rows, expected 16")
     # a genus-6 component leaves the other one rational, and
@@ -556,29 +556,39 @@ def enumerate_c2_models(j: int) -> list[LocalModelEntry]:
     return out
 
 
+# Each family's local-model lists, keyed by family ("c1", "c2") and node local.
+LocalModels = dict[str, dict[int, list[LocalModelEntry]]]
+
+
+def local_models() -> LocalModels:
+    """Every c1 and c2 local-model list, each built and validated once."""
+    return {"c1": {i: enumerate_c1_models(i) for i in model_locals("c1")},
+            "c2": {j: enumerate_c2_models(j) for j in model_locals("c2")}}
+
+
 ModelLookup = Callable[[str, Optional[int]], LocalModelEntry]
 
 
-def _model_lookup() -> ModelLookup:
+def _model_lookup(models: LocalModels) -> ModelLookup:
     """Look up the local models the combination tables name by (label, p).
 
-    Builds the c1 lists i = 3, 4 (labels written "1.i.k", as in the
-    tables; a trailing ' marks the flip) and the nine c2 lists once.  p
-    may be None only for a label that occurs once.
+    Reads the c1 lists i = 3, 4 (labels written "1.i.k", as in the
+    tables; a trailing ' marks the flip) and the nine c2 lists.  p may be
+    None only for a label that occurs once.
     """
     by_label: dict[str, list[LocalModelEntry]] = {}
     for i in (3, 4):
-        for e in enumerate_c1_models(i):
+        for e in models["c1"][i]:
             by_label.setdefault(f"1.{e.label}", []).append(e)
-    for j in model_locals("c2"):
-        for e in enumerate_c2_models(j):
+    for es in models["c2"].values():
+        for e in es:
             by_label.setdefault(e.label, []).append(e)
-    models = {(label, e.param): e for label, es in by_label.items() for e in es}
-    models.update({(label, None): es[0]
+    by_key = {(label, e.param): e for label, es in by_label.items() for e in es}
+    by_key.update({(label, None): es[0]
                    for label, es in by_label.items() if len(es) == 1})
 
     def lookup(label: str, p: Optional[int]) -> LocalModelEntry:
-        entry = models.get((label.rstrip("'"), p))
+        entry = by_key.get((label.rstrip("'"), p))
         if entry is None:
             raise ClassifyError(f"no local model {label} with p={p}")
         return entry
@@ -648,7 +658,7 @@ def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
                 for g in row.tail_genera:
                     b = rh_ramification(2, g)  # hyperelliptic tail
                     sc = SectionClass([s1, s2, tail_section_contribution(b)])
-                    if sc.total.denominator == 1:
+                    if sc.halves % 2 == 0:
                         out.append(section_parity(sc))
     return out
 
@@ -672,10 +682,12 @@ def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> P
     return Parity.ODD
 
 
-def classify_type_7() -> list[DivisorRecord]:
+def classify_type_7(models: LocalModels) -> list[DivisorRecord]:
+    """Divisors of type (7) from the combination tables, whose rows name
+    local models in these lists."""
     from .parity import Parity
 
-    lookup = _model_lookup()
+    lookup = _model_lookup(models)
     pairs = []
     for k, row in enumerate(TABLE2_ROWS, 1):
         if type7_row_parity(row, k, lookup) is not Parity.ODD:
@@ -710,10 +722,11 @@ def classify_type_8() -> list[DivisorRecord]:
 # The main theorem
 
 
-def theorem_divisors() -> list[DivisorRecord]:
+def theorem_divisors(rows: list[Table1Row], models: LocalModels) -> list[DivisorRecord]:
     """The 13 boundary divisors, each with the sources of every type that
-    gives it; the 13 descriptions must have arithmetic genus 6 and be
-    pairwise non-isomorphic."""
+    gives it, from the Table 1 rows and the local-model lists; the 13
+    descriptions must have arithmetic genus 6 and be pairwise
+    non-isomorphic."""
     seen: dict[StableCurveDesc, int] = {}
     for index, desc in THEOREM_DESCRIPTIONS.items():
         if stable_pa(desc) != 6:
@@ -722,8 +735,8 @@ def theorem_divisors() -> list[DivisorRecord]:
         if other != index:
             raise ClassifyError(
                 f"description collision between items {other} and {index}")
-    records = classify_type_1_5() + classify_type_6()
-    records += classify_type_7() + classify_type_8()
+    records = classify_type_1_5(rows) + classify_type_6()
+    records += classify_type_7(models) + classify_type_8()
     out = _records((r.theorem_index, s) for r in records for s in r.sources)
     if [r.theorem_index for r in out] != list(range(1, 14)):
         raise ClassifyError("theorem assembly does not give items 1-13")

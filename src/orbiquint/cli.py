@@ -78,10 +78,8 @@ def _cells(record: dict, yes: str, no: str) -> list[str]:
 # Golden artifact generators (all deterministic, byte-for-byte)
 
 
-def _table1_records() -> list[dict]:
+def _table1_records(rows: list[classify.Table1Row]) -> list[dict]:
     """Table 1 as JSON records; the keys are the column headers."""
-    from . import classify
-
     return [
         {
             "row": r.row, "type": r.graph_type, "r": r.r,
@@ -89,17 +87,18 @@ def _table1_records() -> list[dict]:
             "m1": str(r.m1), "m2": str(r.m2),
             "g1": r.g1, "g2": r.g2, "disc1": r.disc1, "disc2": r.disc2,
         }
-        for r in classify.table1()
+        for r in rows
     ]
 
 
-def _table1_text(table: Callable[[list[str], list[list[str]]], str]) -> str:
-    records = _table1_records()
+def _table1_text(table: Callable[[list[str], list[list[str]]], str],
+                 rows: list[classify.Table1Row]) -> str:
+    records = _table1_records(rows)
     return table(list(records[0]), [_cells(r, "*", "-") for r in records])
 
 
-def gen_table1_tsv() -> str:
-    return _table1_text(_tsv_table)
+def gen_table1_tsv(rows: list[classify.Table1Row]) -> str:
+    return _table1_text(_tsv_table, rows)
 
 
 def _type7_rows_tsv(rows, genera_headers) -> str:
@@ -140,7 +139,7 @@ def _desc_dict(desc: classify.StableCurveDesc) -> dict:
     }
 
 
-def gen_theorem_json() -> str:
+def gen_theorem_json(rows: list[classify.Table1Row], models: classify.LocalModels) -> str:
     from . import classify
 
     records = [
@@ -150,7 +149,7 @@ def gen_theorem_json() -> str:
             "pa": classify.stable_pa(rec.desc),
             "sources": list(rec.sources),
         }
-        for rec in classify.theorem_divisors()
+        for rec in classify.theorem_divisors(rows, models)
     ]
     return _json_dump(records)
 
@@ -175,22 +174,16 @@ def _model_dict(e: classify.LocalModelEntry) -> dict:
     }
 
 
-def gen_c1_models_json() -> str:
-    from . import classify
-
-    return _json_dump(
-        {str(i): [_model_dict(e) for e in classify.enumerate_c1_models(i)]
-         for i in classify.model_locals("c1")}
-    )
+def _models_json(lists: dict[int, list[classify.LocalModelEntry]]) -> str:
+    return _json_dump({str(k): [_model_dict(e) for e in es] for k, es in lists.items()})
 
 
-def gen_c2_models_json() -> str:
-    from . import classify
+def gen_c1_models_json(models: classify.LocalModels) -> str:
+    return _models_json(models["c1"])
 
-    return _json_dump(
-        {str(j): [_model_dict(e) for e in classify.enumerate_c2_models(j)]
-         for j in classify.model_locals("c2")}
-    )
+
+def gen_c2_models_json(models: classify.LocalModels) -> str:
+    return _models_json(models["c2"])
 
 
 def gen_diagram_txt(item: int) -> str:
@@ -200,15 +193,21 @@ def gen_diagram_txt(item: int) -> str:
 
 
 def golden_artifacts() -> dict[str, Callable[[], str]]:
+    """Each golden artifact's generator.  Table 1 and the local-model
+    lists are derived here, once per call, and every generator that
+    reads them shares that copy; nothing is kept between calls."""
+    from . import classify
     from .resolve import DIAGRAM_ITEMS
 
+    rows = classify.table1()
+    models = classify.local_models()
     arts: dict[str, Callable[[], str]] = {
-        "table1.tsv": gen_table1_tsv,
+        "table1.tsv": lambda: gen_table1_tsv(rows),
         "table2.tsv": gen_table2_tsv,
         "table3.tsv": gen_table3_tsv,
-        "theorem.json": gen_theorem_json,
-        "c1_models.json": gen_c1_models_json,
-        "c2_models.json": gen_c2_models_json,
+        "theorem.json": lambda: gen_theorem_json(rows, models),
+        "c1_models.json": lambda: gen_c1_models_json(models),
+        "c2_models.json": lambda: gen_c2_models_json(models),
     }
     for k in DIAGRAM_ITEMS:
         arts[f"diagrams/item{k:02d}.txt"] = (
@@ -269,11 +268,14 @@ def _split_list(text: str, sep: str) -> list[str]:
 
 
 def cmd_table1(args) -> tuple[str, int]:
+    from . import classify
+
+    rows = classify.table1()
     if args.format == "tsv":
-        return gen_table1_tsv(), 0
+        return gen_table1_tsv(rows), 0
     if args.format == "json":
-        return _json_dump(_table1_records()), 0
-    return _table1_text(_md_table), 0
+        return _json_dump(_table1_records(rows)), 0
+    return _table1_text(_md_table, rows), 0
 
 
 def cmd_boundary_graphs(args) -> tuple[str, int]:
@@ -416,13 +418,13 @@ def cmd_parity(args) -> tuple[str, int]:
             f"(degeneration of {p.ambient})\n"), 0
 
 
-# --type value to the name of the classify function it runs
+# --type value to the classify function it runs, given the module
 _CLASSIFY_DISPATCH = {
-    "1-5": "classify_type_1_5",
-    "6": "classify_type_6",
-    "7": "classify_type_7",
-    "8": "classify_type_8",
-    "all": "theorem_divisors",
+    "1-5": lambda c: c.classify_type_1_5(c.table1()),
+    "6": lambda c: c.classify_type_6(),
+    "7": lambda c: c.classify_type_7(c.local_models()),
+    "8": lambda c: c.classify_type_8(),
+    "all": lambda c: c.theorem_divisors(c.table1(), c.local_models()),
 }
 
 
@@ -441,7 +443,7 @@ def _desc_str(desc: classify.StableCurveDesc) -> str:
 def cmd_classify(args) -> tuple[str, int]:
     from . import classify
 
-    records = getattr(classify, _CLASSIFY_DISPATCH[args.type])()
+    records = _CLASSIFY_DISPATCH[args.type](classify)
     if args.format == "json":
         return _json_dump([
             {

@@ -35,7 +35,6 @@ def frac(x: FracLike) -> Fraction:
 class BranchRelation(NamedTuple):
     m: Fraction
     disc: bool  # a = b/6: the curve is the directrix plus a disjoint residual
-    smooth_ok: bool
 
 
 class _CQSDataFields(NamedTuple):
@@ -77,7 +76,8 @@ def adjunction_degree(n: int, m: FracLike, a: FracLike) -> Fraction:
 def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
     """m = b/6 + 2a for a tetragonal class 4 sigma + m F with b branch points.
 
-    The smoothness criterion is: either a <= b/12 or a = b/6 (disc).
+    The smoothness criterion, a <= b/12 or a = b/6 (disc), is
+    smooth_twist's; this relation does not test it.
     """
     a = frac(a)
     if a < 0:
@@ -86,7 +86,7 @@ def tetragonal_branch_relation(a: FracLike, b: int) -> BranchRelation:
         raise ValueError("b must be >= 0")
     k, r = a.numerator, a.denominator
     # decided in integers: a = b/6 is 6k = rb, and m = (rb + 12k) / 6r
-    return BranchRelation(Fraction(r * b + 12 * k, 6 * r), 6 * k == r * b, smooth_twist(k, r, b))
+    return BranchRelation(Fraction(r * b + 12 * k, 6 * r), 6 * k == r * b)
 
 
 def smooth_twist(k: int, r: int, b: int) -> bool:

@@ -67,8 +67,9 @@ class _SectionClassFields(NamedTuple):
 class SectionClass(_SectionClassFields):
     """Self-intersection pieces of a section through a scroll degeneration;
     each piece lies in (1/2)Z and the total must be an integer.  The total
-    is summed once here, in integer half units, and kept outside the
-    tuple, so equality, hashing and the repr use only the pieces."""
+    is summed once here, in integer half units (`halves`), and kept
+    outside the tuple, so equality, hashing and the repr use only the
+    pieces; `total` is that sum as a Fraction."""
 
     # namedtuple's _make, which _replace calls, would skip __new__'s check
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -84,19 +85,23 @@ class SectionClass(_SectionClassFields):
             else:
                 raise ParityError(f"piece {p} is not in (1/2)Z")
         self = super().__new__(cls, pieces)
-        self.total = Fraction(halves, 2)
+        self.halves = halves
         return self
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(self.halves, 2)
 
 
 def section_parity(sc: SectionClass) -> Parity:
-    """Parity of the section self-intersection; Even means the ambient
-    surface is a degeneration of F0, Odd of F1."""
-    total = sc.total
-    if total.denominator != 1:
+    """Parity of the section self-intersection, read off its sum in half
+    units; Even means the ambient surface is a degeneration of F0, Odd
+    of F1."""
+    if sc.halves % 2:
         raise ParityError(
-            f"section self-intersection {total} is not an integer"
+            f"section self-intersection {sc.total} is not an integer"
         )
-    return Parity.EVEN if total % 2 == 0 else Parity.ODD
+    return Parity.EVEN if sc.halves % 4 == 0 else Parity.ODD
 
 
 def tail_section_contribution(b1: int) -> Fraction:

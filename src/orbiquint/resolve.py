@@ -315,6 +315,9 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
         return (group, int(m.group(2) or 0), vid)
 
     order = {v.id: i for i, v in enumerate(config.vertices)}
+    # a blow-down only raises self-intersections, so only a curve that
+    # starts negative can become eligible
+    rank = {v.id: chain_rank(v.id) for v in config.vertices if v.self_int < 0}
     self_int = {v.id: v.self_int for v in config.vertices}
     role = {v.id: v.role for v in config.vertices}
     main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
@@ -344,7 +347,7 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
                 main_contact[curve[i]] += c
             elif curve[i] == main and curve[j] in main_contact:
                 main_contact[curve[j]] += c
-        vid = min(eligible, key=lambda u: (main_contact[u], chain_rank(u)))
+        vid = min(eligible, key=lambda u: (main_contact[u], rank[u]))
 
         # Merge the points on v (see the module docstring); d[i] is the
         # contact of surviving branch i with v.

@@ -15,7 +15,7 @@ import pytest
 
 from orbiquint import classify, cli, covergraphs
 from orbiquint.covergraphs import BaseShape
-from orbiquint.orbiscroll import tetragonal_branch_relation
+from orbiquint.orbiscroll import smooth_twist, tetragonal_branch_relation
 from orbiquint.parity import (
     Parity,
     ParityError,
@@ -53,8 +53,9 @@ GOLDEN = Path(cli.__file__).parent / "golden"
 
 
 def test_c1_table1_byte_exact():
-    assert cli.gen_table1_tsv() == (GOLDEN / "table1.tsv").read_text()
-    assert len(cli.gen_table1_tsv().splitlines()) == 17  # header + 16 rows
+    text = cli.gen_table1_tsv(classify.table1())
+    assert text == (GOLDEN / "table1.tsv").read_text()
+    assert len(text.splitlines()) == 17  # header + 16 rows
 
 
 def test_c1_table1_rows_pass_the_branch_relation():
@@ -65,7 +66,8 @@ def test_c1_table1_rows_pass_the_branch_relation():
         b1, b2 = pairs[row.graph_type]
         for v, m, disc, b in ((row.v1, row.m1, row.disc1, b1), (row.v2, row.m2, row.disc2, b2)):
             rel = tetragonal_branch_relation(abs(v), b)
-            assert (rel.smooth_ok, rel.m, rel.disc) == (True, m, disc), (row.row, v, b)
+            assert smooth_twist(abs(v).numerator, abs(v).denominator, b), (row.row, v, b)
+            assert (rel.m, rel.disc) == (m, disc), (row.row, v, b)
 
 
 # -- criterion 2: boundary enumeration --------------------------------------
@@ -205,11 +207,12 @@ def test_c8_hj_round_trip():
 
 
 def test_c9_classification_totals():
-    assert len(classify.classify_type_1_5()) == 5
+    rows, models = classify.table1(), classify.local_models()
+    assert len(classify.classify_type_1_5(rows)) == 5
     assert len(classify.classify_type_6()) == 10
-    assert len(classify.classify_type_7()) == 8
+    assert len(classify.classify_type_7(models)) == 8
     assert len(classify.classify_type_8()) == 2
-    recs = classify.theorem_divisors()
+    recs = classify.theorem_divisors(rows, models)
     assert [r.theorem_index for r in recs] == list(range(1, 14))
     assert len({r.desc.canonical() for r in recs}) == 13
     for r in recs:

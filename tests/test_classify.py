@@ -23,6 +23,7 @@ from orbiquint.classify import (
     enumerate_c1_models,
     enumerate_c2_models,
     hyperelliptic_tail_genus,
+    local_models,
     node_orbit_count,
     stable_pa,
     table1,
@@ -201,14 +202,14 @@ def test_type6_main_genus():
 
 
 def test_record_counts():
-    assert len(classify_type_1_5()) == 5
+    assert len(classify_type_1_5(table1())) == 5
     assert len(classify_type_6()) == 10
-    assert len(classify_type_7()) == 8
+    assert len(classify_type_7(local_models())) == 8
     assert len(classify_type_8()) == 2
 
 
 def test_theorem_divisors():
-    recs = theorem_divisors()
+    recs = theorem_divisors(table1(), local_models())
     assert [r.theorem_index for r in recs] == list(range(1, 14))
     for r in recs:
         assert stable_pa(r.desc) == 6
@@ -223,14 +224,14 @@ def test_theorem_divisors_refuses_isomorphic_descriptions(monkeypatch):
     monkeypatch.setitem(THEOREM_DESCRIPTIONS, 6,
                         StableCurveDesc(five.vertices[::-1], ((1, 0),)))
     with pytest.raises(ClassifyError, match="description collision"):
-        theorem_divisors()
+        theorem_divisors(table1(), local_models())
 
 
 def test_theorem_divisors_refuses_wrong_genus(monkeypatch):
     monkeypatch.setitem(THEOREM_DESCRIPTIONS, 13,
                         StableCurveDesc((VertexDesc(3), VertexDesc(1)), ((0, 1),) * 2))
     with pytest.raises(ClassifyError, match="description 13 has wrong genus"):
-        theorem_divisors()
+        theorem_divisors(table1(), local_models())
 
 
 def test_records_group_sources_in_order():
@@ -329,8 +330,8 @@ def test_c2_even_p4_entries():
 
 def test_c2_entry_finds_every_entry():
     # the c2 (and c1) entries the combination tables name, looked up by
-    # (label, p) in the lists classify_type_7 builds once
-    lookup = classify._model_lookup()
+    # (label, p) in the lists classify_type_7 reads
+    lookup = classify._model_lookup(local_models())
     for j in range(1, 10):
         for e in enumerate_c2_models(j):
             assert lookup(e.label, e.param) == e
@@ -348,7 +349,7 @@ def test_c2_entry_finds_every_entry():
 
 def test_model_lookup_p_omitted_only_for_p4_labels():
     # a c2 label found without p occurs once: exactly the p = 4-only labels
-    lookup = classify._model_lookup()
+    lookup = classify._model_lookup(local_models())
     labels = {e.label for j in range(1, 10) for e in enumerate_c2_models(j)}
     found = set()
     for label in labels:
@@ -360,25 +361,25 @@ def test_model_lookup_p_omitted_only_for_p4_labels():
     assert found == {"2.8", "2.9", "2.10", "2.14"}
 
 
-def test_verify_golden_c2_builds(monkeypatch):
-    # c1_models.json and c2_models.json build the four c1 and the nine c2
-    # lists; classify_type_7 builds the c1 lists i = 3, 4 and the nine c2
-    # lists once more for its lookup
+def test_verify_golden_derives_each_table_once_per_call(monkeypatch):
+    # one verify_golden call builds Table 1 once and each of the four c1
+    # and nine c2 local-model lists at most once; table1.tsv, theorem.json
+    # and the model artifacts read those copies
     from orbiquint.cli import _golden_dir, verify_golden
 
-    calls = {"c1": [], "c2": []}
-    for family in calls:
-        name = f"enumerate_{family}_models"
+    calls = {"table1": [], "c1": [], "c2": []}
+    for key, name in (("table1", "table1"), ("c1", "enumerate_c1_models"),
+                      ("c2", "enumerate_c2_models")):
         build = getattr(classify, name)
-        monkeypatch.setattr(classify, name, lambda k, build=build, log=calls[family]:
-                            log.append(k) or build(k))
+        monkeypatch.setattr(classify, name, lambda *a, build=build, log=calls[key]:
+                            log.append(a) or build(*a))
     assert verify_golden(_golden_dir())[0]
-    first = {family: len(log) for family, log in calls.items()}
-    assert first["c1"] <= 6 and first["c2"] <= 18
+    first = {key: len(log) for key, log in calls.items()}
+    assert first["table1"] == 1 and first["c1"] <= 4 and first["c2"] <= 9
     # nothing is kept between calls: the second call does the same work
     assert verify_golden(_golden_dir())[0]
-    assert {family: len(log) for family, log in calls.items()} == {
-        family: 2 * n for family, n in first.items()}
+    assert {key: len(log) for key, log in calls.items()} == {
+        key: 2 * n for key, n in first.items()}
 
 
 def test_validate_recomputes_genus():
@@ -392,7 +393,7 @@ def test_validate_recomputes_genus():
 def test_table_split_is_side_switching():
     # Table 3 names only models whose components all switch sides under
     # the monodromy; Table 2 names none with a side-switching component
-    lookup = classify._model_lookup()
+    lookup = classify._model_lookup(local_models())
 
     def models(row):
         return [lookup(label, None) for label in row.c1] + [lookup(row.c2, row.c2_p)]
@@ -419,7 +420,7 @@ def test_r_options_are_s4_orders_with_integral_genera():
 
 
 def test_table_parities():
-    lookup = classify._model_lookup()
+    lookup = classify._model_lookup(local_models())
     for k, row in enumerate(TABLE2_ROWS, 1):
         assert type7_row_parity(row, k, lookup) is Parity.ODD
         parities = type7_section_parities(row, lookup)
@@ -436,7 +437,7 @@ def test_row_parity_follows_its_models():
     # its tail-genus count: a Table 2 row re-pointed at Table 3's
     # side-switching c2 model is moot, and so is a Table 3 row given two
     # tail genera
-    lookup = classify._model_lookup()
+    lookup = classify._model_lookup(local_models())
     row = TABLE2_ROWS[2]
     assert (row.c2, row.c2_p, len(row.tail_genera)) == ("2.3", 0, 2)
     assert type7_row_parity(row, 3, lookup) is Parity.ODD
@@ -449,7 +450,7 @@ def test_row_parity_follows_its_models():
 
 def test_interior_rows():
     # the rows classify_type_1_5 drops as interior are the genus-6 rows
-    kept = {int(src.rsplit(" ", 1)[1]) for r in classify_type_1_5() for src in r.sources}
+    kept = {int(src.rsplit(" ", 1)[1]) for r in classify_type_1_5(table1()) for src in r.sources}
     assert set(range(1, 17)) - kept - ROWS_LOW_DIMENSION == {9, 10, 15, 16}
     assert {r.row for r in table1() if 6 in (r.g1, r.g2)} == {9, 10, 15, 16}
 

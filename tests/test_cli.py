@@ -367,6 +367,15 @@ def test_python_m_entry_points():
     assert (p.returncode, p.stdout, p.stderr) == (0, "[2,2]\n", "")
 
 
+def test_verify_golden_under_optimize():
+    # the checks that guard each derived value are raises, not asserts, so
+    # they still run with -O; every artifact matches there too
+    p = _python("-O", "-m", "orbiquint.cli", "verify-golden")
+    assert (p.returncode, p.stderr) == (0, "")
+    lines = p.stdout.splitlines()
+    assert len(lines) == 19 and all(line.endswith(": ok") for line in lines)
+
+
 def test_submodule_import_is_lazy():
     p = _python("-c", "import sys, orbiquint.resolve; print(*sys.modules)")
     assert p.returncode == 0, p.stderr

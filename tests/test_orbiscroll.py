@@ -63,23 +63,24 @@ def test_branch_relation_smoothness():
     b = 18
     rel = tetragonal_branch_relation(Fraction(b, 12), b)
     assert rel.m == Fraction(b, 6) + 2 * Fraction(b, 12)
-    assert rel.smooth_ok
-    assert not tetragonal_branch_relation(Fraction(b, 12) + Fraction(1, 120), b).smooth_ok
-    assert tetragonal_branch_relation(Fraction(b, 6), b).smooth_ok
+    assert smooth_twist(b, 12, b)
+    assert not smooth_twist(10 * b + 1, 120, b)  # a = b/12 + 1/120
+    assert smooth_twist(b, 6, b)
 
 
 def test_branch_relation_disc_grid():
-    # m = b/6 + 2a, disc holds exactly at a = b/6, and smooth_ok (and
-    # smooth_twist on the unreduced k/24) exactly when a <= b/12 or disc,
-    # over a = k/24 <= 9 and b = 0..48
+    # m = b/6 + 2a, disc holds exactly at a = b/6, and smooth_twist, on
+    # the reduced a and on the unreduced k/24, exactly when a <= b/12 or
+    # disc, over a = k/24 <= 9 and b = 0..48
     for b in range(49):
         for k in range(24 * 9 + 1):
             a = Fraction(k, 24)
             rel = tetragonal_branch_relation(a, b)
             assert rel.m == Fraction(b, 6) + 2 * a, (a, b)
             assert rel.disc == (6 * a == b), (a, b)
-            assert rel.smooth_ok == (12 * a <= b or rel.disc), (a, b)
-            assert smooth_twist(k, 24, b) == rel.smooth_ok, (a, b)
+            smooth = 12 * a <= b or rel.disc
+            assert smooth_twist(a.numerator, a.denominator, b) == smooth, (a, b)
+            assert smooth_twist(k, 24, b) == smooth, (a, b)
 
 
 def test_coarse_singularities():

@@ -54,15 +54,17 @@ def test_section_class_validation():
         SectionClass([Fraction(1, 3)])
 
 
-@given(st.lists(half_int, min_size=1, max_size=8))
+@given(st.lists(half_int, max_size=8))
 def test_section_parity_property(pieces):
-    # the total is summed in integer half units, and is still the exact
+    # the total is summed in integer half units, section_parity decides
+    # integrality and parity from that sum, and total is still the exact
     # Fraction sum of the pieces
     sc = SectionClass(pieces)
-    total = sum(map(Fraction, pieces))
+    total = sum(map(Fraction, pieces), Fraction(0))
+    assert sc.halves == 2 * total and type(sc.halves) is int
     assert sc.total == total and type(sc.total) is Fraction
     if total.denominator != 1:
-        with pytest.raises(ParityError):
+        with pytest.raises(ParityError, match=f"self-intersection {total} is not"):
             section_parity(sc)
     else:
         expected = Parity.EVEN if total % 2 == 0 else Parity.ODD
