@@ -4,6 +4,13 @@ Builds the 16-row table of one-node splittings (types 1-5), the
 parameterized analyses of the one-tail types (6)-(8) with their local
 model lists and combination tables, and the final list of 13 boundary
 divisors, each validated by exact genus arithmetic.
+
+Stable curves are compared in one way, by `match`, which returns the
+theorem divisors whose description a curve fits; each description must
+fit only itself.  The irreducible type (6) cases are mapped by it: the
+hyperelliptic tail over an A_{i-1} point meets the main at a Weierstrass
+point when i is odd (one branch) and at a conjugate pair when i is even
+(two branches), and a tail of genus >= 3 is tagged hyperelliptic.
 """
 
 from __future__ import annotations
@@ -185,6 +192,11 @@ class _StableCurveDescFields(NamedTuple):
 
 
 class StableCurveDesc(_StableCurveDescFields):
+    """A stable curve as its dual graph: one vertex per component, with
+    its genus and what is known of its tags and marked points, and one
+    edge per node as a pair of vertex indices; (i, i) is a loop, a node
+    of component i with itself."""
+
     __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__'s check
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -198,28 +210,6 @@ class StableCurveDesc(_StableCurveDescFields):
         if phantom:
             raise ClassifyError(f"edges {phantom} name no vertex of {len(vertices)}")
         return super().__new__(cls, vertices, edges)
-
-    def canonical(self) -> "StableCurveDesc":
-        """Vertices sorted by label; among the orders that permute equally
-        labelled vertices only, the one with the least edge tuple wins, so
-        isomorphic descriptions get equal forms."""
-        label = [(v.genus, sorted(t.value for t in v.tags),
-                  sorted(m.value for m in v.marks)) for v in self.vertices]
-        order = sorted(range(len(label)), key=label.__getitem__)
-        ties = [list(g) for _, g in itertools.groupby(order, key=label.__getitem__)]
-
-        def edges_for(order: list[int]) -> tuple[tuple[int, int], ...]:
-            relabel = {old: new for new, old in enumerate(order)}
-            return tuple(sorted(
-                tuple(sorted((relabel[a], relabel[b]))) for a, b in self.edges
-            ))
-
-        edges = min(
-            edges_for([i for group in perm for i in group])
-            for perm in itertools.product(*map(itertools.permutations, ties))
-        )
-        verts = tuple(self.vertices[i] for group in ties for i in group)
-        return StableCurveDesc(verts, edges)
 
 
 def arithmetic_genus(genera: Sequence[int], delta: int) -> int:
@@ -288,6 +278,34 @@ THEOREM_DESCRIPTIONS: dict[int, StableCurveDesc] = {
 }
 
 
+def match(curve: StableCurveDesc, main_lacks: frozenset[Tag] = frozenset()) -> list[int]:
+    """Theorem indices, ascending, of the descriptions the curve fits.
+
+    A fit is a bijection of vertices that keeps each genus, maps the
+    curve's edge multiset onto the description's (loops included) and
+    maps each vertex's tags and marks to a superset of them; the image of
+    the curve's first vertex carries no tag in main_lacks.  Only the
+    descriptions with the curve's edge count and sorted genera are searched.
+    """
+    cv, ce = curve.vertices, curve.edges
+    genera = sorted(v.genus for v in cv)
+    hits = []
+    for index, desc in THEOREM_DESCRIPTIONS.items():
+        verts = desc.vertices
+        if len(desc.edges) != len(ce) or sorted(w.genus for w in verts) != genera:
+            continue
+        for image in itertools.permutations(range(len(verts))):
+            ws = [verts[k] for k in image]  # the image of each curve vertex
+            if (all([v.genus == w.genus and v.tags <= w.tags and v.marks <= w.marks
+                     for v, w in zip(cv, ws)])
+                    and not (ws and ws[0].tags & main_lacks)
+                    and sorted([sorted((image[a], image[b])) for a, b in ce])
+                    == sorted([sorted(e) for e in desc.edges])):
+                hits.append(index)
+                break
+    return sorted(hits)
+
+
 class DivisorRecord(NamedTuple):
     theorem_index: int
     desc: StableCurveDesc
@@ -338,17 +356,20 @@ def classify_type_1_5(rows: list[Table1Row]) -> list[DivisorRecord]:
 def hyperelliptic_tail_genus(i: int) -> int:
     """Genus of the hyperelliptic tail over a node of local degree i: the
     stable tail of an A_k point, k = i - 1, has genus floor(k/2)
-    (Hassett, Local stable reduction of plane curve singularities, 2000)."""
+    (Hassett, Local stable reduction of plane curve singularities, 2000).
+
+    The A_k point has one branch when i is odd and two when i is even, so
+    the tail meets the rest of the curve at one Weierstrass point or at
+    two hyperelliptic conjugate points; a genus-2 tail carries that mark
+    untagged, and a tail of genus >= 3 is also tagged hyperelliptic."""
     if i < 1:
         raise ClassifyError("i must be >= 1")
     return (i - 1) // 2
 
 
-# Type (6) cases, parameter i to theorem divisor.
-# recorded: type (6) analysis, irreducible, one node — the divisor needs geometry not modelled
-_TYPE6_ODD = {3: 3, 5: 4, 7: 5, 9: 7}
-# recorded: type (6) analysis, irreducible, two nodes — the divisor needs geometry not modelled
-_TYPE6_EVEN = {2: 1, 4: 9, 6: 11, 8: 12}
+# Local degrees i of the irreducible type (6) cases, odd (one node) first.
+# recorded: type (6) analysis, irreducible — the paper bounds i; nothing here derives the bound
+_TYPE6_IRREDUCIBLE = (3, 5, 7, 9, 2, 4, 6, 8)
 # recorded: type (6) analysis, directrix split off — the divisor needs geometry not modelled
 _TYPE6_REDUCIBLE = {2: 3, 4: 6, 6: 8}
 
@@ -361,21 +382,39 @@ def type6_main_genus(i: int) -> int:
     return geometric_genus(pa_hirzebruch(1, 4, 5), [i - 1])
 
 
+def _type6_curve(i: int) -> StableCurveDesc:
+    """Stable curve of the irreducible type (6) case i: the main (vertex 0)
+    joined to the hyperelliptic tail, decorated as hyperelliptic_tail_genus
+    says, by one node for odd i and two for even i.  A rational tail is
+    contracted: its two nodes become one loop on the main, its one node
+    none."""
+    nodes = 1 if i % 2 else 2
+    main, g = VertexDesc(type6_main_genus(i)), hyperelliptic_tail_genus(i)
+    if g == 0:
+        return StableCurveDesc((main,), ((0, 0),) * (nodes - 1))
+    mark = Mark.WEIERSTRASS if nodes == 1 else Mark.HYP_CONJUGATE_PAIR
+    tail = _v(g, [Tag.HYPERELLIPTIC] if g >= 3 else [], [mark] if g >= 2 else [])
+    return StableCurveDesc((main, tail), ((0, 1),) * nodes)
+
+
 def classify_type_6() -> list[DivisorRecord]:
+    """Divisors of type (6).  Each irreducible case gives the one divisor
+    its stable curve matches with the main's image not hyperelliptic.
+
+    The main is the normalization of a curve of class 4s + 5F = 5H - s on
+    F_1, a plane quintic through the blown-up point.  Projecting from its
+    singular point, a double point, gives a base-point-free g^1_3 on the
+    normalization; when its genus is >= 3, a hyperelliptic curve has none
+    (a pencil of degree 3 <= g on it is the g^1_2 plus a base point).  At
+    genus 2 every curve is hyperelliptic, and no description tags a
+    genus-2 vertex, so the rule excludes nothing there.
+    """
     pairs = []
-    for i, t in sorted(_TYPE6_ODD.items()):
-        genera = (type6_main_genus(i), hyperelliptic_tail_genus(i))
-        if arithmetic_genus(genera, 1) != 6:
-            raise ClassifyError(f"type (6) odd i={i}: genus mismatch")
-        pairs.append((t, f"type(6) i={i}"))
-    for i, t in sorted(_TYPE6_EVEN.items()):
-        # two nodes join main and tail; i=2 has no tail and one node
-        genera = [type6_main_genus(i)]
-        if i > 2:
-            genera.append(hyperelliptic_tail_genus(i))
-        if arithmetic_genus(genera, len(genera)) != 6:
-            raise ClassifyError(f"type (6) even i={i}: genus mismatch")
-        pairs.append((t, f"type(6) i={i} irreducible"))
+    for i in _TYPE6_IRREDUCIBLE:
+        source = f"type(6) i={i}" if i % 2 else f"type(6) i={i} irreducible"
+        if len(hits := match(_type6_curve(i), frozenset({Tag.HYPERELLIPTIC}))) != 1:
+            raise ClassifyError(f"{source} fits divisors {hits}, expected exactly one")
+        pairs.append((hits[0], source))
     pairs += [(t, f"type(6) i={i} reducible")
               for i, t in sorted(_TYPE6_REDUCIBLE.items())]
     records = _records(pairs)
@@ -724,17 +763,14 @@ def classify_type_8() -> list[DivisorRecord]:
 
 def theorem_divisors(rows: list[Table1Row], models: LocalModels) -> list[DivisorRecord]:
     """The 13 boundary divisors, each with the sources of every type that
-    gives it, from the Table 1 rows and the local-model lists; the 13
-    descriptions must have arithmetic genus 6 and be pairwise
-    non-isomorphic."""
-    seen: dict[StableCurveDesc, int] = {}
+    gives it, from the Table 1 rows and the local-model lists; each of the
+    13 descriptions must have arithmetic genus 6 and match only itself, so
+    none is isomorphic to or refines another."""
     for index, desc in THEOREM_DESCRIPTIONS.items():
         if stable_pa(desc) != 6:
             raise ClassifyError(f"description {index} has wrong genus")
-        other = seen.setdefault(desc.canonical(), index)
-        if other != index:
-            raise ClassifyError(
-                f"description collision between items {other} and {index}")
+        if (hits := match(desc)) != [index]:
+            raise ClassifyError(f"description collision: item {index} fits items {hits}")
     records = classify_type_1_5(rows) + classify_type_6()
     records += classify_type_7(models) + classify_type_8()
     out = _records((r.theorem_index, s) for r in records for s in r.sources)

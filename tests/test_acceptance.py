@@ -214,7 +214,7 @@ def test_c9_classification_totals():
     assert len(classify.classify_type_8()) == 2
     recs = classify.theorem_divisors(rows, models)
     assert [r.theorem_index for r in recs] == list(range(1, 14))
-    assert len({r.desc.canonical() for r in recs}) == 13
+    assert all(classify.match(r.desc) == [r.theorem_index] for r in recs)
     for r in recs:
         assert classify.stable_pa(r.desc) == 6
         assert r.sources

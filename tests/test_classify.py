@@ -3,16 +3,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orbiquint import classify
 from orbiquint.classify import (
     ClassifyError,
+    Mark,
     PARITY_UNCONFIRMED_ROWS,
     ROWS_LOW_DIMENSION,
     StableCurveDesc,
     TABLE2_ROWS,
     TABLE3_ROWS,
     THEOREM_DESCRIPTIONS,
+    Tag,
     VertexDesc,
     classify_type_1_5,
     classify_type_6,
@@ -24,6 +27,7 @@ from orbiquint.classify import (
     enumerate_c2_models,
     hyperelliptic_tail_genus,
     local_models,
+    match,
     node_orbit_count,
     stable_pa,
     table1,
@@ -201,6 +205,57 @@ def test_type6_main_genus():
     assert type6_main_genus(9) == 2
 
 
+# the type (6) divisor map as the paper records it, kept as the oracle
+# for the matcher that now derives it
+_TYPE6_ODD = {3: 3, 5: 4, 7: 5, 9: 7}
+_TYPE6_EVEN = {2: 1, 4: 9, 6: 11, 8: 12}
+
+
+def test_type6_map_matches_the_recorded_tables():
+    pairs = [(t, f"type(6) i={i}") for i, t in _TYPE6_ODD.items()]
+    pairs += [(t, f"type(6) i={i} irreducible") for i, t in _TYPE6_EVEN.items()]
+    pairs += [(3, "type(6) i=2 reducible"), (6, "type(6) i=4 reducible"),
+              (8, "type(6) i=6 reducible")]
+    assert classify_type_6() == classify._records(pairs)
+
+
+def test_type6_refuses_two_candidates(monkeypatch):
+    # description 6's hyperelliptic genus-3 vertex given a Weierstrass
+    # point now also fits the i = 7 curve, whose tail carries one
+    six = THEOREM_DESCRIPTIONS[6]
+    hyp = six.vertices[1]._replace(marks=frozenset({Mark.WEIERSTRASS}))
+    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 6,
+                        StableCurveDesc((six.vertices[0], hyp), six.edges))
+    assert match(classify._type6_curve(7), frozenset({Tag.HYPERELLIPTIC})) == [5, 6]
+    with pytest.raises(ClassifyError, match=r"type\(6\) i=7 fits divisors \[5, 6\]"):
+        classify_type_6()
+
+
+def test_type6_refuses_no_candidate(monkeypatch):
+    # description 7's genus-4 vertex stripped of its Weierstrass point no
+    # longer fits the i = 9 tail
+    seven = THEOREM_DESCRIPTIONS[7]
+    bare = seven.vertices[0]._replace(marks=frozenset())
+    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 7,
+                        StableCurveDesc((bare, seven.vertices[1]), seven.edges))
+    with pytest.raises(ClassifyError, match=r"type\(6\) i=9 fits divisors \[\]"):
+        classify_type_6()
+
+
+def test_type6_curves():
+    # i = 2 has a rational tail, contracted into a loop on the main
+    assert classify._type6_curve(2) == StableCurveDesc((VertexDesc(5),), ((0, 0),))
+    # genus-2 tails carry a mark and no tag; genus >= 3 tails are tagged too
+    assert classify._type6_curve(5).vertices[1] == VertexDesc(
+        2, frozenset(), frozenset({Mark.WEIERSTRASS}))
+    assert classify._type6_curve(8) == StableCurveDesc(
+        (VertexDesc(2), VertexDesc(3, frozenset({Tag.HYPERELLIPTIC}),
+                                   frozenset({Mark.HYP_CONJUGATE_PAIR}))),
+        ((0, 1), (0, 1)))
+    for i in classify._TYPE6_IRREDUCIBLE:
+        assert stable_pa(classify._type6_curve(i)) == 6
+
+
 def test_record_counts():
     assert len(classify_type_1_5(table1())) == 5
     assert len(classify_type_6()) == 10
@@ -214,8 +269,9 @@ def test_theorem_divisors():
     for r in recs:
         assert stable_pa(r.desc) == 6
         assert r.sources
-    # canonical descriptions are pairwise distinct
-    assert len({r.desc.canonical() for r in recs}) == 13
+    # each description fits exactly itself: none is isomorphic to or
+    # refines another
+    assert all(match(r.desc) == [r.theorem_index] for r in recs)
 
 
 def test_theorem_divisors_refuses_isomorphic_descriptions(monkeypatch):
@@ -256,7 +312,7 @@ def test_stable_pa():
     with pytest.raises(ClassifyError, match="disconnected"):
         stable_pa(StableCurveDesc((), ()))
     # an edge end that names no vertex is refused at construction, before
-    # it could count as a node or reach canonical()
+    # it could count as a node or reach match()
     for edges in (((0, 1), (2, 3)), ((1, -1),), ((0, 2),)):
         with pytest.raises(ClassifyError, match="name no vertex of 2"):
             StableCurveDesc((VertexDesc(1), VertexDesc(2)), edges)
@@ -268,20 +324,42 @@ def test_stable_pa():
     assert classify.arithmetic_genus([5], 1) == 6
 
 
-def test_desc_canonical_symmetry():
+def test_match_symmetry(monkeypatch):
     a = StableCurveDesc((VertexDesc(2), VertexDesc(4)), ((0, 1),))
     b = StableCurveDesc((VertexDesc(4), VertexDesc(2)), ((1, 0),))
-    assert a.canonical() == b.canonical()
+    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", {1: a})
+    assert match(a) == match(b) == [1]
+    # a tag on the curve must be on its image; one on the image need not
+    # be on the curve
+    tagged = StableCurveDesc((VertexDesc(4, frozenset({Tag.HYPERELLIPTIC})), VertexDesc(2)),
+                             ((0, 1),))
+    assert match(tagged) == []
+    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", {1: tagged})
+    assert match(b) == [1]
+    assert match(b, frozenset({Tag.HYPERELLIPTIC})) == []
+    assert match(a, frozenset({Tag.HYPERELLIPTIC})) == [1]
 
 
-def test_desc_canonical_tied_labels():
+def test_match_tied_labels(monkeypatch):
     # swapping the two genus-1 vertices maps one edge set to the other
     verts = (VertexDesc(1), VertexDesc(1), VertexDesc(2))
     a = StableCurveDesc(verts, ((0, 1), (1, 2)))
     b = StableCurveDesc(verts, ((0, 1), (0, 2)))
-    assert a.canonical() == b.canonical()
     c = StableCurveDesc(verts, ((0, 2), (1, 2)))
-    assert c.canonical() != a.canonical()
+    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", {1: a, 2: c})
+    assert match(a) == match(b) == [1]
+    assert match(c) == [2]
+
+
+@given(st.sampled_from(sorted(THEOREM_DESCRIPTIONS)), st.data())
+def test_match_ignores_vertex_order(index, data):
+    # reverse the vertex order, relabel and flip each edge and shuffle
+    # the edge list: the description still fits itself and nothing else
+    desc = THEOREM_DESCRIPTIONS[index]
+    last = len(desc.vertices) - 1
+    edges = data.draw(st.permutations([(last - b, last - a) for a, b in desc.edges]))
+    flipped = StableCurveDesc(desc.vertices[::-1], tuple(edges))
+    assert match(flipped) == match(desc) == [index]
 
 
 def test_local_model_counts():
