@@ -685,20 +685,32 @@ PARITY_UNCONFIRMED_ROWS = frozenset({12})
 def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
     """Parities of all consistent glued sections for a trivial-cover row:
     each end section of C1 and C2 with each tail bundle, keeping only the
-    combinations with integral total self-intersection."""
-    from .parity import SectionClass, section_parity, tail_section_contribution
+    combinations with integral total self-intersection.
 
+    Each model's sigma_A^2 and sigma_B^2 and each tail's contribution b/2
+    are read once per row as integer half units (parity.half_units), and
+    each combination's total is an integer sum whose parity
+    parity.halves_parity reads.  A sigma^2 outside (1/2)Z raises
+    ClassifyError."""
+    from .parity import ParityError, half_units, halves_parity, tail_section_contribution
+
+    def ends(entry: LocalModelEntry) -> tuple[int, int]:
+        try:
+            return half_units(entry.sigmaA2), half_units(entry.sigmaB2)
+        except ParityError as exc:
+            raise ClassifyError(f"{entry.family} {entry.label}: {exc}") from None
+
+    c2 = ends(lookup(row.c2, row.c2_p))
+    # a hyperelliptic tail of genus g has b = 2g + 2 ramification points
+    tails = [half_units(tail_section_contribution(rh_ramification(2, g)))
+             for g in row.tail_genera]
     out = []
-    c2 = lookup(row.c2, row.c2_p)
     for label in row.c1:
-        c1 = lookup(label, None)
-        for s1 in (c1.sigmaA2, c1.sigmaB2):
-            for s2 in (c2.sigmaA2, c2.sigmaB2):
-                for g in row.tail_genera:
-                    b = rh_ramification(2, g)  # hyperelliptic tail
-                    sc = SectionClass([s1, s2, tail_section_contribution(b)])
-                    if sc.halves % 2 == 0:
-                        out.append(section_parity(sc))
+        for h1 in ends(lookup(label, None)):
+            for h2 in c2:
+                for t in tails:
+                    if (h := h1 + h2 + t) % 2 == 0:  # an integral total
+                        out.append(halves_parity(h))
     return out
 
 

@@ -60,6 +60,17 @@ class Parity(enum.Enum):
         return {"Even": "F0", "Odd": "F1", "Moot": None}[self.value]
 
 
+def half_units(x: FracLike) -> int:
+    """x as an integer count of halves; x must lie in (1/2)Z.  This is
+    the package's one (1/2)Z check on a self-intersection piece."""
+    x = frac(x)
+    if x.denominator == 2:
+        return x.numerator
+    if x.denominator == 1:
+        return 2 * x.numerator
+    raise ParityError(f"piece {x} is not in (1/2)Z")
+
+
 class _SectionClassFields(NamedTuple):
     pieces: tuple[Fraction, ...]
 
@@ -76,14 +87,7 @@ class SectionClass(_SectionClassFields):
 
     def __new__(cls, pieces: Sequence[FracLike]) -> SectionClass:
         pieces = tuple(frac(p) for p in pieces)
-        halves = 0
-        for p in pieces:
-            if p.denominator == 2:
-                halves += p.numerator
-            elif p.denominator == 1:
-                halves += 2 * p.numerator
-            else:
-                raise ParityError(f"piece {p} is not in (1/2)Z")
+        halves = sum([half_units(p) for p in pieces])
         self = super().__new__(cls, pieces)
         self.halves = halves
         return self
@@ -93,15 +97,22 @@ class SectionClass(_SectionClassFields):
         return Fraction(self.halves, 2)
 
 
+def halves_parity(halves: int) -> Parity:
+    """Parity of a section self-intersection given in half units: it must
+    be an integer (an even count of halves), and it is even when that
+    count is 0 mod 4.  This is the package's one copy of the rule."""
+    if halves % 2:
+        raise ParityError(
+            f"section self-intersection {Fraction(halves, 2)} is not an integer"
+        )
+    return Parity.EVEN if halves % 4 == 0 else Parity.ODD
+
+
 def section_parity(sc: SectionClass) -> Parity:
     """Parity of the section self-intersection, read off its sum in half
     units; Even means the ambient surface is a degeneration of F0, Odd
     of F1."""
-    if sc.halves % 2:
-        raise ParityError(
-            f"section self-intersection {sc.total} is not an integer"
-        )
-    return Parity.EVEN if sc.halves % 4 == 0 else Parity.ODD
+    return halves_parity(sc.halves)
 
 
 def tail_section_contribution(b1: int) -> Fraction:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import re
 from fractions import Fraction
 from math import ceil, gcd
 from typing import Iterable, NamedTuple, Sequence
@@ -264,7 +263,7 @@ def build_coarse_fiber_config(
     if sings.at_sigma.smooth and sings.at_tau.smooth:
         vertices.append(Vertex("F", 0, Role.FIBER))
     else:
-        ra = (r * a).numerator
+        ra = r * a.numerator // a.denominator  # coarse_singularities checked r*a is an integer
         schain = hj_expand(r, (-ra) % r).ints
         tchain = hj_expand(r, ra % r).ints
         vertices.append(Vertex("sigma", -ceil(a), Role.DIRECTRIX))
@@ -304,79 +303,93 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     the result depends on the chain naming too (see the module
     docstring).  The main curve's self-intersection entry is not tracked
     (the source diagrams never label it); it stays as given.
+
+    Each curve's branches are fixed when the table is built (a blow-down
+    moves branches between points but makes none), so the points on the
+    contracted curve are those its branch set meets, and only that
+    curve's contacts are dropped.  The main-curve contact is summed
+    only when more than one curve is eligible, and the chain position is
+    read only when that contact ties.  Vertices keep their order, and
+    edges come out point by point, in the order the points were made.
     """
 
     # recorded: resolution-contraction diagrams — they need this tie-break; none is stated
     def chain_rank(vid: str) -> tuple:
-        m = re.fullmatch(r"(sigma|s|F|t)(\d*)", vid)
-        if not m:
-            return (4, 0, vid)
-        group = {"sigma": 0, "s": 1, "F": 2, "t": 3}[m.group(1)]
-        return (group, int(m.group(2) or 0), vid)
+        for group, prefix in enumerate(("sigma", "s", "F", "t")):
+            if vid.startswith(prefix):
+                digits = vid[len(prefix):]
+                if not digits or digits.isdecimal():  # decimal digits of any script
+                    return (group, int(digits or 0), vid)
+        return (4, 0, vid)
+
+    def main_contact(u: str) -> int:
+        return sum([contact[i].get(j, 0) for i in branches[u] for j in on_main])
 
     order = {v.id: i for i, v in enumerate(config.vertices)}
-    # a blow-down only raises self-intersections, so only a curve that
-    # starts negative can become eligible
-    rank = {v.id: chain_rank(v.id) for v in config.vertices if v.self_int < 0}
     self_int = {v.id: v.self_int for v in config.vertices}
-    role = {v.id: v.role for v in config.vertices}
     main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
 
     # The branch table (see the module docstring); each edge starts as a
-    # point with two branches.
+    # point with two branches, branches[u] holds curve u's branches, and
+    # contact[i][j] = contact[j][i] is the contact of branches i and j.
     curve: list[str] = []
     points: list[list[int]] = []
-    contact: dict[tuple[int, int], int] = {}
+    contact: list[dict[int, int]] = []
+    branches: dict[str, set[int]] = {vid: set() for vid in order}
     for e in config.edges:
         i = len(curve)
         curve += [e.v, e.w]
+        branches[e.v].add(i)
+        branches[e.w].add(i + 1)
         points.append([i, i + 1])
-        contact[(i, i + 1)] = e.mult
+        contact += [{i + 1: e.mult}, {i: e.mult}]
+    on_main = branches[main] if main is not None else set()
 
-    def pair(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
-
-    alive = [v.id for v in config.vertices]
+    alive = {v.id: v for v in config.vertices}
     while True:
         eligible = [u for u in alive if self_int[u] == -1 and u != main]
         if not eligible:
             break
-        main_contact = dict.fromkeys(eligible, 0)
-        for (i, j), c in contact.items():
-            if curve[j] == main and curve[i] in main_contact:
-                main_contact[curve[i]] += c
-            elif curve[i] == main and curve[j] in main_contact:
-                main_contact[curve[j]] += c
-        vid = min(eligible, key=lambda u: (main_contact[u], rank[u]))
+        if len(eligible) > 1:  # the chain position decides only a tie
+            contacts = [main_contact(u) for u in eligible]
+            low = min(contacts)
+            eligible = [u for u, c in zip(eligible, contacts) if c == low]
+        vid = eligible[0] if len(eligible) == 1 else min(eligible, key=chain_rank)
 
         # Merge the points on v (see the module docstring); d[i] is the
-        # contact of surviving branch i with v.
-        on_v = [p for p in points if vid in map(curve.__getitem__, p)]
-        points = [p for p in points if vid not in map(curve.__getitem__, p)]
-        d = {i: sum(contact.get(pair(i, k), 0) for k in p if curve[k] == vid)
-             for p in on_v for i in p if curve[i] != vid}
+        # contact of surviving branch i with v, taken out of i's contacts
+        # as it is read (v's own branches are never read again).
+        on_v = branches[vid]
+        kept = []
+        d: dict[int, int] = {}
+        for p in points:
+            if on_v.isdisjoint(p):
+                kept.append(p)
+                continue
+            for i in p:
+                if i not in on_v:
+                    d[i] = sum([contact[i].pop(k, 0) for k in p if k in on_v])
         merged = list(d)
         for a, i in enumerate(merged):
             for j in merged[a + 1:]:
-                c = contact.get(pair(i, j), 0) + d[i] * d[j]
+                c = contact[i].get(j, 0) + d[i] * d[j]
                 if c:
-                    contact[pair(i, j)] = c
-        contact = {(i, j): c for (i, j), c in contact.items()
-                   if vid not in (curve[i], curve[j])}
-        points.append(merged)
+                    contact[i][j] = contact[j][i] = c
+        kept.append(merged)
+        points = kept
         for b in {curve[i] for i in merged} - {main}:
             self_int[b] += sum(d[i] for i in merged if curve[i] == b) ** 2
-        alive.remove(vid)
+        del alive[vid]
 
-    vertices = [Vertex(vid, self_int[vid], role[vid]) for vid in alive]
+    vertices = [Vertex(u, self_int[u], v.role) for u, v in alive.items()]
     edges = []
     for p in points:
         for a, i in enumerate(p):
             for j in p[a + 1:]:
-                c = contact.get(pair(i, j), 0)
-                if c and curve[i] != curve[j]:  # a curve's self-contact is not drawn
-                    v, w = sorted((curve[i], curve[j]), key=order.__getitem__)
-                    edges.append(Edge(v, w, c))
+                v, w = curve[i], curve[j]
+                c = contact[i].get(j, 0)
+                if c and v != w:  # a curve's self-contact is not drawn
+                    edges.append(Edge(v, w, c) if order[v] < order[w] else Edge(w, v, c))
     return CurveConfig(vertices, edges)
 
 

@@ -38,7 +38,7 @@ from orbiquint.classify import (
 )
 from orbiquint.covergraphs import R_OPTIONS, enumerate_boundary_types, rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
-from orbiquint.parity import Parity
+from orbiquint.parity import Parity, SectionClass, section_parity, tail_section_contribution
 from orbiquint.recillas import s4_elements
 
 
@@ -508,6 +508,39 @@ def test_table_parities():
     for row in TABLE3_ROWS:
         assert type7_row_parity(row, None, lookup) is Parity.MOOT
     assert PARITY_UNCONFIRMED_ROWS == frozenset({12})
+
+
+def _reference_section_parities(row, lookup):
+    """type7_section_parities through the SectionClass route: one
+    SectionClass per combination, and section_parity on each integral one."""
+    out = []
+    c2 = lookup(row.c2, row.c2_p)
+    for label in row.c1:
+        c1 = lookup(label, None)
+        for s1 in (c1.sigmaA2, c1.sigmaB2):
+            for s2 in (c2.sigmaA2, c2.sigmaB2):
+                for g in row.tail_genera:
+                    sc = SectionClass([s1, s2, tail_section_contribution(rh_ramification(2, g))])
+                    if sc.halves % 2 == 0:
+                        out.append(section_parity(sc))
+    return out
+
+
+def test_section_parities_match_the_section_class_route():
+    lookup = classify._model_lookup(local_models())
+    for row in TABLE2_ROWS:
+        assert type7_section_parities(row, lookup) == _reference_section_parities(row, lookup)
+
+
+def test_type7_refuses_a_sigma_square_outside_half_integers():
+    # a model entry built past LocalModelEntry.validate, with sigma_A^2 =
+    # 1/3: the half-unit reading refuses it with the classifier's error,
+    # and the check is a raise, so it holds under python -O too
+    models = local_models()
+    k, entry = next((k, e) for k, e in enumerate(models["c1"][3]) if e.label == "3.1")
+    models["c1"][3][k] = entry._replace(sigmaA2=Fraction(1, 3))
+    with pytest.raises(ClassifyError, match=r"c1 3\.1: piece 1/3 is not in \(1/2\)Z"):
+        classify_type_7(models)
 
 
 def test_row_parity_follows_its_models():

@@ -1,3 +1,4 @@
+import enum
 import json
 from fractions import Fraction
 
@@ -12,17 +13,53 @@ _TRICKY = '"\\/\n\r\t\b\f\x00\x1f\x7f é☃\U0001f600a'
 text = st.one_of(st.text(max_size=8), st.text(alphabet=_TRICKY, max_size=8))
 ints = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200),
                  st.integers(min_value=-2**200, max_value=-2**64))
-scalars = st.one_of(st.none(), st.booleans(), ints, text)
+
+
+class _Text(str):
+    """A str subclass: dumps renders it on the isinstance path, as json does."""
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+# exact str and int take the fast path; bool, None, a str subclass and an
+# IntEnum member (an int subclass) the isinstance one, in lists and dicts alike
+scalars = st.one_of(st.none(), st.booleans(), ints, text, text.map(_Text),
+                    st.sampled_from(_Level))
 values = st.recursive(scalars, lambda kids: st.one_of(
     st.lists(kids, max_size=4),
     st.lists(kids, max_size=4).map(tuple),
     st.dictionaries(text, kids, max_size=4),
+    st.lists(st.booleans(), min_size=1, max_size=4),
 ), max_leaves=24)
 
 
 @given(values)
 def test_dumps_matches_json_dumps_indent_2(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@given(st.integers(min_value=1, max_value=60), scalars)
+def test_dumps_deep_nesting(depth, leaf):
+    # the indent of each level is built as it is reached, so nesting
+    # deeper than any fixed table of indents still matches json
+    obj = leaf
+    for k in range(depth):
+        obj = [obj, k] if k % 2 else {"k": obj, "b": True}
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_container_subclasses():
+    from collections import OrderedDict
+
+    class Row(list):
+        pass
+
+    obj = OrderedDict(b=Row([1, _Text("x"), Row()]), a=OrderedDict())
+    assert dumps(obj) == json.dumps(obj, indent=2)
+    assert dumps([obj, (_Level.LOW, False)]) == json.dumps([obj, (_Level.LOW, False)], indent=2)
 
 
 def test_dumps_empty_containers_and_constants():

@@ -442,3 +442,111 @@ def _fiber_configs(draw) -> CurveConfig:
 @given(_fiber_configs())
 def test_contract_matches_lattice_blow_down(config):
     _assert_matches_lattice(config)
+
+
+def _reference_contract(config: CurveConfig) -> CurveConfig:
+    """The blow-down as first written, on the same branch table: it scans
+    every point and every contact pair at each step, finds the chain
+    position by regular expression and rebuilds the contact dict.  It
+    pins what the intersection lattice cannot see: tangencies kept apart
+    from transverse points, and the order of the vertices and edges."""
+
+    def chain_rank(vid: str) -> tuple:
+        m = re.fullmatch(r"(sigma|s|F|t)(\d*)", vid)
+        if not m:
+            return (4, 0, vid)
+        group = {"sigma": 0, "s": 1, "F": 2, "t": 3}[m.group(1)]
+        return (group, int(m.group(2) or 0), vid)
+
+    order = {v.id: i for i, v in enumerate(config.vertices)}
+    rank = {v.id: chain_rank(v.id) for v in config.vertices if v.self_int < 0}
+    self_int = {v.id: v.self_int for v in config.vertices}
+    role = {v.id: v.role for v in config.vertices}
+    main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
+
+    curve: list[str] = []
+    points: list[list[int]] = []
+    contact: dict[tuple[int, int], int] = {}
+    for e in config.edges:
+        i = len(curve)
+        curve += [e.v, e.w]
+        points.append([i, i + 1])
+        contact[(i, i + 1)] = e.mult
+
+    def pair(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if i < j else (j, i)
+
+    alive = [v.id for v in config.vertices]
+    while True:
+        eligible = [u for u in alive if self_int[u] == -1 and u != main]
+        if not eligible:
+            break
+        main_contact = dict.fromkeys(eligible, 0)
+        for (i, j), c in contact.items():
+            if curve[j] == main and curve[i] in main_contact:
+                main_contact[curve[i]] += c
+            elif curve[i] == main and curve[j] in main_contact:
+                main_contact[curve[j]] += c
+        vid = min(eligible, key=lambda u: (main_contact[u], rank[u]))
+
+        on_v = [p for p in points if vid in map(curve.__getitem__, p)]
+        points = [p for p in points if vid not in map(curve.__getitem__, p)]
+        d = {i: sum(contact.get(pair(i, k), 0) for k in p if curve[k] == vid)
+             for p in on_v for i in p if curve[i] != vid}
+        merged = list(d)
+        for a, i in enumerate(merged):
+            for j in merged[a + 1:]:
+                c = contact.get(pair(i, j), 0) + d[i] * d[j]
+                if c:
+                    contact[pair(i, j)] = c
+        contact = {(i, j): c for (i, j), c in contact.items()
+                   if vid not in (curve[i], curve[j])}
+        points.append(merged)
+        for b in {curve[i] for i in merged} - {main}:
+            self_int[b] += sum(d[i] for i in merged if curve[i] == b) ** 2
+        alive.remove(vid)
+
+    vertices = [Vertex(vid, self_int[vid], role[vid]) for vid in alive]
+    edges = []
+    for p in points:
+        for a, i in enumerate(p):
+            for j in p[a + 1:]:
+                c = contact.get(pair(i, j), 0)
+                if c and curve[i] != curve[j]:
+                    v, w = sorted((curve[i], curve[j]), key=order.__getitem__)
+                    edges.append(Edge(v, w, c))
+    return CurveConfig(vertices, edges)
+
+
+def _assert_matches_reference(config: CurveConfig) -> None:
+    got, want = contract_minus_ones(config), _reference_contract(config)
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fiber_configs())
+def test_contract_matches_reference_blow_down(config):
+    _assert_matches_reference(config)
+
+
+def test_contract_matches_reference_on_shuffled_items():
+    rng = random.Random(11)
+    for item in DIAGRAM_ITEMS.values():
+        base = item.build()
+        _assert_matches_reference(base)
+        for _ in range(100):
+            verts, edges = base.vertices[:], base.edges[:]
+            rng.shuffle(verts)
+            rng.shuffle(edges)
+            _assert_matches_reference(CurveConfig(verts, edges))
+
+
+def test_contract_chain_rank_reads_unicode_digits_as_the_regex_did():
+    # the chain position accepts any decimal digits after the prefix, as
+    # \d does; "sigmax" and "s1a" fall outside the chain
+    for ids in (["s١", "s2"], ["sigmax", "s1a"], ["F", "s"], ["t10", "t9"]):
+        verts = [Vertex(u, -1, Role.FIBER) for u in ids] + [Vertex("C", 0, Role.MAIN)]
+        config = CurveConfig(verts, [Edge("C", ids[0], 1), Edge("C", ids[1], 1),
+                                     Edge(ids[0], ids[1], 1)])
+        _assert_matches_reference(config)
