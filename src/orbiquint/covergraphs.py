@@ -23,7 +23,12 @@ and compared in C: graphs, families, components and node edges are
 ``NamedTuple``s, copied with ``_replace``, and a ramification profile is
 a tuple of its parts whose one constructor sorts them.  Memoised
 constructors build each distinct component, edge and profile once, and
-the graphs of an enumeration share them.
+the graphs of an enumeration share them: each graph is assembled from one
+memoised block per main, keyed by small ints (the main, its edge to E,
+its redundant tails and their edges), and the tail E.  ``to_json`` writes
+a graph in one join: its family's template, rendered once and cut at the
+params, components and edges, with the memoised text of each component
+and edge between the pieces.
 """
 
 from __future__ import annotations
@@ -152,33 +157,28 @@ def _json_fragment(item: Component | NodeEdge) -> str:
     return _nest(dumps(item.to_json_dict()), 2)
 
 
+def _split_template(text: str, keys: tuple[str, ...]) -> tuple[str, ...]:
+    """``text``, a rendered record holding ``"key": []`` for each of
+    ``keys`` in that order, cut at those empty lists: the pieces before,
+    between and after them, each key and its colon ending the piece
+    before its list.  The package's one splice of rendered JSON."""
+    pieces = []
+    for key in keys:
+        head, _, text = text.partition(f'"{key}": []')
+        pieces.append(f'{head}"{key}": ')
+    return (*pieces, text)
+
+
 @functools.lru_cache(maxsize=1 << 8)
 def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
-                    r_options: tuple[int, ...]) -> str:
+                    r_options: tuple[int, ...]) -> tuple[str, ...]:
     """A graph record with no params, components or edges, rendered once
-    per family."""
+    per family and cut at those three lists."""
     from .jsontext import dumps
 
-    return dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict())
-
-
-def _json_list(elements: list[str], depth: int) -> str:
-    """A list whose elements are laid out at ``depth + 1``, closed at ``depth``."""
-    if not elements:
-        return "[]"
-    return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
-
-
-def _json_splice(text: str, lists: dict[str, list[str]], depth: int) -> str:
-    """``text``, a record rendered at nesting ``depth``, with the rendered
-    elements of ``lists[key]`` where it holds ``"key": []``; ``lists``
-    goes in the record's key order."""
-    out = []
-    for key in lists:
-        head, _, text = text.partition(f'"{key}": []')
-        out += (head, f'"{key}": ', _json_list(lists[key], depth + 1))
-    out.append(text)
-    return "".join(out)
+    return _split_template(
+        dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict()),
+        ("params", "components", "edges"))
 
 
 class CoverGraph(NamedTuple):
@@ -197,9 +197,6 @@ class CoverGraph(NamedTuple):
 
     def tails(self) -> list[Component]:
         return [c for c in self.components if c.side == "tail"]
-
-    def beta_total(self) -> int:
-        return sum(c.beta for c in self.components)
 
     def moduli_dimension(self) -> int:
         """Dimension bookkeeping of the boundary locus: moving branch
@@ -232,15 +229,21 @@ class CoverGraph(NamedTuple):
         when every field holds its annotated type, as this module builds
         them (``1 == True`` and ``2 == 2.0`` share a fragment): the
         family's template with the params, and the components and edges
-        as memoised fragments, spliced in.  Components and edges are
-        tuples, so a fragment hit hashes and compares them in C, with no
-        Python-level ``__hash__`` or ``__eq__``."""
-        # map keeps the per-item lookup loop in C; to_json runs once per graph
-        return _json_splice(_graph_template(self.d, self.shape, self.type_index, self.r_options), {
-            "params": [_nest(str(p), 2) for p in self.params],
-            "components": list(map(_json_fragment, self.components)),
-            "edges": list(map(_json_fragment, self.node_edges)),
-        }, 0)
+        as memoised fragments, written between its pieces in one join.
+        Components and edges are tuples, so a fragment hit hashes and
+        compares them in C, with no Python-level ``__hash__`` or
+        ``__eq__``."""
+        head, after_params, after_components, end = _graph_template(
+            self.d, self.shape, self.type_index, self.r_options)
+        # map and join keep the per-item loops in C; to_json runs once per graph
+        params = ",\n    ".join(map(str, self.params))
+        components = ",\n".join(map(_json_fragment, self.components))
+        edges = ",\n".join(map(_json_fragment, self.node_edges))
+        # each list opens and closes at nesting 1, its elements at nesting 2
+        return "".join((
+            head, f"[\n    {params}\n  ]" if params else "[]",
+            after_params, f"[\n{components}\n  ]" if components else "[]",
+            after_components, f"[\n{edges}\n  ]" if edges else "[]", end))
 
 
 class BoundaryType(NamedTuple):
@@ -258,16 +261,20 @@ def families_json(families: Iterable[BoundaryType]) -> str:
     depth 3."""
     from .jsontext import dumps
 
-    return _json_list([
-        _json_splice(_nest(dumps({
+    records = []
+    for fam in families:
+        head, end = _split_template(_nest(dumps({
             "type": fam.type_index,
             "shape": fam.shape.name,
             "param_ranges": [list(r) for r in fam.param_ranges],
             "count": len(fam.graphs),
             "graphs": [],
-        }), 1), {"graphs": [_nest(g.to_json(), 3) for g in fam.graphs]}, 1)
-        for fam in families
-    ], 0)
+        }), 1), ("graphs",))
+        # each graph nested at 3 in a list that closes at 2; the records at 1
+        graphs = ",\n".join([_nest(g.to_json(), 3) for g in fam.graphs])
+        records.append(f"{head}[\n{graphs}\n    ]{end}" if graphs else f"{head}[]{end}")
+    body = ",\n".join(records)
+    return f"[\n{body}\n]" if body else "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -584,23 +591,36 @@ def check_cover(graph: CoverGraph) -> list[str]:
 # Enumeration
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _main_block(shape: BaseShape, i: int, k: int, l: int, start: int) -> tuple[
+        Component, NodeEdge, tuple[Component, ...], tuple[NodeEdge, ...]]:
+    """Main M{i} of degree ``k`` with its full node fiber, its edge of local
+    ``l`` to the tail E, and the redundant tails R{start+1}, ... filling
+    the rest of that fiber, with their edges: main i's share of a graph,
+    keyed by small ints so that a hit hashes no node-locals tuple."""
+    main_id, u = f"M{i}", shape.redundant_degree
+    tails, edges = _redundant_block(main_id, u, shape.tail_marked, start, k - l)
+    main = _make_component(main_id, "main", k, shape.main_marked, (l,) + (u,) * len(tails), False)
+    return main, _node_edge(main_id, "E", l), tails, edges
+
+
 def _skeleton(
     d: int, shape: BaseShape, degrees: tuple[int, ...], locals_: tuple[int, ...],
     type_index: int, *, params: tuple[int, ...] = (), r_options: tuple[int, ...] = (),
 ) -> CoverGraph:
     """Mains with their full node fibers, the non-redundant tail E (its
-    degree the sum of the node locals), then each main's redundant tails."""
-    u, marks, tmark = shape.redundant_degree, shape.main_marked, shape.tail_marked
-    edges = [_node_edge(f"M{i}", "E", l) for i, l in enumerate(locals_, 1)]
-    mains, tails = [], []
+    degree the sum of the node locals), then each main's redundant tails;
+    the edges to E, then each main's redundant edges."""
+    mains, edges, tails, tail_edges = [], [], (), ()
     for i, (k, l) in enumerate(zip(degrees, locals_), 1):
-        block = _redundant_block(f"M{i}", u, tmark, len(tails), k - l)
-        tails += block[0]
-        edges += block[1]
-        mains.append(_make_component(f"M{i}", "main", k, marks,
-                                     (l,) + (u,) * len(block[0]), False))
-    tail = _make_component("E", "tail", sum(locals_), tmark, locals_, False)
-    return CoverGraph(d, shape, (*mains, tail, *tails), tuple(edges),
+        main, edge, reds, red_edges = _main_block(shape, i, k, l, len(tails))
+        mains.append(main)
+        edges.append(edge)
+        tails += reds
+        tail_edges += red_edges
+    # the table, not the tail_marked property: a dict hit runs no Python frame
+    tail = _make_component("E", "tail", sum(locals_), _TAIL_MARKED[shape], locals_, False)
+    return CoverGraph(d, shape, (*mains, tail, *tails), (*edges, *tail_edges),
                       type_index, params, r_options)
 
 
@@ -652,17 +672,10 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     for index, degrees in enumerate(main_splits, len(families) + 1):
         locals_ranges = [node_local_range(k) for k in degrees]
         ranges = tuple((r[0], r[-1]) for r in locals_ranges)
-        graphs = tuple(
-            _skeleton(d, BaseShape.IV, degrees, locals_, index, params=locals_)
-            for locals_ in itertools.product(*locals_ranges)
-        )
+        graphs = tuple([_skeleton(d, BaseShape.IV, degrees, locals_, index, params=locals_)
+                        for locals_ in itertools.product(*locals_ranges)])
         families.append(BoundaryType(index, BaseShape.IV, ranges, graphs))
     return families
-
-
-def canonical_params(params: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical (nondecreasing) representative of a local-degree tuple."""
-    return tuple(sorted(params))
 
 
 def perturbations(graph: CoverGraph) -> list[CoverGraph]:

@@ -18,7 +18,6 @@ from orbiquint.covergraphs import (
     RamProfile,
     ShapeError,
     branch_count_tail,
-    canonical_params,
     check_cover,
     complete_redundant,
     degree_splits,
@@ -27,6 +26,17 @@ from orbiquint.covergraphs import (
     perturbations,
     tail_moduli_filter,
 )
+
+
+def beta_total(g):
+    """Oracle: the moving branch points of g, summed over its components."""
+    return sum(c.beta for c in g.components)
+
+
+def canonical_params(params):
+    """Oracle: the canonical (nondecreasing) representative of a
+    local-degree tuple."""
+    return tuple(sorted(params))
 
 
 @given(st.integers(min_value=1, max_value=199))
@@ -82,7 +92,7 @@ def test_enumeration_d3_structure():
     for fam in fams:
         for g in fam.graphs:
             assert check_cover(g) == []
-            assert g.beta_total() == 13
+            assert beta_total(g) == 13
             # global profiles: all 2s over 0, all 3s over 1, etale over inf
             for pt, part in covergraphs.PART.items():
                 assert {p for c in g.components for q, prof in c.profiles if q == pt
@@ -225,13 +235,9 @@ def test_families_json_nests_each_graphs_to_json(monkeypatch, cold_memos):
         pos = out.index(nested, pos) + len(nested)
 
 
-def test_warm_to_json_calls_no_python_hash_or_eq():
-    # components, edges and profiles are tuples, hashed and compared in C:
-    # once every fragment is rendered, a fragment hit runs no Python-level
-    # __hash__ or __eq__
-    graphs = _graphs(3)
-    for g in graphs:
-        g.to_json()
+def _python_calls(run):
+    """The Python-level calls that ``run()`` makes, by code name; ``run``
+    is a C callable (a ``functools.partial``), so it adds no call of its own."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -240,12 +246,38 @@ def test_warm_to_json_calls_no_python_hash_or_eq():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for g in graphs:
-            g.to_json()
+        run()
     finally:
         sys.setprofile(previous)
+    return calls
+
+
+def test_warm_to_json_calls_no_python_hash_or_eq():
+    # components, edges and profiles are tuples, hashed and compared in C:
+    # once every fragment is rendered, a fragment hit runs no Python-level
+    # __hash__ or __eq__
+    graphs = _graphs(3)
+    for g in graphs:
+        g.to_json()
+    calls = _python_calls(functools.partial(list, map(covergraphs.CoverGraph.to_json, graphs)))
     assert calls["to_json"] == len(graphs) == 119
     assert calls["__hash__"] == calls["__eq__"] == 0
+
+
+def test_warm_enumeration_and_to_json_python_calls_pinned():
+    # warm, a graph costs the enumerator one _skeleton call and one
+    # CoverGraph construction (each main's block, the tail E, every
+    # component and edge are memo hits in C), and to_json only its own
+    # frame: one join over the template pieces and the fragments (the
+    # splice-based writer and per-main lookups made 957 and 992 calls)
+    enumerate_boundary_types(3)
+    for g in _graphs(3):
+        g.to_json()
+    calls = _python_calls(functools.partial(enumerate_boundary_types, 3))
+    assert calls["_skeleton"] == 119
+    assert sum(calls.values()) <= 367
+    calls = _python_calls(functools.partial(list, map(covergraphs.CoverGraph.to_json, _graphs(3))))
+    assert calls == {"to_json": 119}
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -272,10 +304,108 @@ def test_equal_records_hash_and_render_alike(cold_memos, d):
 @pytest.mark.parametrize("d, digest", [
     (3, "f6a6f8f1247902af079a2321e1ccebbf1616ec461f18073b0afe2ca619b1b86f"),
     (4, "09b012134207cc2ec2767076f4fcee9f5cdef491fbf972108771534d1393a4f5"),
+    (5, "5168d51daa9886d14adf6b495b702bbf20ff466347e93794d33adab1f5fe4c3b"),
+    (6, "aaaadf78ddf370a7cca90d5fa9921edbf61c7c6582c11531784ad115b11bbc1a"),
 ])
 def test_to_json_bytes_pinned(d, digest):
     text = "".join(g.to_json() for g in _graphs(d))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("changes", [
+    {"params": ()}, {"components": ()}, {"node_edges": ()}, {"r_options": ()},
+    {"params": (), "components": (), "node_edges": ()},
+], ids=["params", "components", "edges", "r_options", "all-lists"])
+def test_empty_lists_render_like_json_dumps(changes):
+    # each list of a record is written as its own "[]" when empty; the
+    # shape IV graph holds params and no r_options, a one-node graph the reverse
+    for g in (_graphs(3)[-1], _graphs(3)[0]):
+        h = g._replace(**changes)
+        assert h.to_json() == json.dumps(h.to_json_dict(), indent=2)
+    family = covergraphs.BoundaryType(9, BaseShape.IV, ((1, 2),), ())
+    assert covergraphs.families_json([family]) == json.dumps([{
+        "type": 9, "shape": "IV", "param_ranges": [[1, 2]], "count": 0, "graphs": []}], indent=2)
+    assert covergraphs.families_json([]) == json.dumps([], indent=2)
+
+
+# The graph builder and the graph writer of the enumerator before each
+# main became one memoised block and to_json one join, kept verbatim as
+# oracles: the builder looks up the edges to E, each main's redundant
+# block and each main on its own; the writer splices the params, the
+# components and the edges into the family's template one list at a time.
+
+def _reference_skeleton(
+    d, shape, degrees, locals_, type_index, *, params=(), r_options=(),
+):
+    u, marks, tmark = shape.redundant_degree, shape.main_marked, shape.tail_marked
+    edges = [covergraphs._node_edge(f"M{i}", "E", l) for i, l in enumerate(locals_, 1)]
+    mains, tails = [], []
+    for i, (k, l) in enumerate(zip(degrees, locals_), 1):
+        block = covergraphs._redundant_block(f"M{i}", u, tmark, len(tails), k - l)
+        tails += block[0]
+        edges += block[1]
+        mains.append(covergraphs._make_component(f"M{i}", "main", k, marks,
+                                                 (l,) + (u,) * len(block[0]), False))
+    tail = covergraphs._make_component("E", "tail", sum(locals_), tmark, locals_, False)
+    return covergraphs.CoverGraph(d, shape, (*mains, tail, *tails), tuple(edges),
+                                  type_index, params, r_options)
+
+
+@functools.cache
+def _reference_template(d, shape, type_index, r_options):
+    return jsontext.dumps(
+        covergraphs.CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict())
+
+
+def _reference_json_list(elements, depth):
+    if not elements:
+        return "[]"
+    return "[\n" + ",\n".join(elements) + "\n" + "  " * depth + "]"
+
+
+def _reference_json_splice(text, lists, depth):
+    out = []
+    for key in lists:
+        head, _, text = text.partition(f'"{key}": []')
+        out += (head, f'"{key}": ', _reference_json_list(lists[key], depth + 1))
+    out.append(text)
+    return "".join(out)
+
+
+def _reference_to_json(g):
+    return _reference_json_splice(_reference_template(g.d, g.shape, g.type_index, g.r_options), {
+        "params": [covergraphs._nest(str(p), 2) for p in g.params],
+        "components": list(map(covergraphs._json_fragment, g.components)),
+        "edges": list(map(covergraphs._json_fragment, g.node_edges)),
+    }, 0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_skeleton_and_to_json_match_the_reference(monkeypatch, d):
+    # equal graphs, components and edges in the same order, and the same
+    # text; at d = 3 also the text of every perturbation
+    graphs = [g for f in enumerate_boundary_types(d) for g in f.graphs]
+    monkeypatch.setattr(covergraphs, "_skeleton", _reference_skeleton)
+    reference = [g for f in enumerate_boundary_types(d) for g in f.graphs]
+    monkeypatch.undo()
+    assert graphs == reference
+    mutants = [m for g in graphs for m in perturbations(g)] if d == 3 else []
+    for g in graphs + mutants:
+        assert g.to_json() == _reference_to_json(g), (g.type_index, g.params)
+
+
+def test_memos_hold_d3_to_d6_without_eviction(cold_memos):
+    # the degrees the enumerate workload cycles through fit every memo at
+    # once: each miss is kept, none is evicted by a later one
+    for d in (3, 4, 5, 6):
+        for f in enumerate_boundary_types(d):
+            for g in f.graphs:
+                g.to_json()
+    memos = {name: memo.cache_info() for name, memo in vars(covergraphs).items()
+             if hasattr(memo, "cache_info")}
+    assert "_main_block" in memos
+    for name, info in memos.items():
+        assert info.maxsize <= 1 << 12 and info.currsize == info.misses, (name, info)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,7 +507,7 @@ def test_check_cover_checks_tree_and_branch_total():
     one_main = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
     two_mains = next(g for g in _graphs(3) if g.type_index == 7 and g.params == (1, 2))
     cycle = _split_edge(one_main, "M1", "E")
-    assert NodeEdge("M1", "E", 1) in cycle.node_edges and cycle.beta_total() == 15
+    assert NodeEdge("M1", "E", 1) in cycle.node_edges and beta_total(cycle) == 15
     assert check_cover(cycle) == ["18 node edges on 18 components, a tree has 17",
                                   "moving branch points sum to 15, expected 13"]
     cut = _cut_m1(two_mains)
@@ -443,7 +573,7 @@ def test_check_cover_needs_a_non_redundant_tail():
              for i in range(1, 19)]
     g = covergraphs.CoverGraph(3, BaseShape.IV, (main, *tails),
                                tuple(NodeEdge("M1", t.id, 1) for t in tails))
-    assert g.beta_total() == 13
+    assert beta_total(g) == 13
     assert check_cover(g) == ["no non-redundant tail component"]
 
 
