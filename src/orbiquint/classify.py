@@ -328,7 +328,7 @@ def _records(pairs: Iterable[tuple[int, str]]) -> list[DivisorRecord]:
 # Types (1)-(5): Table 1 rows to divisors
 
 # Rows whose images have dimension at most 10.
-# recorded: Table 1 discussion — prose dimension counts; moduli_dimension reads 12 on every row
+# recorded: Table 1 discussion — prose dimension counts; every row's graph has moduli dimension 12
 ROWS_LOW_DIMENSION = frozenset({2, 5, 6, 13, 14})
 
 # Surviving rows to theorem divisors.
@@ -505,32 +505,35 @@ def enumerate_c1_models(i: int) -> list[LocalModelEntry]:
     degree i; fiberwise degree-4 curve of class 4s + (1+2l)F."""
     _require_local("c1", "i", i)
     A = i - 1
+    # only list i is built: each Fraction constant costs a Python-level call
     # recorded: c1 model list — no singularity analysis is implemented; validate() checks genera
-    data = {
-        1: [
+    if i == 1:
+        data = [
             ("1.1", None, [(0, (2,), (1, 1))], Fraction(-1, 2), 0, (0, 4, 1, (A,))),
             ("1.2", None, [(0, (), (1,)), (1, (2,), (1,))], Fraction(1, 2), -1,
              (1, 4, 3, (A,))),
             ("1.3", None, [(1, (), (), (4,))], None, None, (2, 2, 4, (A,))),
-        ],
-        2: [
+        ]
+    elif i == 2:
+        data = [
             ("2.1", None, [(0, (1,)), (0, (1,), (1, 1))], -1, 0, (0, 4, 1, (A,))),
             ("2.2", None, [(0, (2,), (2,))], Fraction(-1, 2), Fraction(-1, 2),
              (0, 4, 1, (0, 0))),
             ("2.3", None, [(0, (), (), (2, 2))], None, None, (2, 2, 4, (A,))),
-        ],
-        3: [
+        ]
+    elif i == 3:
+        data = [
             ("3.1", None, [(0, (), (1,)), (0, (2,), (1,))], Fraction(-1, 2), 1,
              (1, 4, 3, (A,))),
             ("3.2", None, [(0, (), (), (4,))], None, None, (2, 2, 4, (A,))),
-        ],
-        4: [
+        ]
+    else:  # i == 4: model_locals("c1") is range(1, 5)
+        data = [
             ("4.1", None, [(0, (1,)), (0, (1,), (1,)), (0, (), (1,))], 1, 1,
              (0, 4, 1, (A,))),
             ("4.2", None, [(0, (), (), (2,)), (0, (), (), (2,))], None, None,
              (2, 2, 4, (A,))),
-        ],
-    }[i]
+        ]
     return [_entry("c1", lab, lab, par, c, sA, sB, pr)
             for lab, par, c, sA, sB, pr in data]
 

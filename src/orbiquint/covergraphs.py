@@ -28,7 +28,11 @@ memoised block per main, keyed by small ints (the main, its edge to E,
 its redundant tails and their edges), and the tail E.  ``to_json`` writes
 a graph in one join: its family's template, rendered once and cut at the
 params, components and edges, with the memoised text of each component
-and edge between the pieces.
+and edge between the pieces.  It reads an enumerated graph's text by the
+same blocks: a second memo, filled by ``to_json`` alone, keeps each
+block's records with references to their texts, and a block is taken
+when its records equal the graph's; any other graph is written record by
+record.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import functools
 import itertools
 from collections import defaultdict
 from math import lcm
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 MARKED = ("0", "1", "inf")
 
@@ -148,13 +152,21 @@ def _nest(text: str, depth: int) -> str:
     return pad + text.replace("\n", "\n" + pad)
 
 
+@functools.lru_cache(maxsize=1)
+def _dumps() -> Callable[[object], str]:
+    """``jsontext.dumps``, imported on the first call: a module-level import
+    would load json into CLI children that write none, and a relative
+    import statement runs a Python-level ``ModuleSpec.parent`` each time."""
+    from .jsontext import dumps
+
+    return dumps
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def _json_fragment(item: Component | NodeEdge) -> str:
     """One component or edge, laid out where it sits in a graph record:
     an element of its list at nesting 2."""
-    from .jsontext import dumps
-
-    return _nest(dumps(item.to_json_dict()), 2)
+    return _nest(_dumps()(item.to_json_dict()), 2)
 
 
 def _split_template(text: str, keys: tuple[str, ...]) -> tuple[str, ...]:
@@ -174,10 +186,8 @@ def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
                     r_options: tuple[int, ...]) -> tuple[str, ...]:
     """A graph record with no params, components or edges, rendered once
     per family and cut at those three lists."""
-    from .jsontext import dumps
-
     return _split_template(
-        dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict()),
+        _dumps()(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict()),
         ("params", "components", "edges"))
 
 
@@ -194,22 +204,6 @@ class CoverGraph(NamedTuple):
 
     def mains(self) -> list[Component]:
         return [c for c in self.components if c.side == "main"]
-
-    def tails(self) -> list[Component]:
-        return [c for c in self.components if c.side == "tail"]
-
-    def moduli_dimension(self) -> int:
-        """Dimension bookkeeping of the boundary locus: moving branch
-        points on the main base, plus the node position when the main
-        carries all three marked points (shape I), plus the tail branch
-        points surviving the pointed automorphisms of the tail base."""
-        dim = sum(c.beta for c in self.mains())
-        if self.shape is BaseShape.I:
-            dim += 1
-        tail_moving = sum(c.beta for c in self.tails())
-        tail_gauge = 2 if self.shape is BaseShape.I else 1
-        dim += max(0, tail_moving - tail_gauge)
-        return dim
 
     # -- serialization ------------------------------------------------------
 
@@ -230,19 +224,62 @@ class CoverGraph(NamedTuple):
         them (``1 == True`` and ``2 == 2.0`` share a fragment): the
         family's template with the params, and the components and edges
         as memoised fragments, written between its pieces in one join.
-        Components and edges are tuples, so a fragment hit hashes and
-        compares them in C, with no Python-level ``__hash__`` or
-        ``__eq__``."""
+
+        The fragments of a graph laid out as ``_skeleton`` builds it come
+        from its mains' blocks (``_main_block_json``), found from the
+        leading edges to E: each main and its edge must equal its block's,
+        and the blocks' redundant tails and their edges must be exactly
+        the rest of the graph, so only E's fragment is looked up.  Any
+        other graph, or a block that cannot be built, takes one memoised
+        fragment per component and edge.  Records are tuples, compared
+        and hashed in C, with no Python-level ``__hash__`` or ``__eq__``."""
+        d, shape, comps, node_edges, type_index, params, r_options = self
         head, after_params, after_components, end = _graph_template(
-            self.d, self.shape, self.type_index, self.r_options)
+            d, shape, type_index, r_options)
+        # the mains and their edges to E lead, as _skeleton lays them out:
+        # main n's block is keyed by its degree, its local and the tails
+        # before it, and is taken only when its records are the graph's
+        main_pieces, edge_pieces, tail_pieces, tail_edge_pieces = [], [], [], []
+        tails = tail_edges = ()
+        n = 0  # a counter, not enumerate, which builds a tuple per main
+        for main, edge in zip(comps, node_edges):
+            if edge.tail_id != "E":
+                break
+            n += 1
+            try:
+                (block_main, block_edge, block_tails, block_tail_edges, block_main_pieces,
+                 block_edge_pieces, block_tail_pieces, block_tail_edge_pieces) = \
+                    _main_block_json(shape, n, main.degree, edge.local_degree, len(tails))
+            except ShapeError:
+                tails = None
+                break
+            if block_main != main or block_edge != edge:
+                tails = None
+                break
+            main_pieces += block_main_pieces
+            edge_pieces += block_edge_pieces
+            tails += block_tails
+            tail_edges += block_tail_edges
+            tail_pieces += block_tail_pieces
+            tail_edge_pieces += block_tail_edge_pieces
         # map and join keep the per-item loops in C; to_json runs once per graph
-        params = ",\n    ".join(map(str, self.params))
-        components = ",\n".join(map(_json_fragment, self.components))
-        edges = ",\n".join(map(_json_fragment, self.node_edges))
+        params = ",\n    ".join(map(str, params))
         # each list opens and closes at nesting 1, its elements at nesting 2
+        params = f"[\n    {params}\n  ]" if params else "[]"
+        # the blocks' tails and tail edges must be all the graph holds after
+        # its mains and E, and after its edges to E
+        if 0 < n < len(comps) and tails == comps[n + 1:] and tail_edges == node_edges[n:]:
+            # a piece is a separator then a fragment; the first separator
+            # of each list opens it instead
+            main_pieces[0] = edge_pieces[0] = "[\n"
+            return "".join([
+                head, params, after_params, *main_pieces, ",\n", _json_fragment(comps[n]),
+                *tail_pieces, "\n  ]", after_components, *edge_pieces, *tail_edge_pieces,
+                "\n  ]", end])
+        components = ",\n".join(map(_json_fragment, comps))
+        edges = ",\n".join(map(_json_fragment, node_edges))
         return "".join((
-            head, f"[\n    {params}\n  ]" if params else "[]",
-            after_params, f"[\n{components}\n  ]" if components else "[]",
+            head, params, after_params, f"[\n{components}\n  ]" if components else "[]",
             after_components, f"[\n{edges}\n  ]" if edges else "[]", end))
 
 
@@ -259,11 +296,9 @@ def families_json(families: Iterable[BoundaryType]) -> str:
     type, shape, param ranges, graph count and its graphs'
     ``to_json_dict()``.  Each graph is its ``to_json()`` text, nested at
     depth 3."""
-    from .jsontext import dumps
-
     records = []
     for fam in families:
-        head, end = _split_template(_nest(dumps({
+        head, end = _split_template(_nest(_dumps()({
             "type": fam.type_index,
             "shape": fam.shape.name,
             "param_ranges": [list(r) for r in fam.param_ranges],
@@ -604,24 +639,52 @@ def _main_block(shape: BaseShape, i: int, k: int, l: int, start: int) -> tuple[
     return main, _node_edge(main_id, "E", l), tails, edges
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _main_block_json(shape: BaseShape, i: int, k: int, l: int, start: int) -> tuple[
+        Component, NodeEdge, tuple[Component, ...], tuple[NodeEdge, ...],
+        tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """``_main_block``'s records (the main, its edge to E, the redundant
+    tails and their edges), then the pieces of each of those four: every
+    record's ``_json_fragment`` after its separator, ``",\\n"``.  The
+    pieces refer to the fragment texts and hold no text of their own.
+    Filled by ``CoverGraph.to_json`` alone."""
+    main, edge, tails, edges = _main_block(shape, i, k, l, start)
+    records = (main, edge, *tails, *edges)
+    pieces = [",\n"] * (2 * len(records))
+    pieces[1::2] = map(_json_fragment, records)
+    cut = 4 + 2 * len(tails)
+    return (main, edge, tails, edges, tuple(pieces[:2]), tuple(pieces[2:4]),
+            tuple(pieces[4:cut]), tuple(pieces[cut:]))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _tail_e(shape: BaseShape, locals_: tuple[int, ...]) -> Component:
+    """The non-redundant tail E, its degree the sum of the node locals:
+    keyed by the shape and the locals, so a hit hashes two fields, not the
+    six of ``_make_component``'s key."""
+    # the table, not the tail_marked property: a dict hit runs no Python frame
+    return _make_component("E", "tail", sum(locals_), _TAIL_MARKED[shape], locals_, False)
+
+
 def _skeleton(
     d: int, shape: BaseShape, degrees: tuple[int, ...], locals_: tuple[int, ...],
-    type_index: int, *, params: tuple[int, ...] = (), r_options: tuple[int, ...] = (),
+    type_index: int, params: tuple[int, ...], r_options: tuple[int, ...],
 ) -> CoverGraph:
     """Mains with their full node fibers, the non-redundant tail E (its
     degree the sum of the node locals), then each main's redundant tails;
     the edges to E, then each main's redundant edges."""
     mains, edges, tails, tail_edges = [], [], (), ()
-    for i, (k, l) in enumerate(zip(degrees, locals_), 1):
+    i = 0  # a counter, not enumerate, which builds a tuple per main
+    for k, l in zip(degrees, locals_):
+        i += 1
         main, edge, reds, red_edges = _main_block(shape, i, k, l, len(tails))
         mains.append(main)
         edges.append(edge)
         tails += reds
         tail_edges += red_edges
-    # the table, not the tail_marked property: a dict hit runs no Python frame
-    tail = _make_component("E", "tail", sum(locals_), _TAIL_MARKED[shape], locals_, False)
-    return CoverGraph(d, shape, (*mains, tail, *tails), (*edges, *tail_edges),
-                      type_index, params, r_options)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ (it checks nothing)
+    return tuple.__new__(CoverGraph, (d, shape, (*mains, _tail_e(shape, locals_), *tails),
+                                      (*edges, *tail_edges), type_index, params, r_options))
 
 
 # Orbinode orders r for the one-node types at d = 3: the S4 element
@@ -663,7 +726,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
         _check_minimal_tail(shape, total)
     for index, (shape, split, locals_) in enumerate(_one_node_types(total), 1):
-        graph = _skeleton(d, shape, split, locals_, index, r_options=R_OPTIONS.get(index, ()))
+        graph = _skeleton(d, shape, split, locals_, index, (), R_OPTIONS.get(index, ()))
         families.append(BoundaryType(index, shape, (), (graph,)))
 
     # shape IV: 1, 2, or 3 main components, their degrees stepped as in I-III
@@ -672,7 +735,7 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     for index, degrees in enumerate(main_splits, len(families) + 1):
         locals_ranges = [node_local_range(k) for k in degrees]
         ranges = tuple((r[0], r[-1]) for r in locals_ranges)
-        graphs = tuple([_skeleton(d, BaseShape.IV, degrees, locals_, index, params=locals_)
+        graphs = tuple([_skeleton(d, BaseShape.IV, degrees, locals_, index, locals_, ())
                         for locals_ in itertools.product(*locals_ranges)])
         families.append(BoundaryType(index, BaseShape.IV, ranges, graphs))
     return families

@@ -174,22 +174,6 @@ class CurveConfig:
             lines.append(f"e {e.v} {e.w} {e.mult}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "CurveConfig":
-        vertices, edges = [], []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v" and len(parts) == 4:
-                vertices.append(Vertex(parts[1], int(parts[2]), Role(parts[3])))
-            elif parts[0] == "e" and len(parts) == 4:
-                edges.append(Edge(parts[1], parts[2], int(parts[3])))
-            else:
-                raise ResolveError(f"bad config line: {line!r}")
-        return cls(vertices, edges)
-
 
 def config_isomorphic(c1: CurveConfig, c2: CurveConfig) -> bool:
     """Graph isomorphism respecting roles, self-intersections, and edge

@@ -39,6 +39,9 @@ from orbiquint.recillas import (
 from orbiquint.resolve import (
     DIAGRAM_ITEMS,
     CurveConfig,
+    Edge,
+    Role,
+    Vertex,
     config_isomorphic,
     contract_minus_ones,
     hj_expand,
@@ -102,7 +105,17 @@ def test_c3_branch_point_conservation():
             # redundant (that graph corresponds to a smooth curve and is
             # discarded downstream).
             expected = 13 if (fam.type_index == 6 and g.params == (1,)) else 12
-            assert g.moduli_dimension() == expected
+            # moving branch points on the main base, plus the node
+            # position when the main carries all three marked points
+            # (shape I), plus the tail branch points surviving the pointed
+            # automorphisms of the tail base
+            dim = sum(c.beta for c in g.components if c.side == "main")
+            if g.shape is BaseShape.I:
+                dim += 1
+            tail_moving = sum(c.beta for c in g.components if c.side == "tail")
+            tail_gauge = 2 if g.shape is BaseShape.I else 1
+            dim += max(0, tail_moving - tail_gauge)
+            assert dim == expected
     for d in range(1, 11):
         b = covergraphs.generic_branch_count(d)
         assert b == 5 * d - 2
@@ -128,9 +141,13 @@ def test_c4_degree_splits():
 
 @pytest.mark.parametrize("item", sorted(DIAGRAM_ITEMS))
 def test_c5_diagram_golden(item):
-    expected = CurveConfig.from_text(
-        (GOLDEN / "diagrams" / f"item{item:02d}.txt").read_text()
-    )
+    # the golden file's "v id self_int role" and "e v w mult" lines
+    lines = [line.split() for line in
+             (GOLDEN / "diagrams" / f"item{item:02d}.txt").read_text().splitlines()]
+    expected = CurveConfig(
+        [Vertex(v, int(self_int), Role(role)) for kind, v, self_int, role in lines if kind == "v"],
+        [Edge(v, w, int(mult)) for kind, v, w, mult in lines if kind == "e"])
+    assert {kind for kind, *_ in lines} == {"v", "e"}
     left = DIAGRAM_ITEMS[item].build()
     assert config_isomorphic(contract_minus_ones(left), expected)
 

@@ -1,11 +1,13 @@
 import copy
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
 import pickle
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -180,8 +182,10 @@ def test_node_local_range_is_the_branch_count_bound():
 
 
 def test_to_json_matches_to_json_dict(cold_memos):
+    # d = 6..8 are checked against the reference writer, which reads the
+    # same fragments: json.dumps would take about 8 s there
     mutants = [m for g in _graphs(3) for m in perturbations(g)]
-    graphs = [*_graphs(3), *_graphs(4), *_graphs(5), *mutants]
+    graphs = [*_graphs(1), *_graphs(2), *_graphs(3), *_graphs(4), *_graphs(5), *mutants]
     expected = [json.dumps(g.to_json_dict(), indent=2) for g in graphs]
     # first on cold memos, so every fragment and family template is checked
     # as first rendered, then again with each of them reused
@@ -265,19 +269,36 @@ def test_warm_to_json_calls_no_python_hash_or_eq():
 
 
 def test_warm_enumeration_and_to_json_python_calls_pinned():
-    # warm, a graph costs the enumerator one _skeleton call and one
-    # CoverGraph construction (each main's block, the tail E, every
-    # component and edge are memo hits in C), and to_json only its own
-    # frame: one join over the template pieces and the fragments (the
-    # splice-based writer and per-main lookups made 957 and 992 calls)
+    # warm, a graph costs the enumerator one _skeleton call (each main's
+    # block, the tail E, every component and edge are memo hits in C, and
+    # the graph is built by tuple.__new__), and to_json only its own frame:
+    # one join over the template pieces and each main block's pieces (the
+    # splice-based writer and per-main lookups made 957 and 992 calls, and
+    # the enumerator 367 while the NamedTuple's __new__ built each graph)
     enumerate_boundary_types(3)
     for g in _graphs(3):
         g.to_json()
     calls = _python_calls(functools.partial(enumerate_boundary_types, 3))
     assert calls["_skeleton"] == 119
-    assert sum(calls.values()) <= 367
+    assert "__new__" not in calls
+    assert sum(calls.values()) <= 248
     calls = _python_calls(functools.partial(list, map(covergraphs.CoverGraph.to_json, _graphs(3))))
     assert calls == {"to_json": 119}
+
+
+def test_warm_to_json_looks_up_one_fragment_per_graph():
+    # warm, each graph's components and edges come from its main blocks:
+    # the one _json_fragment hit per graph is the tail E's
+    graphs = _graphs(3)
+    for g in graphs:
+        g.to_json()
+    before = covergraphs._json_fragment.cache_info()
+    blocks = covergraphs._main_block_json.cache_info()
+    for g in graphs:
+        g.to_json()
+    after = covergraphs._json_fragment.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (119, 0)
+    assert covergraphs._main_block_json.cache_info().misses == blocks.misses
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -334,9 +355,7 @@ def test_empty_lists_render_like_json_dumps(changes):
 # block and each main on its own; the writer splices the params, the
 # components and the edges into the family's template one list at a time.
 
-def _reference_skeleton(
-    d, shape, degrees, locals_, type_index, *, params=(), r_options=(),
-):
+def _reference_skeleton(d, shape, degrees, locals_, type_index, params, r_options):
     u, marks, tmark = shape.redundant_degree, shape.main_marked, shape.tail_marked
     edges = [covergraphs._node_edge(f"M{i}", "E", l) for i, l in enumerate(locals_, 1)]
     mains, tails = [], []
@@ -380,18 +399,112 @@ def _reference_to_json(g):
     }, 0)
 
 
+def _fragment_hits(run):
+    """The ``_json_fragment`` hits that ``run()`` makes."""
+    before = covergraphs._json_fragment.cache_info().hits
+    run()
+    return covergraphs._json_fragment.cache_info().hits - before
+
+
+def _no_block(*args):
+    raise ShapeError("no block")
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_skeleton_and_to_json_match_the_reference(monkeypatch, d):
     # equal graphs, components and edges in the same order, and the same
-    # text; at d = 3 also the text of every perturbation
+    # text by the main blocks, by the per-record fallback (forced by a
+    # block lookup that always fails) and by the reference writer; at d = 3
+    # also the text of every perturbation
     graphs = [g for f in enumerate_boundary_types(d) for g in f.graphs]
     monkeypatch.setattr(covergraphs, "_skeleton", _reference_skeleton)
     reference = [g for f in enumerate_boundary_types(d) for g in f.graphs]
     monkeypatch.undo()
     assert graphs == reference
     mutants = [m for g in graphs for m in perturbations(g)] if d == 3 else []
-    for g in graphs + mutants:
-        assert g.to_json() == _reference_to_json(g), (g.type_index, g.params)
+    texts = [g.to_json() for g in graphs + mutants]
+    # every enumerated graph is written from its blocks: one hit, for E
+    assert _fragment_hits(lambda: [g.to_json() for g in graphs]) == len(graphs)
+    monkeypatch.setattr(covergraphs, "_main_block_json", _no_block)
+    fallback = [g.to_json() for g in graphs + mutants]
+    monkeypatch.undo()
+    for g, text, by_record in zip(graphs + mutants, texts, fallback):
+        assert text == by_record == _reference_to_json(g), (g.type_index, g.params)
+
+
+def _renamed_tails(g, names):
+    """g with each redundant tail named in ``names`` renamed, at its place."""
+    def rename(cid):
+        return names.get(cid, cid)
+    return g._replace(
+        components=tuple(c._replace(id=rename(c.id)) for c in g.components),
+        node_edges=tuple(e._replace(tail_id=rename(e.tail_id)) for e in g.node_edges))
+
+
+def _variants(g):
+    """g with its redundant tails or their edges reordered, renumbered,
+    dropped or repeated, its tail E moved, or its first two mains swapped:
+    graphs whose text its main blocks do not give."""
+    n = sum(e.tail_id == "E" for e in g.node_edges)
+    comps, edges = g.components, g.node_edges
+    tails, tail_edges = comps[n + 1:], edges[n:]
+    out = []
+    if len(tails) > 1:
+        out += [g._replace(components=comps[:n + 1] + tails[::-1]),
+                g._replace(node_edges=edges[:n] + tail_edges[::-1]),
+                _renamed_tails(g, {"R1": "R2", "R2": "R1"}),
+                g._replace(components=comps[:n + 1] + tails[:-1]),
+                g._replace(node_edges=edges[:n] + tail_edges[:-1])]
+    if tails:
+        out += [_renamed_tails(g, {c.id: f"R{j}" for j, c in enumerate(tails, 2)}),
+                g._replace(components=(*comps[:n], *tails, comps[n])),
+                g._replace(components=comps + tails[:1]),
+                g._replace(node_edges=edges + tail_edges[:1])]
+    if n > 1:
+        out.append(g._replace(components=(comps[1], comps[0], *comps[2:]),
+                              node_edges=(edges[1], edges[0], *edges[2:])))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_to_json_of_reordered_and_renumbered_graphs(cold_memos, d):
+    # a graph whose tails, tail edges or mains are not as its blocks lay
+    # them out is written record by record, so its text is its own; a main
+    # that equals its block's but is another object keeps the blocks.  On
+    # cold memos, so the blocks are built after the graphs, from other objects
+    graphs = _graphs(d)
+    cold_memos()
+    for g in graphs:
+        for h in _variants(g):
+            assert h.to_json() == _reference_to_json(h), (g.type_index, g.params)
+        twin = g._replace(components=(covergraphs.Component(*g.components[0]),
+                                      *g.components[1:]))
+        assert twin.components[0] is not g.components[0]
+        assert twin.to_json() == g.to_json() == _reference_to_json(g)
+        assert _fragment_hits(twin.to_json) == _fragment_hits(g.to_json) == 1
+    assert sum(map(len, map(_variants, graphs))) > len(graphs)
+
+
+def test_to_json_of_complete_redundant_outputs():
+    # complete_redundant numbers the tails in the blocks' order when the
+    # mains lead, and writes them in another order when they do not
+    for g in _graphs(3) + _graphs(4):
+        stripped = [c for c in g.components if not c.redundant]
+        kept = {c.id for c in stripped}
+        for comps in (stripped, stripped[::-1]):
+            edges = tuple(e for e in g.node_edges if e.tail_id in kept)
+            h = complete_redundant(g._replace(components=tuple(comps), node_edges=edges))
+            assert h.to_json() == _reference_to_json(h)
+        assert complete_redundant(g).to_json() == g.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_to_json_of_shuffled_graphs(data):
+    g = data.draw(st.sampled_from(_graphs(3) + _graphs(4)))
+    h = g._replace(components=tuple(data.draw(st.permutations(g.components))),
+                   node_edges=tuple(data.draw(st.permutations(g.node_edges))))
+    assert h.to_json() == _reference_to_json(h) == json.dumps(h.to_json_dict(), indent=2)
 
 
 def test_memos_hold_d3_to_d6_without_eviction(cold_memos):
@@ -403,9 +516,31 @@ def test_memos_hold_d3_to_d6_without_eviction(cold_memos):
                 g.to_json()
     memos = {name: memo.cache_info() for name, memo in vars(covergraphs).items()
              if hasattr(memo, "cache_info")}
-    assert "_main_block" in memos
+    assert {"_main_block", "_main_block_json", "_tail_e"} <= memos.keys()
     for name, info in memos.items():
         assert info.maxsize <= 1 << 12 and info.currsize == info.misses, (name, info)
+
+
+def test_main_block_pieces_keep_under_a_megabyte(cold_memos):
+    # the block pieces refer to the fragment texts: after d = 3..6 the
+    # memo keeps 896 blocks in under 1 MB (one joined text per block would
+    # keep about 2.4 MB more)
+    graphs = [g for d in (3, 4, 5, 6) for g in _graphs(d)]
+    for g in graphs:
+        g.to_json()
+    covergraphs._main_block_json.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in graphs:
+            g.to_json()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert covergraphs._main_block_json.cache_info().currsize == 896
+    assert kept < 1 << 20, kept
 
 
 @settings(max_examples=60, deadline=None)
