@@ -14,24 +14,26 @@ plain search over those keys checks that the dual graph is connected.
 The enumerator implements the constrained search: base shapes I-IV by
 the location of the marked points, the tail-moduli filter b - 2 <=
 max(0, s-3), redundant-tail integrality, and nonnegative integral
-Riemann-Hurwitz branch counts.  Where the tail's marked point sits
-decides the one-node splits: full profiles make each main degree a
-multiple of the lcm of the parts over its marked points, matching node
-degrees split the tail's degree among the mains, and redundant tails
-fill each main's remaining node fiber.  Every record is a tuple, hashed
-and compared in C: graphs, families, components and node edges are
-``NamedTuple``s, copied with ``_replace``, and a ramification profile is
-a tuple of its parts whose one constructor sorts them.  Memoised
-constructors build each distinct component, edge and profile once, and
-the graphs of an enumeration share them: each graph is assembled from one
-memoised block per main, keyed by small ints (the main, its edge to E,
-its redundant tails and their edges), and the tail E.  ``to_json`` writes
-a graph in one join: its family's template, rendered once and cut at the
-params, components and edges, with the memoised text of each component
-and edge between the pieces.  It reads an enumerated graph's text by the
-same blocks: a second memo, filled by ``to_json`` alone, keeps each
-block's records with references to their texts, and a block is taken
-when its records equal the graph's; any other graph is written record by
+Riemann-Hurwitz branch counts.  The filter admits only the minimal tail
+of shapes I-III, whatever the total degree; three probes per shape check
+this once, at import.  Where the tail's marked point sits decides the
+one-node splits: full profiles make each main degree a multiple of the
+lcm of the parts over its marked points, matching node degrees split the
+tail's degree among the mains, and redundant tails fill each main's
+remaining node fiber.  Every record is a tuple, hashed and compared in
+C: graphs, families, components and node edges are ``NamedTuple``s,
+copied with ``_replace``, and a ramification profile is a tuple of its
+parts whose one constructor sorts them.  Memoised constructors build each
+distinct component, edge and profile once, and the graphs of an
+enumeration share them: each graph is assembled from one memoised block
+per main, keyed by small ints (the main, its edge to E, its redundant
+tails and their edges), and the tail E.  ``to_json`` writes a graph in
+one join: its family's template, rendered once and cut at the params,
+components and edges, with the memoised text of each component and edge
+between the pieces.  It reads an enumerated graph's text by the same
+blocks: each block has a slot that ``to_json`` alone fills, on first
+use, with references to its records' texts, and a block is taken when
+its records equal the graph's; any other graph is written record by
 record.
 """
 
@@ -226,10 +228,11 @@ class CoverGraph(NamedTuple):
         as memoised fragments, written between its pieces in one join.
 
         The fragments of a graph laid out as ``_skeleton`` builds it come
-        from its mains' blocks (``_main_block_json``), found from the
-        leading edges to E: each main and its edge must equal its block's,
-        and the blocks' redundant tails and their edges must be exactly
-        the rest of the graph, so only E's fragment is looked up.  Any
+        from its mains' blocks (``_main_block``), found from the leading
+        edges to E: each main and its edge must equal its block's, and the
+        blocks' redundant tails and their edges must be exactly the rest
+        of the graph, so only E's fragment is looked up.  A block's pieces
+        are filled here the first time it is taken, all in one step.  Any
         other graph, or a block that cannot be built, takes one memoised
         fragment per component and edge.  Records are tuples, compared
         and hashed in C, with no Python-level ``__hash__`` or ``__eq__``."""
@@ -247,21 +250,29 @@ class CoverGraph(NamedTuple):
                 break
             n += 1
             try:
-                (block_main, block_edge, block_tails, block_tail_edges, block_main_pieces,
-                 block_edge_pieces, block_tail_pieces, block_tail_edge_pieces) = \
-                    _main_block_json(shape, n, main.degree, edge.local_degree, len(tails))
+                block_main, block_edge, block_tails, block_tail_edges, pieces = _main_block(
+                    shape, n, main.degree, edge.local_degree, len(tails))
             except ShapeError:
                 tails = None
                 break
             if block_main != main or block_edge != edge:
                 tails = None
                 break
-            main_pieces += block_main_pieces
-            edge_pieces += block_edge_pieces
+            if not pieces:
+                # first use: each record's separator and a reference to its
+                # fragment text, in four lists (the main, its edge, the
+                # tails, the tail edges) added to the slot in one step
+                records = (block_main, block_edge, *block_tails, *block_tail_edges)
+                flat = [",\n"] * (2 * len(records))
+                flat[1::2] = map(_json_fragment, records)
+                cut = 4 + 2 * len(block_tails)
+                pieces += flat[:2], flat[2:4], flat[4:cut], flat[cut:]
+            main_pieces += pieces[0]
+            edge_pieces += pieces[1]
+            tail_pieces += pieces[2]
+            tail_edge_pieces += pieces[3]
             tails += block_tails
             tail_edges += block_tail_edges
-            tail_pieces += block_tail_pieces
-            tail_edge_pieces += block_tail_edge_pieces
         # map and join keep the per-item loops in C; to_json runs once per graph
         params = ",\n    ".join(map(str, params))
         # each list opens and closes at nesting 1, its elements at nesting 2
@@ -353,6 +364,26 @@ def tail_moduli_filter(shape: BaseShape, e: int, s: int) -> bool:
     return branch_count_tail(shape, e, s) - 2 <= max(0, s - 3)
 
 
+def _check_minimal_tail() -> None:
+    """Shapes I-III: the tail-moduli filter admits the minimal tail
+    (e, s) = (max(u, 2), 2), u the redundant degree, and no other tail of
+    any degree.  b is linear in s with slope 1 and rises with e, so three
+    probes decide it: at s = 2 the filter reads b <= 2, which must hold at
+    the minimal e and fail one step up; from s = 3 on it reads b - s <= -1,
+    where s cancels, which must fail at the minimal e."""
+    for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
+        u = shape.redundant_degree
+        e = max(u, 2)
+        for probe, admitted in (((e, 2), True), ((e + u, 2), False), ((e, 3), False)):
+            if tail_moduli_filter(shape, *probe) != admitted:
+                raise ShapeError(f"shape {shape.value}: tail-moduli filter "
+                                 f"{'refuses' if admitted else 'admits'} (e, s) = {probe}, "
+                                 f"expected only the minimal tail {(e, 2)}")
+
+
+_check_minimal_tail()
+
+
 def _main_splits(total: int, step: int, n: int) -> list[tuple[int, ...]]:
     """The n-part splits of ``total`` into positive multiples of
     ``step``, each a descending tuple, in ascending lexicographic order."""
@@ -374,7 +405,8 @@ def _one_node_types(
 
     Each main degree is a multiple of ``_part_lcm`` of its marked points;
     the node locals split the tail E's degree max(u, 2) (u the redundant
-    degree) into one part per main; each main's degree less its local is a
+    degree; the only tail the filter admits, as ``_check_minimal_tail`` checks)
+    into one part per main; each main's degree less its local is a
     nonnegative multiple of u, filled by redundant tails.  Within a shape
     the most balanced split comes first, ascending within each pair.
     """
@@ -464,12 +496,12 @@ def node_local_range(k: int) -> range:
     return range(1, no_node + 2)
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _redundant_block(main_id: str, u: int, tmark: tuple[str, ...], start: int,
                      residual: int) -> tuple[tuple[Component, ...], tuple[NodeEdge, ...]]:
     """The redundant tails R{start+1}, ... of degree ``u`` filling the
-    ``residual`` node-fiber degree of main ``main_id``, and their edges;
-    fails when the residual is not a nonnegative multiple of ``u``."""
+    ``residual`` node-fiber degree of main ``main_id``, and their edges,
+    from the memoised constructors; fails when the residual is not a
+    nonnegative multiple of ``u``."""
     if residual < 0 or residual % u:
         raise ShapeError(
             f"no integral redundant completion: component {main_id} has "
@@ -628,42 +660,17 @@ def check_cover(graph: CoverGraph) -> list[str]:
 
 @functools.lru_cache(maxsize=1 << 12)
 def _main_block(shape: BaseShape, i: int, k: int, l: int, start: int) -> tuple[
-        Component, NodeEdge, tuple[Component, ...], tuple[NodeEdge, ...]]:
+        Component, NodeEdge, tuple[Component, ...], tuple[NodeEdge, ...], list[list[str]]]:
     """Main M{i} of degree ``k`` with its full node fiber, its edge of local
     ``l`` to the tail E, and the redundant tails R{start+1}, ... filling
     the rest of that fiber, with their edges: main i's share of a graph,
-    keyed by small ints so that a hit hashes no node-locals tuple."""
+    keyed by small ints so that a hit hashes no node-locals tuple.  Last
+    comes an empty slot for the records' JSON pieces, which only
+    ``CoverGraph.to_json`` fills, so an enumeration renders no text."""
     main_id, u = f"M{i}", shape.redundant_degree
     tails, edges = _redundant_block(main_id, u, shape.tail_marked, start, k - l)
     main = _make_component(main_id, "main", k, shape.main_marked, (l,) + (u,) * len(tails), False)
-    return main, _node_edge(main_id, "E", l), tails, edges
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _main_block_json(shape: BaseShape, i: int, k: int, l: int, start: int) -> tuple[
-        Component, NodeEdge, tuple[Component, ...], tuple[NodeEdge, ...],
-        tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """``_main_block``'s records (the main, its edge to E, the redundant
-    tails and their edges), then the pieces of each of those four: every
-    record's ``_json_fragment`` after its separator, ``",\\n"``.  The
-    pieces refer to the fragment texts and hold no text of their own.
-    Filled by ``CoverGraph.to_json`` alone."""
-    main, edge, tails, edges = _main_block(shape, i, k, l, start)
-    records = (main, edge, *tails, *edges)
-    pieces = [",\n"] * (2 * len(records))
-    pieces[1::2] = map(_json_fragment, records)
-    cut = 4 + 2 * len(tails)
-    return (main, edge, tails, edges, tuple(pieces[:2]), tuple(pieces[2:4]),
-            tuple(pieces[4:cut]), tuple(pieces[cut:]))
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _tail_e(shape: BaseShape, locals_: tuple[int, ...]) -> Component:
-    """The non-redundant tail E, its degree the sum of the node locals:
-    keyed by the shape and the locals, so a hit hashes two fields, not the
-    six of ``_make_component``'s key."""
-    # the table, not the tail_marked property: a dict hit runs no Python frame
-    return _make_component("E", "tail", sum(locals_), _TAIL_MARKED[shape], locals_, False)
+    return main, _node_edge(main_id, "E", l), tails, edges, []
 
 
 def _skeleton(
@@ -677,13 +684,15 @@ def _skeleton(
     i = 0  # a counter, not enumerate, which builds a tuple per main
     for k, l in zip(degrees, locals_):
         i += 1
-        main, edge, reds, red_edges = _main_block(shape, i, k, l, len(tails))
+        main, edge, reds, red_edges, _ = _main_block(shape, i, k, l, len(tails))
         mains.append(main)
         edges.append(edge)
         tails += reds
         tail_edges += red_edges
+    # the table, not the tail_marked property: a dict hit runs no Python frame
+    tail = _make_component("E", "tail", sum(locals_), _TAIL_MARKED[shape], locals_, False)
     # tuple.__new__ skips the NamedTuple's Python-level __new__ (it checks nothing)
-    return tuple.__new__(CoverGraph, (d, shape, (*mains, _tail_e(shape, locals_), *tails),
+    return tuple.__new__(CoverGraph, (d, shape, (*mains, tail, *tails),
                                       (*edges, *tail_edges), type_index, params, r_options))
 
 
@@ -692,24 +701,6 @@ def _skeleton(
 # counts b (tests check this).
 # recorded: Table 1 — type 1 excludes r = 3, which the derivation admits
 R_OPTIONS = {1: (1, 2), 2: (2, 4), 3: (2, 4), 4: (3,), 5: (3,)}
-
-
-@functools.lru_cache(maxsize=1 << 8)
-def _check_minimal_tail(shape: BaseShape, total: int) -> None:
-    """Shapes I-III: the tail-moduli filter must force the minimal tail
-    (e, s) among tails of degree up to ``total``.  Memoised like the
-    constructors: a pass is kept, a ShapeError is raised again."""
-    step = shape.redundant_degree
-    minimal = (max(step, 2), 2)
-    feasible = [
-        (e, s)
-        for e in range(minimal[0], total + 1, step)
-        for s in range(2, e + 1)
-        if tail_moduli_filter(shape, e, s)
-    ]
-    if feasible != [minimal]:
-        raise ShapeError(f"shape {shape.value}: tail-moduli filter admits "
-                         f"{feasible}, expected only {[minimal]}")
 
 
 def enumerate_boundary_types(d: int) -> list[BoundaryType]:
@@ -723,8 +714,6 @@ def enumerate_boundary_types(d: int) -> list[BoundaryType]:
     total = 6 * d
     families: list[BoundaryType] = []
 
-    for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
-        _check_minimal_tail(shape, total)
     for index, (shape, split, locals_) in enumerate(_one_node_types(total), 1):
         graph = _skeleton(d, shape, split, locals_, index, (), R_OPTIONS.get(index, ()))
         families.append(BoundaryType(index, shape, (), (graph,)))

@@ -293,12 +293,49 @@ def test_warm_to_json_looks_up_one_fragment_per_graph():
     for g in graphs:
         g.to_json()
     before = covergraphs._json_fragment.cache_info()
-    blocks = covergraphs._main_block_json.cache_info()
+    blocks = covergraphs._main_block.cache_info()
     for g in graphs:
         g.to_json()
     after = covergraphs._json_fragment.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (119, 0)
-    assert covergraphs._main_block_json.cache_info().misses == blocks.misses
+    assert covergraphs._main_block.cache_info().misses == blocks.misses
+
+
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call's
+    arguments in the returned list and then calls the original."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_cold_enumeration_renders_no_json_and_runs_no_tail_filter(monkeypatch, cold_memos):
+    # enumeration alone leaves every block's JSON slot empty, and the
+    # minimal-tail check runs at import, not per enumeration
+    fragments = _counting(monkeypatch, covergraphs, "_json_fragment")
+    dumps = _counting(monkeypatch, jsontext, "dumps")
+    probes = _counting(monkeypatch, covergraphs, "tail_moduli_filter")
+    enumerate_boundary_types(3)
+    assert (len(fragments), len(dumps), len(probes)) == (0, 0, 0)
+
+
+def test_first_cold_to_json_pass_looks_up_each_block_once(monkeypatch, cold_memos):
+    # the first d = 3 pass fills each of the 105 blocks' slots once, in at
+    # most 1,218 fragment lookups, and looks up the tail E's fragment once
+    # per graph
+    graphs = [g for f in enumerate_boundary_types(3) for g in f.graphs]
+    fragments = _counting(monkeypatch, covergraphs, "_json_fragment")
+    for g in graphs:
+        g.to_json()
+    tail_e = [c for (c,) in fragments if isinstance(c, covergraphs.Component) and c.id == "E"]
+    assert len(tail_e) == len(graphs) == 119
+    assert len(fragments) - len(tail_e) <= 1218
+    assert covergraphs._main_block.cache_info().currsize == 105
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -425,7 +462,7 @@ def test_skeleton_and_to_json_match_the_reference(monkeypatch, d):
     texts = [g.to_json() for g in graphs + mutants]
     # every enumerated graph is written from its blocks: one hit, for E
     assert _fragment_hits(lambda: [g.to_json() for g in graphs]) == len(graphs)
-    monkeypatch.setattr(covergraphs, "_main_block_json", _no_block)
+    monkeypatch.setattr(covergraphs, "_main_block", _no_block)
     fallback = [g.to_json() for g in graphs + mutants]
     monkeypatch.undo()
     for g, text, by_record in zip(graphs + mutants, texts, fallback):
@@ -516,19 +553,21 @@ def test_memos_hold_d3_to_d6_without_eviction(cold_memos):
                 g.to_json()
     memos = {name: memo.cache_info() for name, memo in vars(covergraphs).items()
              if hasattr(memo, "cache_info")}
-    assert {"_main_block", "_main_block_json", "_tail_e"} <= memos.keys()
+    # the whole memo set, so that a new memo is a reviewed change
+    assert memos.keys() == {"_dumps", "_json_fragment", "_graph_template", "_component",
+                            "_node_edge", "_profiles_for", "_make_component", "_main_block"}
     for name, info in memos.items():
         assert info.maxsize <= 1 << 12 and info.currsize == info.misses, (name, info)
 
 
 def test_main_block_pieces_keep_under_a_megabyte(cold_memos):
     # the block pieces refer to the fragment texts: after d = 3..6 the
-    # memo keeps 896 blocks in under 1 MB (one joined text per block would
-    # keep about 2.4 MB more)
+    # memo keeps 896 blocks, their records and their filled pieces in
+    # under 1 MB (one joined text per block would keep about 2.4 MB more)
     graphs = [g for d in (3, 4, 5, 6) for g in _graphs(d)]
     for g in graphs:
         g.to_json()
-    covergraphs._main_block_json.cache_clear()
+    covergraphs._main_block.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -539,7 +578,7 @@ def test_main_block_pieces_keep_under_a_megabyte(cold_memos):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert covergraphs._main_block_json.cache_info().currsize == 896
+    assert covergraphs._main_block.cache_info().currsize == 896
     assert kept < 1 << 20, kept
 
 
@@ -557,17 +596,43 @@ def test_complete_redundant_idempotent_and_order_free(data):
     assert Counter(again.node_edges) == Counter(g.node_edges)
 
 
-def test_enumeration_rejects_extra_feasible_tail(monkeypatch, cold_memos):
-    # the minimal-tail scan is memoised per (shape, total degree); a failed
-    # scan is not kept, so every call runs it again and raises again
+def _feasible_tails(shape, total):
+    """Oracle, by full scan: every tail (e, s) of degree up to ``total``,
+    with 2 <= s <= e, that the tail-moduli filter admits."""
+    u = shape.redundant_degree
+    return [(e, s) for e in range(max(u, 2), total + 1, u) for s in range(2, e + 1)
+            if tail_moduli_filter(shape, e, s)]
+
+
+def test_minimal_tail_check_matches_the_full_scan():
+    # the closed-form check passes, and the full scan admits exactly the
+    # minimal tail it names, (max(u, 2), 2), at every d = 1..8
+    covergraphs._check_minimal_tail()
+    for shape in (BaseShape.I, BaseShape.II, BaseShape.III):
+        for d in range(1, 9):
+            assert _feasible_tails(shape, 6 * d) == [(max(shape.redundant_degree, 2), 2)]
+
+
+def test_minimal_tail_check_rejects_each_flipped_probe(monkeypatch):
+    # a filter that differs from the real one at any of the nine probes
+    # (each shape's minimal tail, one step up in e, and s = 3) is refused,
+    # with a ShapeError on every call: nothing is kept between calls
     real = covergraphs.tail_moduli_filter
-    monkeypatch.setattr(
-        covergraphs, "tail_moduli_filter",
-        lambda shape, e, s: real(shape, e, s) or (shape, e, s) == (BaseShape.II, 4, 3),
-    )
-    for _ in range(2):
-        with pytest.raises(ShapeError, match="tail-moduli filter admits"):
-            enumerate_boundary_types(3)
+    probes = {(BaseShape.I, 2, 2), (BaseShape.I, 3, 2), (BaseShape.I, 2, 3),
+              (BaseShape.II, 2, 2), (BaseShape.II, 4, 2), (BaseShape.II, 2, 3),
+              (BaseShape.III, 3, 2), (BaseShape.III, 6, 2), (BaseShape.III, 3, 3)}
+    for probe in probes:
+        monkeypatch.setattr(covergraphs, "tail_moduli_filter",
+                            lambda *args: real(*args) != (args == probe))
+        for _ in range(2):
+            with pytest.raises(ShapeError, match=f"shape {probe[0].value}: tail-moduli filter"):
+                covergraphs._check_minimal_tail()
+    # the probes are all the check reads
+    seen = []
+    monkeypatch.setattr(covergraphs, "tail_moduli_filter",
+                        lambda *args: seen.append(args) or real(*args))
+    covergraphs._check_minimal_tail()
+    assert len(seen) == 9 and set(seen) == probes
 
 
 def test_one_node_splits_number_the_types():
@@ -739,9 +804,9 @@ def test_complete_redundant_stamped_tail_sharing_an_id():
 
 
 def test_complete_redundant_rechecks_memoised_tails(monkeypatch, cold_memos):
-    # the stamped tails come from the memoised redundant block, here built
-    # cold through a constructor that hands back a wrong beta; the re-check
-    # of every component still corrects it
+    # the stamped tails come from the memoised constructor, here wrapped on
+    # cold memos so that it hands back a wrong beta; the re-check of every
+    # component still corrects it
     g = next(g for g in _graphs(3) if g.type_index == 6 and g.params == (2,))
     real = covergraphs._make_component
 
