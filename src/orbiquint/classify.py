@@ -19,7 +19,8 @@ import enum
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import covergraphs
 from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
@@ -230,9 +231,10 @@ def _v(genus, tags=(), marks=()):
     return VertexDesc(genus, frozenset(tags), frozenset(marks))
 
 
-# The 13 boundary divisors, in the order of the main theorem.
+# The 13 boundary divisors, in the order of the main theorem, read-only:
+# match searches them through an index built from this mapping at import.
 # recorded: main theorem — the vertex tags and marks are geometry no code here computes
-THEOREM_DESCRIPTIONS: dict[int, StableCurveDesc] = {
+THEOREM_DESCRIPTIONS: Mapping[int, StableCurveDesc] = MappingProxyType({
     1: StableCurveDesc((_v(5, [Tag.NODAL_PLANE_QUINTIC]),), ((0, 0),)),
     2: StableCurveDesc((_v(5, [Tag.HYPERELLIPTIC]),), ((0, 0),)),
     3: StableCurveDesc(
@@ -275,7 +277,25 @@ THEOREM_DESCRIPTIONS: dict[int, StableCurveDesc] = {
     13: StableCurveDesc(
         (_v(3, [Tag.HYPERELLIPTIC]), _v(1)), ((0, 1), (0, 1), (0, 1))
     ),
-}
+})
+
+
+def _shape(desc: StableCurveDesc) -> tuple[int, tuple[int, ...]]:
+    """A curve's edge count and sorted genera: a fit keeps both."""
+    return len(desc.edges), tuple(sorted([v.genus for v in desc.vertices]))
+
+
+def _index_by_shape(descriptions: Mapping[int, StableCurveDesc]) -> dict[tuple, list[tuple]]:
+    """The descriptions by shape, in ascending index order, each as its
+    index, its vertices and its edges as sorted pairs, sorted."""
+    by_shape: dict[tuple, list[tuple]] = {}
+    for index, desc in sorted(descriptions.items()):
+        by_shape.setdefault(_shape(desc), []).append(
+            (index, desc.vertices, sorted([sorted(e) for e in desc.edges])))
+    return by_shape
+
+
+_THEOREM_BY_SHAPE = _index_by_shape(THEOREM_DESCRIPTIONS)
 
 
 def match(curve: StableCurveDesc, main_lacks: frozenset[Tag] = frozenset()) -> list[int]:
@@ -285,25 +305,21 @@ def match(curve: StableCurveDesc, main_lacks: frozenset[Tag] = frozenset()) -> l
     curve's edge multiset onto the description's (loops included) and
     maps each vertex's tags and marks to a superset of them; the image of
     the curve's first vertex carries no tag in main_lacks.  Only the
-    descriptions with the curve's edge count and sorted genera are searched.
+    descriptions with the curve's edge count and sorted genera are
+    searched, looked up in an index built once at import.
     """
     cv, ce = curve.vertices, curve.edges
-    genera = sorted(v.genus for v in cv)
     hits = []
-    for index, desc in THEOREM_DESCRIPTIONS.items():
-        verts = desc.vertices
-        if len(desc.edges) != len(ce) or sorted(w.genus for w in verts) != genera:
-            continue
+    for index, verts, edges in _THEOREM_BY_SHAPE.get(_shape(curve), ()):
         for image in itertools.permutations(range(len(verts))):
             ws = [verts[k] for k in image]  # the image of each curve vertex
             if (all([v.genus == w.genus and v.tags <= w.tags and v.marks <= w.marks
                      for v, w in zip(cv, ws)])
                     and not (ws and ws[0].tags & main_lacks)
-                    and sorted([sorted((image[a], image[b])) for a, b in ce])
-                    == sorted([sorted(e) for e in desc.edges])):
+                    and sorted([sorted((image[a], image[b])) for a, b in ce]) == edges):
                 hits.append(index)
                 break
-    return sorted(hits)
+    return hits
 
 
 class DivisorRecord(NamedTuple):

@@ -8,23 +8,29 @@ ORBIQUINT_GOLDEN environment variable).
 Each subcommand returns its text and exit status and writes nothing;
 `main` alone writes the text to stdout or to `--out`, and turns domain
 errors into exit status 1 with a message on stderr.
+
+One table, `_SUBCOMMANDS`, holds each subcommand's handler and options.
+`main` first reads argv itself from that table; argparse, built from the
+same table by `build_parser`, is loaded only for the argv the reader
+declines: help, usage errors, abbreviated or repeated options, and a
+value after a space that begins with "-".
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .orbiscroll import coarse_singularities, frac
-
 if TYPE_CHECKING:
+    import argparse
+
     from . import classify
 
-# The other library modules are imported inside the functions that use
-# them, so each subcommand loads only what it needs.
+# The library modules are imported inside the functions that use them, so
+# each subcommand loads only what it needs.
 
 
 def _golden_dir() -> Path:
@@ -329,6 +335,8 @@ def cmd_resolve(args) -> tuple[str, int]:
 
 
 def cmd_coarse(args) -> tuple[str, int]:
+    from .orbiscroll import coarse_singularities, frac
+
     a = frac(args.a)
     cs = coarse_singularities(args.r, a)
     if args.format == "json":
@@ -403,6 +411,7 @@ def cmd_recillas(args) -> tuple[str, int]:
 
 def cmd_parity(args) -> tuple[str, int]:
     from . import parity
+    from .orbiscroll import frac
 
     pieces = [frac(t) for t in _split_list(args.pieces, ",")]
     sc = parity.SectionClass(pieces)
@@ -489,67 +498,112 @@ def cmd_verify_golden(args) -> tuple[str, int]:
 # Parser
 
 
+def _options(formats: list[str], **own: dict) -> dict[str, dict]:
+    """A subcommand's options as argparse keywords by name: --format, whose
+    default is the first format, --out, then the subcommand's own."""
+    return {
+        "format": {"choices": formats, "default": formats[0]},
+        "out": {"help": "write output to a file instead of stdout"},
+        **own,
+    }
+
+
+_REQUIRED_INT = {"type": int, "required": True}
+
+# each subcommand's handler and options, in the order that --help lists them
+_SUBCOMMANDS: dict[str, tuple[Callable, dict[str, dict]]] = {
+    "table1": (cmd_table1, _options(["md", "tsv", "json"])),
+    "boundary-graphs": (cmd_boundary_graphs, _options(["md", "json", "dot"], d=_REQUIRED_INT)),
+    "resolve": (cmd_resolve, _options(["md", "json"], r=_REQUIRED_INT, q=_REQUIRED_INT)),
+    "coarse": (cmd_coarse, _options(
+        ["md", "json"], r=_REQUIRED_INT, a={"required": True, "help": "twist a as p/q"})),
+    "diagrams": (cmd_diagrams, _options(
+        ["txt", "dot", "json"], item=_REQUIRED_INT,
+        stage={"choices": ["left", "right"], "default": "right"})),
+    "recillas": (cmd_recillas, _options(["md", "json"], monodromy={
+        "required": True,
+        "help": "semicolon-separated cycle notation, e.g. '(1 2 3);(1 2)(3 4)'"})),
+    "parity": (cmd_parity, _options(["md", "json"], pieces={
+        "required": True, "help": "comma-separated half-integers, e.g. '1,0,5/2'"})),
+    "classify": (cmd_classify, _options(
+        ["md", "tsv", "json"], type={"choices": sorted(_CLASSIFY_DISPATCH), "default": "all"})),
+    "genus": (cmd_genus, _options(
+        ["md", "json"], l=_REQUIRED_INT, n=_REQUIRED_INT, m=_REQUIRED_INT,
+        ak={"help": "comma-separated A_k indices, e.g. '2,4'"})),
+    "verify-golden": (cmd_verify_golden, _options(
+        ["md", "json"], golden={"help": "golden data directory override"})),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that a child whose argv _read_argv reads skips it
+
     ap = argparse.ArgumentParser(
         prog="orbiquint",
         description="Exact boundary arithmetic for the plane-quintic locus.",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, formats):
+    for name, (fn, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", help="write output to a file instead of stdout")
+        for option, keywords in options.items():
+            p.add_argument(f"--{option}", **keywords)
         p.set_defaults(fn=fn)
-        return p
-
-    add("table1", cmd_table1, ["md", "tsv", "json"])
-
-    p = add("boundary-graphs", cmd_boundary_graphs, ["md", "json", "dot"])
-    p.add_argument("--d", type=int, required=True)
-
-    p = add("resolve", cmd_resolve, ["md", "json"])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add("coarse", cmd_coarse, ["md", "json"])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", required=True, help="twist a as p/q")
-
-    p = add("diagrams", cmd_diagrams, ["txt", "dot", "json"])
-    p.add_argument("--item", type=int, required=True)
-    p.add_argument("--stage", choices=["left", "right"], default="right")
-
-    p = add("recillas", cmd_recillas, ["md", "json"])
-    p.add_argument(
-        "--monodromy", required=True,
-        help="semicolon-separated cycle notation, e.g. '(1 2 3);(1 2)(3 4)'",
-    )
-
-    p = add("parity", cmd_parity, ["md", "json"])
-    p.add_argument("--pieces", required=True,
-                   help="comma-separated half-integers, e.g. '1,0,5/2'")
-
-    p = add("classify", cmd_classify, ["md", "tsv", "json"])
-    p.add_argument("--type", choices=sorted(_CLASSIFY_DISPATCH), default="all")
-
-    p = add("genus", cmd_genus, ["md", "json"])
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ak", help="comma-separated A_k indices, e.g. '2,4'")
-
-    p = add("verify-golden", cmd_verify_golden, ["md", "json"])
-    p.add_argument("--golden", help="golden data directory override")
-
     return ap
+
+
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace that ``build_parser().parse_args(argv)`` returns, for
+    argv that it reads without help or error and by rules simple enough to
+    repeat here: a subcommand, then each of its options at most once,
+    spelled in full, as ``--name=value`` or as ``--name value`` with a
+    value that does not begin with "-".  None for any other argv, which is
+    left to argparse, so that its help and error texts stay its own."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    fn, options = _SUBCOMMANDS[argv[0]]
+    given: dict[str, str] = {}
+    k = 1
+    while k < len(argv):
+        flag, eq, value = argv[k].partition("=")
+        name = flag[2:]
+        if flag[:2] != "--" or name not in options or name in given:
+            return None
+        if eq:
+            k += 1
+        elif k + 1 < len(argv) and not argv[k + 1].startswith("-"):
+            value = argv[k + 1]
+            k += 2
+        else:
+            return None
+        given[name] = value
+    args = SimpleNamespace(subcommand=argv[0], fn=fn)
+    for name, keywords in options.items():
+        if name not in given:
+            if keywords.get("required"):
+                return None
+            setattr(args, name, keywords.get("default"))
+            continue
+        value = given[name]
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        setattr(args, name, value)
+    return args
 
 
 _DOMAIN_ERRORS = (ValueError, OSError, ZeroDivisionError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         text, status = args.fn(args)
         # written inside the try: an unwritable --out exits 1, not a traceback

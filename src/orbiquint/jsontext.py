@@ -10,13 +10,17 @@ dispatches each child on its exact type and renders its str and int
 children in its own loop, without a call per child; a top-level scalar,
 bool, None and subclasses (a str subclass, an IntEnum member) take the
 isinstance path in json's order, so a bool is never read as an int.
-The module imports nothing from the package, so a caller pays only for
-``json.encoder``.
+The module imports nothing from the package, and takes the C encoder
+from ``_json``, so a caller loads no part of the ``json`` package unless
+the interpreter lacks that accelerator.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 

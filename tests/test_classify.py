@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -219,13 +220,21 @@ def test_type6_map_matches_the_recorded_tables():
     assert classify_type_6() == classify._records(pairs)
 
 
+def _use_descriptions(monkeypatch, descriptions):
+    # the descriptions are read-only and match searches them through an
+    # index built at import, so a test swaps in other descriptions and
+    # their index together
+    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", MappingProxyType(descriptions))
+    monkeypatch.setattr(classify, "_THEOREM_BY_SHAPE", classify._index_by_shape(descriptions))
+
+
 def test_type6_refuses_two_candidates(monkeypatch):
     # description 6's hyperelliptic genus-3 vertex given a Weierstrass
     # point now also fits the i = 7 curve, whose tail carries one
     six = THEOREM_DESCRIPTIONS[6]
     hyp = six.vertices[1]._replace(marks=frozenset({Mark.WEIERSTRASS}))
-    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 6,
-                        StableCurveDesc((six.vertices[0], hyp), six.edges))
+    _use_descriptions(monkeypatch, {
+        **THEOREM_DESCRIPTIONS, 6: StableCurveDesc((six.vertices[0], hyp), six.edges)})
     assert match(classify._type6_curve(7), frozenset({Tag.HYPERELLIPTIC})) == [5, 6]
     with pytest.raises(ClassifyError, match=r"type\(6\) i=7 fits divisors \[5, 6\]"):
         classify_type_6()
@@ -236,8 +245,8 @@ def test_type6_refuses_no_candidate(monkeypatch):
     # longer fits the i = 9 tail
     seven = THEOREM_DESCRIPTIONS[7]
     bare = seven.vertices[0]._replace(marks=frozenset())
-    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 7,
-                        StableCurveDesc((bare, seven.vertices[1]), seven.edges))
+    _use_descriptions(monkeypatch, {
+        **THEOREM_DESCRIPTIONS, 7: StableCurveDesc((bare, seven.vertices[1]), seven.edges)})
     with pytest.raises(ClassifyError, match=r"type\(6\) i=9 fits divisors \[\]"):
         classify_type_6()
 
@@ -277,15 +286,22 @@ def test_theorem_divisors():
 def test_theorem_divisors_refuses_isomorphic_descriptions(monkeypatch):
     # item 6 redrawn as item 5 with its two vertices listed the other way
     five = THEOREM_DESCRIPTIONS[5]
-    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 6,
-                        StableCurveDesc(five.vertices[::-1], ((1, 0),)))
-    with pytest.raises(ClassifyError, match="description collision"):
+    _use_descriptions(monkeypatch, {
+        **THEOREM_DESCRIPTIONS, 6: StableCurveDesc(five.vertices[::-1], ((1, 0),))})
+    with pytest.raises(ClassifyError,
+                       match=r"description collision: item 5 fits items \[5, 6\]"):
         theorem_divisors(table1(), local_models())
 
 
+def test_descriptions_are_read_only():
+    # an edit would leave match's index stale
+    with pytest.raises(TypeError):
+        THEOREM_DESCRIPTIONS[6] = THEOREM_DESCRIPTIONS[5]
+
+
 def test_theorem_divisors_refuses_wrong_genus(monkeypatch):
-    monkeypatch.setitem(THEOREM_DESCRIPTIONS, 13,
-                        StableCurveDesc((VertexDesc(3), VertexDesc(1)), ((0, 1),) * 2))
+    _use_descriptions(monkeypatch, {
+        **THEOREM_DESCRIPTIONS, 13: StableCurveDesc((VertexDesc(3), VertexDesc(1)), ((0, 1),) * 2)})
     with pytest.raises(ClassifyError, match="description 13 has wrong genus"):
         theorem_divisors(table1(), local_models())
 
@@ -327,14 +343,14 @@ def test_stable_pa():
 def test_match_symmetry(monkeypatch):
     a = StableCurveDesc((VertexDesc(2), VertexDesc(4)), ((0, 1),))
     b = StableCurveDesc((VertexDesc(4), VertexDesc(2)), ((1, 0),))
-    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", {1: a})
+    _use_descriptions(monkeypatch, {1: a})
     assert match(a) == match(b) == [1]
     # a tag on the curve must be on its image; one on the image need not
     # be on the curve
     tagged = StableCurveDesc((VertexDesc(4, frozenset({Tag.HYPERELLIPTIC})), VertexDesc(2)),
                              ((0, 1),))
     assert match(tagged) == []
-    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", {1: tagged})
+    _use_descriptions(monkeypatch, {1: tagged})
     assert match(b) == [1]
     assert match(b, frozenset({Tag.HYPERELLIPTIC})) == []
     assert match(a, frozenset({Tag.HYPERELLIPTIC})) == [1]
@@ -346,7 +362,7 @@ def test_match_tied_labels(monkeypatch):
     a = StableCurveDesc(verts, ((0, 1), (1, 2)))
     b = StableCurveDesc(verts, ((0, 1), (0, 2)))
     c = StableCurveDesc(verts, ((0, 2), (1, 2)))
-    monkeypatch.setattr(classify, "THEOREM_DESCRIPTIONS", {1: a, 2: c})
+    _use_descriptions(monkeypatch, {1: a, 2: c})
     assert match(a) == match(b) == [1]
     assert match(c) == [2]
 
@@ -360,6 +376,69 @@ def test_match_ignores_vertex_order(index, data):
     edges = data.draw(st.permutations([(last - b, last - a) for a, b in desc.edges]))
     flipped = StableCurveDesc(desc.vertices[::-1], tuple(edges))
     assert match(flipped) == match(desc) == [index]
+
+
+def _match_reference(curve, main_lacks=frozenset()):
+    # match before its index: every description scanned, its genera
+    # sorted on each call
+    cv, ce = curve.vertices, curve.edges
+    genera = sorted(v.genus for v in cv)
+    hits = []
+    for index, desc in THEOREM_DESCRIPTIONS.items():
+        verts = desc.vertices
+        if len(desc.edges) != len(ce) or sorted(w.genus for w in verts) != genera:
+            continue
+        for image in itertools.permutations(range(len(verts))):
+            ws = [verts[k] for k in image]
+            if (all(v.genus == w.genus and v.tags <= w.tags and v.marks <= w.marks
+                    for v, w in zip(cv, ws))
+                    and not (ws and ws[0].tags & main_lacks)
+                    and sorted(sorted((image[a], image[b])) for a, b in ce)
+                    == sorted(sorted(e) for e in desc.edges)):
+                hits.append(index)
+                break
+    return sorted(hits)
+
+
+_MAIN_LACKS = [frozenset(), frozenset({Tag.HYPERELLIPTIC}), frozenset(Tag)]
+
+
+def test_match_agrees_with_full_scan():
+    curves = [*THEOREM_DESCRIPTIONS.values(),
+              *map(classify._type6_curve, classify._TYPE6_IRREDUCIBLE)]
+    assert len(curves) == 13 + 8
+    for curve in curves:
+        for lacks in _MAIN_LACKS:
+            assert match(curve, lacks) == _match_reference(curve, lacks)
+
+
+@st.composite
+def _decorated_curves(draw):
+    """A curve of 1-3 vertices: either drawn freely, with at most one tag
+    and one mark a vertex, or a description with its vertices reordered
+    and some of its tags and marks dropped, so that many draws fit."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        verts = [VertexDesc(draw(st.integers(0, 6)),
+                            draw(st.frozensets(st.sampled_from(Tag), max_size=1)),
+                            draw(st.frozensets(st.sampled_from(Mark), max_size=1)))
+                 for _ in range(n)]
+        ends = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=3))
+        return StableCurveDesc(tuple(verts), tuple(edges))
+    desc = THEOREM_DESCRIPTIONS[draw(st.sampled_from(sorted(THEOREM_DESCRIPTIONS)))]
+    order = draw(st.permutations(range(len(desc.vertices))))
+    verts = [VertexDesc(v.genus,
+                        frozenset(t for t in v.tags if draw(st.booleans())),
+                        frozenset(m for m in v.marks if draw(st.booleans())))
+             for v in (desc.vertices[k] for k in order)]
+    edges = tuple((order.index(a), order.index(b)) for a, b in desc.edges)
+    return StableCurveDesc(tuple(verts), edges)
+
+
+@given(_decorated_curves(), st.sampled_from(_MAIN_LACKS))
+def test_match_agrees_with_full_scan_on_drawn_curves(curve, lacks):
+    assert match(curve, lacks) == _match_reference(curve, lacks)
 
 
 def test_local_model_counts():

@@ -9,9 +9,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbiquint import cli, covergraphs
-from orbiquint.cli import golden_artifacts, main, verify_golden
+from orbiquint.cli import build_parser, golden_artifacts, main, verify_golden
 
 
 GOLDEN = Path(cli.__file__).parent / "golden"
@@ -386,36 +387,46 @@ def test_submodule_import_is_lazy():
     assert (p.returncode, p.stdout) == (0, "1\n")
 
 
-# Text-format runs, an error path among them, of the subcommands that do not
-# load covergraphs (which imports json itself), then one run of each of the
-# other four subcommands.
-_TEXT_ARGVS = [
-    ["resolve", "--r", "7", "--q", "3"], ["resolve", "--r", "7", "--q", "7"],
-    ["coarse", "--r", "3", "--a", "2/3"], ["diagrams", "--item", "7"],
-    ["recillas", "--monodromy", "(1 2 3);(1 2)(3 4)"], ["parity", "--pieces", "1,0,3"],
-    ["genus", "--l", "1", "--n", "4", "--m", "5", "--ak", "2"],
+# A run of each subcommand in each of its formats, an error path among
+# them; recillas and boundary-graphs come first, as the two that build no
+# Fraction.
+_FRACTION_FREE_ARGVS = [
+    *(["recillas", "--monodromy", "(1 2 3);(1 2)(3 4)", "--format", f] for f in ("md", "json")),
+    *(["boundary-graphs", "--d", "3", "--format", f] for f in ("md", "json", "dot")),
 ]
-_OTHER_ARGVS = [["table1", "--format", "tsv"], ["boundary-graphs", "--d", "3"],
-                ["classify"], ["verify-golden"]]
+_OTHER_ARGVS = [
+    *(["table1", "--format", f] for f in ("md", "tsv", "json")),
+    *(["resolve", "--r", "7", "--q", q, "--format", f] for q in ("3", "7") for f in ("md", "json")),
+    *(["coarse", "--r", "3", "--a=2/3", "--format", f] for f in ("md", "json")),
+    *(["diagrams", "--item", "7", "--format", f] for f in ("txt", "dot", "json")),
+    *(["parity", "--pieces=-3/2,1,0", "--format", f] for f in ("md", "json")),
+    *(["classify", "--type", "all", "--format", f] for f in ("md", "tsv", "json")),
+    *(["genus", "--l", "1", "--n", "4", "--m", "5", "--ak=2", "--format", f]
+      for f in ("md", "json")),
+    *(["verify-golden", "--format", f] for f in ("md", "json")),
+]
 
 
 def test_subcommands_skip_costly_imports():
-    # each CLI child pays for what it imports: dataclasses (which loads
-    # inspect) is never needed, and json only where JSON is written; -S
-    # keeps site hooks, which are not the package's, out of the count
+    # each CLI child pays for what it imports: no success path loads
+    # argparse (main reads its argv), json (jsontext takes its encoder from
+    # _json) or dataclasses (which loads inspect), and only the subcommands
+    # that build a Fraction load fractions and decimal; -S keeps site
+    # hooks, which are not the package's, out of the count
     script = (
         "import os, sys\n"
         "from orbiquint import cli\n"
-        "def run(argvs):\n"
+        "def run(argvs, costly):\n"
         "    for argv in argvs:\n"
         "        cli.main(argv + ['--out', os.devnull])\n"
-        "    return sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules))\n"
-        f"print(run({_TEXT_ARGVS!r}), run({_OTHER_ARGVS!r}))\n"
+        "    return sorted(costly & set(sys.modules))\n"
+        f"print(run({_FRACTION_FREE_ARGVS!r}, {{'fractions', 'decimal'}}),\n"
+        f"      run({_OTHER_ARGVS!r}, {{'argparse', 'dataclasses', 'inspect', 'json'}}))\n"
     )
     p = _python("-S", "-c", script)
     assert p.returncode == 0, p.stderr
-    assert len({argv[0] for argv in _TEXT_ARGVS + _OTHER_ARGVS}) == 10  # every subcommand
-    assert p.stdout == "[] ['json']\n"
+    assert len({argv[0] for argv in _FRACTION_FREE_ARGVS + _OTHER_ARGVS}) == 10
+    assert p.stdout == "[] []\n"
 
 
 def test_table1_text_skips_json_resolve_and_parity():
@@ -487,3 +498,136 @@ def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
         digest.update(json.dumps([argv, code, out, err, written]).encode())
     assert len(_PIN_CASES) == 83
     assert digest.hexdigest() == _PIN_SHA256
+
+
+# Help, usage errors, and argv that parse only by argparse's own rules: a
+# repeated option, a negative value after a space, a value after "=" that
+# begins with "-".
+_USAGE_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in ("table1", "boundary-graphs", "resolve", "coarse",
+                                    "diagrams", "recillas", "parity", "classify",
+                                    "genus", "verify-golden")),
+    [],
+    ["no-such-command"],
+    ["resolve", "--r", "3"],
+    ["table1", "--format", "bogus"],
+    ["resolve", "--r", "x", "--q", "1"],
+    ["table1", "extra"],
+    ["table1", "--form", "tsv"],
+    ["table1", "--format", "md", "--format", "tsv"],
+    ["resolve", "--r", "-3", "--q", "1"],
+    ["coarse", "--r", "2", "--a=-1/2"],
+]
+_USAGE_CODES = [0] * 11 + [2] * 6 + [0, 0, 1, 1]
+# The text is argparse's own, so its digest holds for the interpreter it
+# was computed on; on any other the exit codes are checked alone.
+_USAGE_PYTHON = (3, 11, 7)
+_USAGE_SHA256 = "075e2941e04ab6dfd7c49c80c80dd2b3fdf610f93c03a58e55e94ac9a48c4499"
+
+
+def test_help_and_usage_errors_pinned(capsys, monkeypatch):
+    # argparse's text, wrapped at a fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _USAGE_CASES:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out.out, out.err]).encode())
+        codes.append(code)
+    assert len(_USAGE_CASES) == 21
+    assert codes == _USAGE_CODES
+    if sys.version_info[:3] == _USAGE_PYTHON:
+        assert digest.hexdigest() == _USAGE_SHA256
+
+
+# argv drawn around the subcommand table: its names and options, unknown
+# and abbreviated ones, help flags, "--", repeats, both option forms, and
+# values of every kind the options take or refuse
+_OPTION_NAMES = sorted({name for _, options in cli._SUBCOMMANDS.values() for name in options})
+_CHOICES = sorted({c for _, options in cli._SUBCOMMANDS.values()
+                   for keywords in options.values() for c in keywords.get("choices", ())})
+_subcommands = st.sampled_from([*cli._SUBCOMMANDS, "no-such-command", "table", "verify",
+                                "-h", "--help", "--"])
+_flags = st.one_of(
+    st.sampled_from(_OPTION_NAMES).map("--{}".format),
+    st.sampled_from(["--form", "--mono", "--piece", "--ite", "--gold", "--zzz",
+                     "-h", "--help", "--", "-r", "---r", "format"]),
+)
+_values = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.sampled_from(["1/2", "-1/2", "2/3", "1/0", "", " 7 ", "1_0", "+3", "x", "-",
+                     "--format", "(1 2 3);(1 2)", "1,0,3", "a=b", "7.0"]),
+    st.sampled_from(_CHOICES),
+    st.text(alphabet="-=/ 1ax", max_size=4),
+)
+_forms = st.sampled_from(["space", "equals", "bare"])
+
+
+def _tokens(flag, form, value):
+    return {"bare": [flag], "equals": [f"{flag}={value}"], "space": [flag, value]}[form]
+
+
+def _fitting(keywords):
+    """Values of an option's own kind, or any value."""
+    if keywords.get("type") is int:
+        return st.integers(-5, 20).map(str)
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    return _values
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(_subcommands)
+    if name in cli._SUBCOMMANDS and draw(st.booleans()):
+        # well formed but for chance: each required option and some of the
+        # others once each, in any order, with values of their kind
+        _, options = cli._SUBCOMMANDS[name]
+        chosen = [o for o, keywords in options.items()
+                  if keywords.get("required") or draw(st.booleans())]
+        pairs = [_tokens(f"--{o}", draw(st.sampled_from(["space", "equals"])),
+                         draw(_fitting(options[o])))
+                 for o in draw(st.permutations(chosen))]
+        return [name, *(tok for tokens in pairs for tok in tokens)]
+    # anything: unknown, abbreviated, bare and repeated options, stray tokens
+    argv = [name]
+    options = cli._SUBCOMMANDS.get(name, (None, {}))[1]
+    for _ in range(draw(st.integers(0, 4))):
+        flag, value = draw(_flags), draw(_values)
+        if options and draw(st.booleans()):
+            o = draw(st.sampled_from(sorted(options)))
+            flag, value = f"--{o}", draw(st.one_of(_fitting(options[o]), _values))
+        argv += _tokens(flag, draw(_forms), value)
+    return draw(st.permutations(argv)) if draw(st.integers(0, 9)) == 0 else argv
+
+
+_PARSER = build_parser()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_argv_reader_agrees_with_argparse(argv):
+    # wherever the reader returns a namespace, argparse returns the same
+    args = cli._read_argv(argv)
+    if args is None:
+        return
+    try:
+        expected = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        raise AssertionError(f"argparse refuses {argv} with exit {exc.code}") from None
+    assert vars(args) == vars(expected)
+
+
+def test_argv_reader_takes_the_pinned_cases():
+    # the measured traffic takes the reader, not argparse
+    declined = [argv for argv in _PIN_CASES + _FRACTION_FREE_ARGVS + _OTHER_ARGVS
+                if cli._read_argv(argv) is None]
+    assert declined == []
+    # of the usage cases it reads one, a value after "=" that begins with "-"
+    read = [argv for argv in _USAGE_CASES if cli._read_argv(argv) is not None]
+    assert read == [["coarse", "--r", "2", "--a=-1/2"]]

@@ -275,10 +275,14 @@ def _module_level(tree: ast.AST):
                     if not isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
 
 
+_JSON = {"json", "_json"}
+
+
 def test_package_writes_json_through_one_writer():
     # json's encoder takes its pure-Python path whenever indent is set;
     # indented JSON comes from jsontext.dumps, whose module is the only one
-    # that loads json on import, so a child that writes no JSON skips it
+    # that loads json or its C accelerator _json on import, so a child
+    # that writes no JSON skips both
     trees = _package_trees()
     indented = [
         (module, n.lineno)
@@ -293,7 +297,7 @@ def test_package_writes_json_through_one_writer():
         module
         for module, tree in trees.items()
         for n in _module_level(tree)
-        if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "json" for a in n.names)
-        or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "json"
+        if isinstance(n, ast.Import) and any(a.name.split(".")[0] in _JSON for a in n.names)
+        or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] in _JSON
     }
     assert importers == {"jsontext.py"}

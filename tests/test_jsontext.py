@@ -1,10 +1,15 @@
 import enum
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orbiquint import jsontext
 from orbiquint.jsontext import dumps
 
 # text with what the encoder escapes: quotes, backslashes, control
@@ -76,3 +81,21 @@ def test_dumps_empty_containers_and_constants():
 def test_dumps_refuses_other_types(obj):
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+def test_dumps_without_the_c_accelerator():
+    # where _json is missing, the encoder comes from json.encoder, which
+    # then holds its pure-Python one; the text is the same
+    src = str(Path(jsontext.__file__).parent.parent)
+    script = (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        "import json, json.encoder\n"
+        "from orbiquint import jsontext\n"
+        "obj = {'a': ['\\u00e9\\n\"', 1, None, True], 'b': {}}\n"
+        "print(jsontext.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii,\n"
+        "      jsontext.dumps(obj) == json.dumps(obj, indent=2))\n"
+    )
+    p = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                       capture_output=True, text=True, timeout=60)
+    assert (p.returncode, p.stdout, p.stderr) == (0, "True True\n", "")
