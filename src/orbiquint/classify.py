@@ -27,6 +27,7 @@ from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
 from .orbiscroll import (
     BranchRelation, adjunction_degree, frac, smooth_twist, tetragonal_branch_relation,
 )
+from .recillas import ORBIT_COUNTS
 
 if TYPE_CHECKING:
     from .parity import Parity
@@ -67,22 +68,15 @@ def _branch_pairs() -> dict[int, tuple[int, int]]:
 
 
 def node_orbit_count(r: int, b: int) -> int:
-    """Orbits of the node monodromy on the degree-4 fiber.
-
-    The monodromy has order r: r=1 forces the identity (4 orbits), r=3 a
-    3-cycle (2 orbits), r=4 a 4-cycle (1 orbit).  For r=2 both (2,2) and
-    (2,1,1) have order 2; integrality of the genus selects by the parity
-    of the branch count b.
-    """
-    if r == 1:
-        return 4
-    if r == 2:
-        return 2 if b % 2 == 0 else 3
-    if r == 3:
-        return 2
-    if r == 4:
-        return 1
-    raise ClassifyError(f"no node cycle type of order {r} on 4 letters")
+    """Orbits of the node monodromy on the degree-4 fiber: the one orbit
+    count of the order-r elements of S4 that makes the ramification
+    b + 4 - orbits even, as an integral genus needs.  At r = 2 that
+    parity chooses between (2,2) and (2,1,1)."""
+    counts = [k for k in ORBIT_COUNTS.get(r, ()) if (b + 4 - k) % 2 == 0]
+    if len(counts) != 1:
+        raise ClassifyError(f"no node cycle type of order {r} on 4 letters "
+                            f"gives an integral genus at b={b}")
+    return counts[0]
 
 
 def _tetragonal_genus(ram: int | Fraction, where: str) -> int:
@@ -474,6 +468,16 @@ class LocalModelEntry(NamedTuple):
             sum(c.top) + sum(c.bottom) + sum(c.side) for c in self.components
         )
 
+    def sigma_halves(self) -> tuple[Optional[int], Optional[int]]:
+        """sigma_A^2 and sigma_B^2 as integer half units (parity.half_units),
+        None where one is None; one outside (1/2)Z is a ClassifyError."""
+        from .parity import ParityError, half_units
+
+        try:
+            return tuple(s if s is None else half_units(s) for s in (self.sigmaA2, self.sigmaB2))
+        except ParityError as exc:
+            raise ClassifyError(f"{self.family} {self.label}: {exc}") from None
+
     def validate(self) -> None:
         from .resolve import delta_invariant, pa_hirzebruch
 
@@ -487,9 +491,7 @@ class LocalModelEntry(NamedTuple):
                 f"{self.family} {self.label}: components give arithmetic genus "
                 f"{pa}, the model {pa_hirzebruch(p.l, p.n, p.m)}"
             )
-        for s in (self.sigmaA2, self.sigmaB2):
-            if s is not None and frac(s).denominator not in (1, 2):
-                raise ClassifyError(f"{self.family} {self.label}: bad sigma^2")
+        self.sigma_halves()
 
 
 def _entry(family, label, tag, param, comps, sA, sB, prov) -> LocalModelEntry:
@@ -711,21 +713,15 @@ def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
     each combination's total is an integer sum whose parity
     parity.halves_parity reads.  A sigma^2 outside (1/2)Z raises
     ClassifyError."""
-    from .parity import ParityError, half_units, halves_parity, tail_section_contribution
+    from .parity import half_units, halves_parity, tail_section_contribution
 
-    def ends(entry: LocalModelEntry) -> tuple[int, int]:
-        try:
-            return half_units(entry.sigmaA2), half_units(entry.sigmaB2)
-        except ParityError as exc:
-            raise ClassifyError(f"{entry.family} {entry.label}: {exc}") from None
-
-    c2 = ends(lookup(row.c2, row.c2_p))
+    c2 = lookup(row.c2, row.c2_p).sigma_halves()
     # a hyperelliptic tail of genus g has b = 2g + 2 ramification points
     tails = [half_units(tail_section_contribution(rh_ramification(2, g)))
              for g in row.tail_genera]
     out = []
     for label in row.c1:
-        for h1 in ends(lookup(label, None)):
+        for h1 in lookup(label, None).sigma_halves():
             for h2 in c2:
                 for t in tails:
                     if (h := h1 + h2 + t) % 2 == 0:  # an integral total

@@ -69,7 +69,7 @@ def _dot_graph(
 
 
 def _json_dump(obj) -> str:
-    from .jsontext import dumps  # here, so that the text formats do not load json
+    from .jsontext import dumps
 
     return dumps(obj) + "\n"
 
@@ -232,12 +232,12 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
             report.append(f"{name}: missing file")
             continue
         expected = gen()
-        actual = path.read_text()
-        if actual == expected:
+        actual = path.read_bytes()  # bytes, so no line ending is translated
+        if actual == expected.encode():
             report.append(f"{name}: ok")
             continue
         report.append(f"{name}: MISMATCH")
-        exp_lines, act_lines = expected.splitlines(), actual.splitlines()
+        exp_lines, act_lines = expected.splitlines(), actual.decode(errors="replace").splitlines()
         headers = exp_lines[0].split("\t") if name.endswith(".tsv") else None
         for ln, (e, a) in enumerate(zip(exp_lines, act_lines), 1):
             if e == a:
@@ -257,6 +257,11 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
                 f"{name}: expected {len(exp_lines)} lines, "
                 f"found {len(act_lines)}"
             )
+        # splitlines drops line endings, so the lines above may all agree
+        if b"\r" in actual and "\r" not in expected:
+            report.append(f"{name}: found CR or CRLF line endings, expected LF")
+        if expected.endswith("\n") and not actual.endswith(b"\n"):
+            report.append(f"{name}: final newline missing")
     return report == [f"{name}: ok" for name, _ in arts], report
 
 

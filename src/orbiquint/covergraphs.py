@@ -44,7 +44,9 @@ import functools
 import itertools
 from collections import defaultdict
 from math import lcm
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+
+from . import jsontext
 
 MARKED = ("0", "1", "inf")
 
@@ -154,21 +156,11 @@ def _nest(text: str, depth: int) -> str:
     return pad + text.replace("\n", "\n" + pad)
 
 
-@functools.lru_cache(maxsize=1)
-def _dumps() -> Callable[[object], str]:
-    """``jsontext.dumps``, imported on the first call: a module-level import
-    would load json into CLI children that write none, and a relative
-    import statement runs a Python-level ``ModuleSpec.parent`` each time."""
-    from .jsontext import dumps
-
-    return dumps
-
-
 @functools.lru_cache(maxsize=1 << 12)
 def _json_fragment(item: Component | NodeEdge) -> str:
     """One component or edge, laid out where it sits in a graph record:
     an element of its list at nesting 2."""
-    return _nest(_dumps()(item.to_json_dict()), 2)
+    return _nest(jsontext.dumps(item.to_json_dict()), 2)
 
 
 def _split_template(text: str, keys: tuple[str, ...]) -> tuple[str, ...]:
@@ -189,7 +181,7 @@ def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
     """A graph record with no params, components or edges, rendered once
     per family and cut at those three lists."""
     return _split_template(
-        _dumps()(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict()),
+        jsontext.dumps(CoverGraph(d, shape, (), (), type_index, (), r_options).to_json_dict()),
         ("params", "components", "edges"))
 
 
@@ -309,7 +301,7 @@ def families_json(families: Iterable[BoundaryType]) -> str:
     depth 3."""
     records = []
     for fam in families:
-        head, end = _split_template(_nest(_dumps()({
+        head, end = _split_template(_nest(jsontext.dumps({
             "type": fam.type_index,
             "shape": fam.shape.name,
             "param_ranges": [list(r) for r in fam.param_ranges],

@@ -1,12 +1,9 @@
 """Theta-characteristic parity bookkeeping.
 
-Parity means h^0 mod 2 of a (limiting) theta characteristic.  Only the
-bit is ever needed, so the state is that bit alone: a two-torsion twist
-at a pair of points flips the parity, normalizing an orbinode with
-nontrivial automorphism action preserves it, and the parity of a section
-class (a sum of half-integer self-intersections with integral total)
-decides whether the ambient scroll is a degeneration of F0 (even) or F1
-(odd).
+Parity means h^0 mod 2 of a (limiting) theta characteristic.  It is
+read off a section class, a sum of half-integer self-intersections with
+integral total: an even total means the ambient scroll is a
+degeneration of F0, an odd one of F1.
 """
 
 from __future__ import annotations
@@ -20,33 +17,6 @@ from .orbiscroll import FracLike, frac
 
 class ParityError(ValueError):
     pass
-
-
-class _ParityStateFields(NamedTuple):
-    h0_mod2: int = 0
-
-
-class ParityState(_ParityStateFields):
-    __slots__ = ()
-    # namedtuple's _make, which _replace calls, would skip __new__'s check
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __new__(cls, h0_mod2: int = 0) -> ParityState:
-        if h0_mod2 not in (0, 1):
-            raise ParityError("h0_mod2 must be a bit")
-        return super().__new__(cls, h0_mod2)
-
-
-def epsilon_twist(state: ParityState) -> ParityState:
-    """Twist by a two-torsion bundle supported at a pair of points:
-    h^0 changes by exactly one, so the parity bit flips."""
-    return ParityState((state.h0_mod2 + 1) % 2)
-
-
-def orbinode_normalize(state: ParityState) -> ParityState:
-    """Push forward through the normalization of an orbinode whose
-    automorphism acts nontrivially: h^0 is unchanged."""
-    return ParityState(state.h0_mod2)
 
 
 class Parity(enum.Enum):

@@ -9,6 +9,10 @@ cover (the action on the six transpositions).  The character identity
 holds for every element of S4 and is the finite-set shadow of the
 structure-sheaf decomposition behind the correspondence.
 
+The orbit counts of S4's elements on the four sheets, by element order
+(`ORBIT_COUNTS`), are the node monodromies that classify's Table 1
+genera read.
+
 Conventions: permutations act on points on the left; the action on
 transpositions and pair-partitions is by conjugation, sigma . tau =
 sigma tau sigma^{-1} (equivalently, elementwise relabeling).
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -129,6 +134,20 @@ def s4_elements() -> list[Perm]:
     return [Perm(p) for p in itertools.permutations(range(1, 5))]
 
 
+def _orbit_counts() -> dict[int, frozenset[int]]:
+    """Each element order of S4, with the orbit counts of its elements on
+    the four sheets of a tetragonal fiber."""
+    counts: dict[int, set[int]] = {}
+    for cycles in map(Perm.cycles, s4_elements()):
+        counts.setdefault(lcm(*map(len, cycles)), set()).add(len(cycles))
+    return {r: frozenset(c) for r, c in sorted(counts.items())}
+
+
+# {1: {4}, 2: {2, 3}, 3: {2}, 4: {1}}: an orbinode's monodromy of order r
+# has one of these orbit counts on the fiber
+ORBIT_COUNTS = _orbit_counts()
+
+
 def _act_on_set(sigma: Perm, s: frozenset) -> frozenset:
     return frozenset(
         _act_on_set(sigma, x) if isinstance(x, frozenset) else sigma(x) for x in s
@@ -185,25 +204,3 @@ def tetragonal_to_trigonal(mon: Sequence[Perm]) -> CorrespondenceData:
         tuple(induced_on_partitions(s) for s in mon),
         tuple(induced_on_transpositions(s) for s in mon),
     )
-
-
-# ---------------------------------------------------------------------------
-# D4 and the block-swap criterion
-
-_BLOCKS = frozenset({frozenset({1, 2}), frozenset({3, 4})})
-
-
-def d4_elements() -> list[Perm]:
-    """D4 = Stab({{1,2},{3,4}}) inside S4."""
-    return [s for s in s4_elements() if _act_on_set(s, _BLOCKS) == _BLOCKS]
-
-
-def blocks_swapped(pi: Perm) -> bool:
-    """Whether pi in D4 exchanges the blocks {1,2} and {3,4}.
-
-    Equivalent to pi acting nontrivially on the pair {(12),(34)} inside
-    the 6-set of transpositions.
-    """
-    if pi.n != 4 or _act_on_set(pi, _BLOCKS) != _BLOCKS:
-        raise PermError("blocks_swapped needs an element of D4 = Stab({{1,2},{3,4}})")
-    return _act_on_set(pi, frozenset({1, 2})) == frozenset({3, 4})

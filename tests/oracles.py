@@ -1,0 +1,51 @@
+"""Oracles shared by the test files: models the acceptance criteria state
+that the package itself does not need.
+
+The parity bit of a limiting theta characteristic (criterion 10): a
+two-torsion twist at a pair of points flips it, normalizing an orbinode
+whose automorphism acts nontrivially keeps it.  The package decides
+parities from section classes instead (``parity.section_parity``).
+
+D4 = Stab({{1,2},{3,4}}) inside S4 and its block swap (criterion 7).
+"""
+
+from orbiquint.parity import ParityError
+from orbiquint.recillas import Perm, PermError, s4_elements
+
+
+class ParityState:
+    """h^0 mod 2 of a limiting theta characteristic."""
+
+    __slots__ = ("h0_mod2",)
+
+    def __init__(self, h0_mod2: int = 0):
+        if h0_mod2 not in (0, 1):
+            raise ParityError("h0_mod2 must be a bit")
+        self.h0_mod2 = h0_mod2
+
+
+def epsilon_twist(state: ParityState) -> ParityState:
+    """Twist by a two-torsion bundle supported at a pair of points: h^0
+    changes by exactly one."""
+    return ParityState(1 - state.h0_mod2)
+
+
+def orbinode_normalize(state: ParityState) -> ParityState:
+    """Push forward through the normalization of an orbinode whose
+    automorphism acts nontrivially: h^0 is unchanged."""
+    return ParityState(state.h0_mod2)
+
+
+_BLOCKS = ({1, 2}, {3, 4})
+
+
+def d4_elements() -> list[Perm]:
+    """The elements of S4 that map the block {1,2} onto a block."""
+    return [s for s in s4_elements() if {s(1), s(2)} in _BLOCKS]
+
+
+def blocks_swapped(pi: Perm) -> bool:
+    """Whether pi in D4 exchanges the blocks {1,2} and {3,4}."""
+    if pi.n != 4 or {pi(1), pi(2)} not in _BLOCKS:
+        raise PermError("blocks_swapped needs an element of D4 = Stab({{1,2},{3,4}})")
+    return {pi(1), pi(2)} == {3, 4}

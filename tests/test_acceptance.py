@@ -19,17 +19,12 @@ from orbiquint.orbiscroll import smooth_twist, tetragonal_branch_relation
 from orbiquint.parity import (
     Parity,
     ParityError,
-    ParityState,
     SectionClass,
-    epsilon_twist,
-    orbinode_normalize,
     section_parity,
     tail_section_contribution,
 )
 from orbiquint.recillas import (
     Perm,
-    blocks_swapped,
-    d4_elements,
     induced_on_partitions,
     induced_on_transpositions,
     recillas_character_check,
@@ -48,6 +43,8 @@ from orbiquint.resolve import (
     hj_reconstruct,
     pa_hirzebruch,
 )
+
+from oracles import ParityState, blocks_swapped, d4_elements, epsilon_twist, orbinode_normalize
 
 GOLDEN = Path(cli.__file__).parent / "golden"
 

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 
 import pytest
@@ -40,7 +40,7 @@ from orbiquint.classify import (
 from orbiquint.covergraphs import R_OPTIONS, enumerate_boundary_types, rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity, SectionClass, section_parity, tail_section_contribution
-from orbiquint.recillas import s4_elements
+from orbiquint.recillas import ORBIT_COUNTS
 
 
 def test_table1_shape():
@@ -73,17 +73,37 @@ def test_node_orbit_count():
         node_orbit_count(5, 9)
 
 
+def _node_orbit_count_literal(r, b):
+    """Oracle: the orbit count as first written, one cycle type per order,
+    with the parity of b choosing at r = 2."""
+    if r == 1:
+        return 4
+    if r == 2:
+        return 2 if b % 2 == 0 else 3
+    if r == 3:
+        return 2
+    if r == 4:
+        return 1
+    raise ValueError(r)
+
+
 def test_node_orbit_count_is_s4_cycle_count():
-    # the orbit counts of r = 1..4 over every branch count are exactly the
-    # cycle counts of the order-r elements of S4; S4 has no element of order 5
-    orders = {p: lcm(*map(len, p.cycles())) for p in s4_elements()}
+    # the count read off S4 is the literal's wherever the literal gives an
+    # even ramification b + 4 - orbits, and is refused everywhere else:
+    # odd b at r = 1 and 3, even b at r = 4, and orders S4 does not have
+    assert ORBIT_COUNTS == {1: {4}, 2: {2, 3}, 3: {2}, 4: {1}}
     for r in range(1, 5):
-        cycles = {len(p.cycles()) for p in s4_elements() if orders[p] == r}
-        assert {node_orbit_count(r, b) for b in range(41)} == cycles
-    assert set(orders.values()) == {1, 2, 3, 4}
-    for b in range(41):
-        with pytest.raises(ClassifyError):
-            node_orbit_count(5, b)
+        for b in range(41):
+            old = _node_orbit_count_literal(r, b)
+            if (b + 4 - old) % 2 == 0:
+                assert node_orbit_count(r, b) == old, (r, b)
+            else:
+                with pytest.raises(ClassifyError, match=f"order {r} .* at b={b}$"):
+                    node_orbit_count(r, b)
+    for r in (0, 5):
+        for b in range(41):
+            with pytest.raises(ClassifyError):
+                node_orbit_count(r, b)
 
 
 def test_dual_route_genus():
@@ -547,6 +567,15 @@ def test_validate_recomputes_genus():
         bad.validate()
 
 
+def test_validate_refuses_a_sigma_square_outside_half_integers():
+    # validate reads each sigma^2 through parity.half_units, the one (1/2)Z
+    # check, and names the entry in the classifier's error
+    e = enumerate_c1_models(2)[0]
+    for bad in (e._replace(sigmaA2=Fraction(1, 3)), e._replace(sigmaB2=Fraction(1, 3))):
+        with pytest.raises(ClassifyError, match=rf"c1 {e.label}: piece 1/3 is not in \(1/2\)Z"):
+            bad.validate()
+
+
 def test_table_split_is_side_switching():
     # Table 3 names only models whose components all switch sides under
     # the monodromy; Table 2 names none with a side-switching component
@@ -565,9 +594,8 @@ def test_r_options_are_s4_orders_with_integral_genera():
     # r runs over the S4 element orders with 6 | r*b for both branch
     # counts and a genus (integral, >= -1) for both components; only
     # type 1's exclusion of r = 3 is not derived
-    orders = sorted({lcm(*map(len, p.cycles())) for p in s4_elements()})
     derived = {
-        t: tuple(r for r in orders
+        t: tuple(r for r in ORBIT_COUNTS
                  if all((r * b) % 6 == 0 and _genus_or_none(component_genus, r, b) is not None
                         for b in pair))
         for t, pair in classify._branch_pairs().items()

@@ -247,6 +247,18 @@ def test_verify_golden_detects_edit(tmp_path, capsys):
     assert code == 1
     assert any("table1.tsv: line 5 column g1" in line for line in out.splitlines())
 
+    # the bytes are compared: CRLF line endings and a missing final newline
+    # each fail, with a line that says which
+    table3, table2 = tmp_path / "golden" / "table3.tsv", tmp_path / "golden" / "table2.tsv"
+    table3.write_bytes(table3.read_bytes().replace(b"\n", b"\r\n"))
+    table2.write_bytes(table2.read_bytes()[:-1])
+    code, out, _ = run(capsys, "verify-golden", "--golden", str(tmp_path / "golden"))
+    assert code == 1
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith(("table2.tsv", "table3.tsv"))] == [
+        "table2.tsv: MISMATCH", "table2.tsv: final newline missing",
+        "table3.tsv: MISMATCH", "table3.tsv: found CR or CRLF line endings, expected LF"]
+
     (tmp_path / "golden" / "theorem.json").unlink()
     code, out, _ = run(capsys, "verify-golden", "--golden", str(tmp_path / "golden"))
     assert code == 1
@@ -431,8 +443,8 @@ def test_subcommands_skip_costly_imports():
 
 def test_table1_text_skips_json_resolve_and_parity():
     # table1 reads only classify's one-node arithmetic: classify imports
-    # resolve and parity inside the functions that use them, and
-    # covergraphs loads the JSON writer only when it writes JSON
+    # resolve and parity inside the functions that use them, and the JSON
+    # writer that covergraphs imports takes its encoder from _json
     script = (
         "import os, sys\n"
         "from orbiquint import cli\n"

@@ -554,7 +554,7 @@ def test_memos_hold_d3_to_d6_without_eviction(cold_memos):
     memos = {name: memo.cache_info() for name, memo in vars(covergraphs).items()
              if hasattr(memo, "cache_info")}
     # the whole memo set, so that a new memo is a reviewed change
-    assert memos.keys() == {"_dumps", "_json_fragment", "_graph_template", "_component",
+    assert memos.keys() == {"_json_fragment", "_graph_template", "_component",
                             "_node_edge", "_profiles_for", "_make_component", "_main_block"}
     for name, info in memos.items():
         assert info.maxsize <= 1 << 12 and info.currsize == info.misses, (name, info)

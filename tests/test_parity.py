@@ -6,13 +6,12 @@ from hypothesis import given, strategies as st
 from orbiquint.parity import (
     Parity,
     ParityError,
-    ParityState,
     SectionClass,
-    epsilon_twist,
-    orbinode_normalize,
     section_parity,
     tail_section_contribution,
 )
+
+from oracles import ParityState, epsilon_twist, orbinode_normalize
 
 # a half-integer k/2 as a SectionClass piece: a Fraction, a "k/2" string,
 # or an int when k is even

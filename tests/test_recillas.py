@@ -8,8 +8,6 @@ from orbiquint.recillas import (
     TRANSPOSITIONS,
     Perm,
     PermError,
-    blocks_swapped,
-    d4_elements,
     fix_counts,
     induced_on_partitions,
     induced_on_transpositions,
@@ -18,6 +16,8 @@ from orbiquint.recillas import (
     s4_elements,
     tetragonal_to_trigonal,
 )
+
+from oracles import blocks_swapped, d4_elements
 
 perm_st = st.permutations(range(1, 5)).map(lambda p: Perm(tuple(p)))
 

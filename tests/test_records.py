@@ -10,7 +10,7 @@ import pytest
 
 from orbiquint.classify import ClassifyError, StableCurveDesc, VertexDesc
 from orbiquint.orbiscroll import CQSData
-from orbiquint.parity import ParityError, ParityState, SectionClass
+from orbiquint.parity import ParityError, SectionClass
 from orbiquint.recillas import Perm, PermError
 from orbiquint.resolve import Chain, CurveConfig, Edge, ResolveError, Role, Vertex
 
@@ -21,7 +21,6 @@ _GENUS_1 = VertexDesc(1)
 # refuses, the error it raises)
 _CHECKED = {
     CQSData: ((3, 5), lambda c: (c.r, c.q, c.smooth), (3, 2, False), (0, 1), ValueError),
-    ParityState: ((1,), lambda s: s.h0_mod2, 1, (2,), ParityError),
     SectionClass: (
         ([1, "1/2", Fraction(1, 2)],), lambda s: (s.pieces, s.total, "total" in repr(s)),
         ((1, Fraction(1, 2), Fraction(1, 2)), 2, False), ([Fraction(1, 3)],), ParityError),
