@@ -18,22 +18,26 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+
+import orbiquint
 
 from . import covergraphs
 from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
 from .orbiscroll import (
     BranchRelation, adjunction_degree, frac, smooth_twist, tetragonal_branch_relation,
 )
-from .recillas import ORBIT_COUNTS
+from .recillas import CYCLE_TYPES
 
 if TYPE_CHECKING:
     from .parity import Parity
+    from .resolve import AttachSpec, DiagramItem
 
-# resolve and parity are imported inside the functions that use them (type
-# (6) genus, model validation, type (7) parities), so table1 loads neither.
+# resolve and parity are read as attributes of the package (orbiquint.resolve,
+# orbiquint.parity), which load them on first use (PEP 562): table1 loads
+# neither, and no call runs an import statement.
 
 
 class ClassifyError(ValueError):
@@ -67,16 +71,16 @@ def _branch_pairs() -> dict[int, tuple[int, int]]:
     return {t: (max(split), min(split)) for t, split in enumerate(splits, 1)}
 
 
-def node_orbit_count(r: int, b: int) -> int:
-    """Orbits of the node monodromy on the degree-4 fiber: the one orbit
-    count of the order-r elements of S4 that makes the ramification
-    b + 4 - orbits even, as an integral genus needs.  At r = 2 that
-    parity chooses between (2,2) and (2,1,1)."""
-    counts = [k for k in ORBIT_COUNTS.get(r, ()) if (b + 4 - k) % 2 == 0]
-    if len(counts) != 1:
-        raise ClassifyError(f"no node cycle type of order {r} on 4 letters "
+def node_cycle_type(r: int, b: int, sheets: int = 4) -> tuple[int, ...]:
+    """Cycle type of the node monodromy on the sheets over the node: the
+    one cycle type of the order-r elements of S_sheets that makes the
+    ramification b + sheets - orbits even, as an integral genus needs.
+    At r = 2 on 4 sheets that parity chooses between (2,2) and (2,1,1)."""
+    types = [t for t in CYCLE_TYPES[sheets].get(r, ()) if (b + sheets - len(t)) % 2 == 0]
+    if len(types) != 1:
+        raise ClassifyError(f"no node cycle type of order {r} on {sheets} letters "
                             f"gives an integral genus at b={b}")
-    return counts[0]
+    return types[0]
 
 
 def _tetragonal_genus(ram: int | Fraction, where: str) -> int:
@@ -94,13 +98,13 @@ def _tetragonal_genus(ram: int | Fraction, where: str) -> int:
 def component_genus(r: int, b: int) -> int:
     """Genus of a tetragonal component with b branch points and an
     orbinode of order r: the ramification is b + (4 - orbits)."""
-    return _tetragonal_genus(b + 4 - node_orbit_count(r, b), f"r={r}, b={b}")
+    return _tetragonal_genus(b + 4 - len(node_cycle_type(r, b)), f"r={r}, b={b}")
 
 
 def component_genus_adjunction(r: int, m: Fraction, a: Fraction, b: int) -> int:
     """Same genus with the branch points counted by the relative dualizing
     sheaf of the curve in |4 sigma + m F|: deg omega = (n-1)(2m-an)."""
-    ram = adjunction_degree(4, m, a) + 4 - node_orbit_count(r, b)
+    ram = adjunction_degree(4, m, a) + 4 - len(node_cycle_type(r, b))
     return _tetragonal_genus(ram, f"r={r}, b={b}, a={a}, m={m} (adjunction route)")
 
 
@@ -151,6 +155,43 @@ def table1() -> list[Table1Row]:
                     rel1.m, rel2.m, g1, g2, rel1.disc, rel2.disc,
                 ))
     return rows
+
+
+def _main_curve_contacts(r: int, a: Fraction, m: Fraction, disc: bool, b: int) -> AttachSpec:
+    """Where the main curve C of a component meets the resolved central
+    fiber, as DiagramItem.attach lists it.
+
+    The node monodromy acts on C's sheets over the node: 4, or 3 on the
+    residual of a disc component, which misses sigma.  C.sigma is m - 4a,
+    or 0 on a residual, and floor(C.sigma) points of C lie on sigma.  One
+    fixed sheet sits at sigma(0), on s1, exactly when C.sigma is not an
+    integer; each free orbit meets F once; a remaining fixed sheet sits at
+    tau(0), on the last t.  More than one remaining fixed sheet, fewer
+    than none, or a negative C.sigma is refused."""
+    c_sigma = Fraction(0) if disc else m - 4 * a
+    cycle = node_cycle_type(r, b, 3 if disc else 4)
+    on_s1 = c_sigma.denominator > 1
+    at_tau = cycle.count(1) - on_s1
+    if at_tau not in (0, 1) or c_sigma < 0:
+        raise ClassifyError(f"r={r}, a={a}, m={m}: C.sigma = {c_sigma}, "
+                            f"{at_tau} fixed sheets at tau(0)")
+    last_t = f"t{len(orbiquint.resolve.hj_expand(r, int(r * a) % r).ints)}"
+    return tuple([("sigma", 1)] * floor(c_sigma) + [("s1", 1)] * on_s1
+                 + [("F", 1)] * cycle.count(r) + [(last_t, 1)] * at_tau)
+
+
+def diagram_items(rows: list[Table1Row]) -> dict[int, DiagramItem]:
+    """The resolution-contraction diagram items: one per distinct Table 1
+    component (r, a = |v|, m, disc, b) with non-integral a and genus 1 to
+    5, numbered as in the paper, by (ceil(a), r, a, m)."""
+    pairs = _branch_pairs()
+    components = {
+        (row.r, abs(v), m, disc, b) for row in rows
+        for v, m, g, disc, b in zip((row.v1, row.v2), (row.m1, row.m2), (row.g1, row.g2),
+                                    (row.disc1, row.disc2), pairs[row.graph_type])
+        if v.denominator > 1 and 1 <= g <= 5}
+    return {n: orbiquint.resolve.DiagramItem(c[0], c[1], _main_curve_contacts(*c))
+            for n, c in enumerate(sorted(components, key=lambda c: (ceil(c[1]), c)), 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +428,7 @@ _TYPE6_REDUCIBLE = {2: 3, 4: 6, 6: 8}
 def type6_main_genus(i: int) -> int:
     """Genus of the normalization of a curve of class 4s + 5F on F_1
     with an A_{i-1} singularity."""
-    from .resolve import geometric_genus, pa_hirzebruch
-
-    return geometric_genus(pa_hirzebruch(1, 4, 5), [i - 1])
+    return orbiquint.resolve.geometric_genus(orbiquint.resolve.pa_hirzebruch(1, 4, 5), [i - 1])
 
 
 def _type6_curve(i: int) -> StableCurveDesc:
@@ -471,26 +510,22 @@ class LocalModelEntry(NamedTuple):
     def sigma_halves(self) -> tuple[Optional[int], Optional[int]]:
         """sigma_A^2 and sigma_B^2 as integer half units (parity.half_units),
         None where one is None; one outside (1/2)Z is a ClassifyError."""
-        from .parity import ParityError, half_units
-
+        parity = orbiquint.parity
         try:
-            return tuple(s if s is None else half_units(s) for s in (self.sigmaA2, self.sigmaB2))
-        except ParityError as exc:
+            return tuple(s if s is None else parity.half_units(s)
+                         for s in (self.sigmaA2, self.sigmaB2))
+        except parity.ParityError as exc:
             raise ClassifyError(f"{self.family} {self.label}: {exc}") from None
 
     def validate(self) -> None:
-        from .resolve import delta_invariant, pa_hirzebruch
-
         if self.half_edge_total() != 4:
             raise ClassifyError(f"{self.family} {self.label}: half-edges != 4")
-        p = self.provenance
-        delta = sum(delta_invariant(k) for k in p.sings)
+        resolve, p = orbiquint.resolve, self.provenance
+        delta = sum(resolve.delta_invariant(k) for k in p.sings)
         pa = arithmetic_genus([c.genus for c in self.components], delta)
-        if pa != pa_hirzebruch(p.l, p.n, p.m):
-            raise ClassifyError(
-                f"{self.family} {self.label}: components give arithmetic genus "
-                f"{pa}, the model {pa_hirzebruch(p.l, p.n, p.m)}"
-            )
+        if pa != (model_pa := resolve.pa_hirzebruch(p.l, p.n, p.m)):
+            raise ClassifyError(f"{self.family} {self.label}: components give arithmetic "
+                                f"genus {pa}, the model {model_pa}")
         self.sigma_halves()
 
 
@@ -713,11 +748,10 @@ def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
     each combination's total is an integer sum whose parity
     parity.halves_parity reads.  A sigma^2 outside (1/2)Z raises
     ClassifyError."""
-    from .parity import half_units, halves_parity, tail_section_contribution
-
+    parity = orbiquint.parity
     c2 = lookup(row.c2, row.c2_p).sigma_halves()
     # a hyperelliptic tail of genus g has b = 2g + 2 ramification points
-    tails = [half_units(tail_section_contribution(rh_ramification(2, g)))
+    tails = [parity.half_units(parity.tail_section_contribution(rh_ramification(2, g)))
              for g in row.tail_genera]
     out = []
     for label in row.c1:
@@ -725,7 +759,7 @@ def type7_section_parities(row: Type7Row, lookup: ModelLookup) -> list[Parity]:
             for h2 in c2:
                 for t in tails:
                     if (h := h1 + h2 + t) % 2 == 0:  # an integral total
-                        out.append(halves_parity(h))
+                        out.append(parity.halves_parity(h))
     return out
 
 
@@ -735,8 +769,7 @@ def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> P
     cover and moot parity.  Trivial-cover rows are odd; for all but the
     rows in PARITY_UNCONFIRMED_ROWS this is confirmed by an odd
     glued-section self-intersection."""
-    from .parity import Parity
-
+    Parity = orbiquint.parity.Parity
     models = [lookup(label, None) for label in row.c1] + [lookup(row.c2, row.c2_p)]
     if any(c.side for model in models for c in model.components):
         return Parity.MOOT
@@ -751,8 +784,7 @@ def type7_row_parity(row: Type7Row, index: int | None, lookup: ModelLookup) -> P
 def classify_type_7(models: LocalModels) -> list[DivisorRecord]:
     """Divisors of type (7) from the combination tables, whose rows name
     local models in these lists."""
-    from .parity import Parity
-
+    Parity = orbiquint.parity.Parity
     lookup = _model_lookup(models)
     pairs = []
     for k, row in enumerate(TABLE2_ROWS, 1):

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     import argparse
 
     from . import classify
+    from .resolve import DiagramItem
 
 # The library modules are imported inside the functions that use them, so
 # each subcommand loads only what it needs.
@@ -192,18 +193,16 @@ def gen_c2_models_json(models: classify.LocalModels) -> str:
     return _models_json(models["c2"])
 
 
-def gen_diagram_txt(item: int) -> str:
-    from .resolve import DIAGRAM_ITEMS
-
-    return DIAGRAM_ITEMS[item].contract().to_text()
+def gen_diagram_txt(item: DiagramItem) -> str:
+    return item.contract().to_text()
 
 
 def golden_artifacts() -> dict[str, Callable[[], str]]:
-    """Each golden artifact's generator.  Table 1 and the local-model
-    lists are derived here, once per call, and every generator that
-    reads them shares that copy; nothing is kept between calls."""
+    """Each golden artifact's generator.  Table 1, the local-model lists
+    and the diagram items are derived here, once per call, and every
+    generator that reads them shares that copy; nothing is kept between
+    calls."""
     from . import classify
-    from .resolve import DIAGRAM_ITEMS
 
     rows = classify.table1()
     models = classify.local_models()
@@ -215,10 +214,8 @@ def golden_artifacts() -> dict[str, Callable[[], str]]:
         "c1_models.json": lambda: gen_c1_models_json(models),
         "c2_models.json": lambda: gen_c2_models_json(models),
     }
-    for k in DIAGRAM_ITEMS:
-        arts[f"diagrams/item{k:02d}.txt"] = (
-            lambda item=k: gen_diagram_txt(item)
-        )
+    for k, item in classify.diagram_items(rows).items():
+        arts[f"diagrams/item{k:02d}.txt"] = lambda item=item: gen_diagram_txt(item)
     return arts
 
 
@@ -361,13 +358,13 @@ def cmd_coarse(args) -> tuple[str, int]:
 
 
 def cmd_diagrams(args) -> tuple[str, int]:
-    from .resolve import DIAGRAM_ITEMS, ResolveError, Role
+    from . import classify
+    from .resolve import ResolveError, Role
 
-    if args.item not in DIAGRAM_ITEMS:
-        raise ResolveError(
-            f"no diagram item {args.item}; choose 1..{len(DIAGRAM_ITEMS)}"
-        )
-    it = DIAGRAM_ITEMS[args.item]
+    items = classify.diagram_items(classify.table1())
+    if args.item not in items:
+        raise ResolveError(f"no diagram item {args.item}; choose 1..{len(items)}")
+    it = items[args.item]
     config = it.build() if args.stage == "left" else it.contract()
     if args.format == "dot":
         shapes = {Role.DIRECTRIX: "box", Role.MAIN: "doublecircle"}
@@ -416,10 +413,8 @@ def cmd_recillas(args) -> tuple[str, int]:
 
 def cmd_parity(args) -> tuple[str, int]:
     from . import parity
-    from .orbiscroll import frac
 
-    pieces = [frac(t) for t in _split_list(args.pieces, ",")]
-    sc = parity.SectionClass(pieces)
+    sc = parity.SectionClass(_split_list(args.pieces, ","))
     p = parity.section_parity(sc)
     if args.format == "json":
         return _json_dump({

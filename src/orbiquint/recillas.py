@@ -9,9 +9,9 @@ cover (the action on the six transpositions).  The character identity
 holds for every element of S4 and is the finite-set shadow of the
 structure-sheaf decomposition behind the correspondence.
 
-The orbit counts of S4's elements on the four sheets, by element order
-(`ORBIT_COUNTS`), are the node monodromies that classify's Table 1
-genera read.
+The cycle types of the elements of S3 and S4, by element order
+(`CYCLE_TYPES`), are the node monodromies that classify's Table 1
+genera and diagram items read.
 
 Conventions: permutations act on points on the left; the action on
 transpositions and pair-partitions is by conjugation, sigma . tau =
@@ -134,18 +134,20 @@ def s4_elements() -> list[Perm]:
     return [Perm(p) for p in itertools.permutations(range(1, 5))]
 
 
-def _orbit_counts() -> dict[int, frozenset[int]]:
-    """Each element order of S4, with the orbit counts of its elements on
-    the four sheets of a tetragonal fiber."""
-    counts: dict[int, set[int]] = {}
-    for cycles in map(Perm.cycles, s4_elements()):
-        counts.setdefault(lcm(*map(len, cycles)), set()).add(len(cycles))
-    return {r: frozenset(c) for r, c in sorted(counts.items())}
+def _cycle_types(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Each element order of S_n, with the cycle types (cycle lengths,
+    longest first) of its elements on n sheets."""
+    types: dict[int, set[tuple[int, ...]]] = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        lengths = tuple(sorted(map(len, Perm(p).cycles()), reverse=True))
+        types.setdefault(lcm(*lengths), set()).add(lengths)
+    return {r: tuple(sorted(t, reverse=True)) for r, t in sorted(types.items())}
 
 
-# {1: {4}, 2: {2, 3}, 3: {2}, 4: {1}}: an orbinode's monodromy of order r
-# has one of these orbit counts on the fiber
-ORBIT_COUNTS = _orbit_counts()
+# CYCLE_TYPES[n][r]: an orbinode's monodromy of order r has one of these
+# cycle types on the n sheets over it, 4 on a tetragonal fiber and 3 on
+# the residual of a component that contains the directrix
+CYCLE_TYPES = {n: _cycle_types(n) for n in (3, 4)}
 
 
 def _act_on_set(sigma: Perm, s: frozenset) -> frozenset:

@@ -7,6 +7,11 @@ points labeled by the local intersection multiplicity (an edge of
 multiplicity k is a single k-fold contact; parallel unit edges are
 distinct transverse points).
 
+A DiagramItem is the left-hand side of one of the paper's thirteen
+resolution-contraction diagrams.  This module builds and contracts it;
+classify.diagram_items derives the items from Table 1, so no diagram
+is recorded here.
+
 contract_minus_ones blows down exceptional (-1)-curves on one branch
 table: a branch is one curve through one point, a point is the list of
 its branches, and contact orders are kept per branch pair.  Blowing down
@@ -409,14 +414,15 @@ def geometric_genus(pa: int, ks: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The 13 resolution-contraction diagram items
+# The resolution-contraction diagram items
 
 
 class DiagramItem(NamedTuple):
     """Left-hand side of a resolution-contraction diagram: the central
     fiber of the resolved coarse scroll F_a over P^1(r-th root of 0),
     with the main curve attached at the listed (vertex, multiplicity)
-    points."""
+    points.  classify.diagram_items derives the paper's 13 items from
+    the Table 1 components and their node monodromy."""
 
     r: int
     a: Fraction
@@ -427,21 +433,3 @@ class DiagramItem(NamedTuple):
 
     def contract(self) -> CurveConfig:
         return contract_minus_ones(self.build())
-
-
-# recorded: resolution-contraction diagrams — the main curve's contacts are drawn, not derived
-DIAGRAM_ITEMS: dict[int, DiagramItem] = {
-    1: DiagramItem(2, Fraction(1, 2), (("F", 1), ("F", 1))),
-    2: DiagramItem(2, Fraction(1, 2), (("s1", 1), ("F", 1), ("t1", 1))),
-    3: DiagramItem(2, Fraction(1, 2), (("sigma", 1), ("F", 1), ("F", 1))),
-    4: DiagramItem(2, Fraction(1, 2), (("s1", 1), ("F", 1), ("t1", 1), ("sigma", 1))),
-    5: DiagramItem(3, Fraction(1, 3), (("s1", 1), ("F", 1))),
-    6: DiagramItem(3, Fraction(1, 3), (("sigma", 1), ("F", 1), ("t1", 1))),
-    7: DiagramItem(3, Fraction(2, 3), (("F", 1), ("t2", 1))),
-    8: DiagramItem(3, Fraction(2, 3), (("s1", 1), ("F", 1))),
-    9: DiagramItem(4, Fraction(1, 4), (("sigma", 1), ("F", 1))),
-    10: DiagramItem(4, Fraction(3, 4), (("F", 1),)),
-    11: DiagramItem(2, Fraction(3, 2), (("F", 1), ("t1", 1))),
-    12: DiagramItem(3, Fraction(4, 3), (("F", 1),)),
-    13: DiagramItem(3, Fraction(5, 3), (("F", 1),)),
-}

@@ -7,10 +7,16 @@ whose automorphism acts nontrivially keeps it.  The package decides
 parities from section classes instead (``parity.section_parity``).
 
 D4 = Stab({{1,2},{3,4}}) inside S4 and its block swap (criterion 7).
+
+The 13 diagram items as the paper draws them, which
+``classify.diagram_items`` derives from Table 1.
 """
+
+from fractions import Fraction
 
 from orbiquint.parity import ParityError
 from orbiquint.recillas import Perm, PermError, s4_elements
+from orbiquint.resolve import DiagramItem
 
 
 class ParityState:
@@ -49,3 +55,22 @@ def blocks_swapped(pi: Perm) -> bool:
     if pi.n != 4 or {pi(1), pi(2)} not in _BLOCKS:
         raise PermError("blocks_swapped needs an element of D4 = Stab({{1,2},{3,4}})")
     return {pi(1), pi(2)} == {3, 4}
+
+
+# Each item's (r, a) and the points where the main curve meets the central
+# fiber, in the order the diagrams list them.
+RECORDED_DIAGRAM_ITEMS = {
+    1: DiagramItem(2, Fraction(1, 2), (("F", 1), ("F", 1))),
+    2: DiagramItem(2, Fraction(1, 2), (("s1", 1), ("F", 1), ("t1", 1))),
+    3: DiagramItem(2, Fraction(1, 2), (("sigma", 1), ("F", 1), ("F", 1))),
+    4: DiagramItem(2, Fraction(1, 2), (("s1", 1), ("F", 1), ("t1", 1), ("sigma", 1))),
+    5: DiagramItem(3, Fraction(1, 3), (("s1", 1), ("F", 1))),
+    6: DiagramItem(3, Fraction(1, 3), (("sigma", 1), ("F", 1), ("t1", 1))),
+    7: DiagramItem(3, Fraction(2, 3), (("F", 1), ("t2", 1))),
+    8: DiagramItem(3, Fraction(2, 3), (("s1", 1), ("F", 1))),
+    9: DiagramItem(4, Fraction(1, 4), (("sigma", 1), ("F", 1))),
+    10: DiagramItem(4, Fraction(3, 4), (("F", 1),)),
+    11: DiagramItem(2, Fraction(3, 2), (("F", 1), ("t1", 1))),
+    12: DiagramItem(3, Fraction(4, 3), (("F", 1),)),
+    13: DiagramItem(3, Fraction(5, 3), (("F", 1),)),
+}

@@ -32,7 +32,6 @@ from orbiquint.recillas import (
     tetragonal_to_trigonal,
 )
 from orbiquint.resolve import (
-    DIAGRAM_ITEMS,
     CurveConfig,
     Edge,
     Role,
@@ -47,6 +46,8 @@ from orbiquint.resolve import (
 from oracles import ParityState, blocks_swapped, d4_elements, epsilon_twist, orbinode_normalize
 
 GOLDEN = Path(cli.__file__).parent / "golden"
+# the diagram items, derived from Table 1
+DIAGRAM_ITEMS = classify.diagram_items(classify.table1())
 
 
 # -- criterion 1: Table 1 reproduction --------------------------------------

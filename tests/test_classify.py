@@ -16,6 +16,7 @@ from orbiquint.classify import (
     TABLE2_ROWS,
     TABLE3_ROWS,
     THEOREM_DESCRIPTIONS,
+    Table1Row,
     Tag,
     VertexDesc,
     classify_type_1_5,
@@ -28,8 +29,9 @@ from orbiquint.classify import (
     enumerate_c2_models,
     hyperelliptic_tail_genus,
     local_models,
+    diagram_items,
     match,
-    node_orbit_count,
+    node_cycle_type,
     stable_pa,
     table1,
     theorem_divisors,
@@ -40,7 +42,9 @@ from orbiquint.classify import (
 from orbiquint.covergraphs import R_OPTIONS, enumerate_boundary_types, rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity, SectionClass, section_parity, tail_section_contribution
-from orbiquint.recillas import ORBIT_COUNTS
+from orbiquint.recillas import CYCLE_TYPES
+
+from oracles import RECORDED_DIAGRAM_ITEMS
 
 
 def test_table1_shape():
@@ -63,14 +67,14 @@ def test_table1_signed_sum():
         assert abs(r.v1 + r.v2) == 1
 
 
-def test_node_orbit_count():
-    assert node_orbit_count(1, 12) == 4
-    assert node_orbit_count(2, 12) == 2
-    assert node_orbit_count(2, 9) == 3
-    assert node_orbit_count(3, 10) == 2
-    assert node_orbit_count(4, 9) == 1
+def test_node_cycle_type():
+    assert node_cycle_type(1, 12) == (1, 1, 1, 1)
+    assert node_cycle_type(2, 12) == (2, 2)
+    assert node_cycle_type(2, 9) == (2, 1, 1)
+    assert node_cycle_type(3, 10) == (3, 1)
+    assert node_cycle_type(4, 9) == (4,)
     with pytest.raises(ClassifyError):
-        node_orbit_count(5, 9)
+        node_cycle_type(5, 9)
 
 
 def _node_orbit_count_literal(r, b):
@@ -87,23 +91,75 @@ def _node_orbit_count_literal(r, b):
     raise ValueError(r)
 
 
-def test_node_orbit_count_is_s4_cycle_count():
-    # the count read off S4 is the literal's wherever the literal gives an
-    # even ramification b + 4 - orbits, and is refused everywhere else:
-    # odd b at r = 1 and 3, even b at r = 4, and orders S4 does not have
-    assert ORBIT_COUNTS == {1: {4}, 2: {2, 3}, 3: {2}, 4: {1}}
+def test_node_cycle_type_is_s4_cycle_count():
+    # the orbit count of the type read off S4 is the literal's wherever the
+    # literal gives an even ramification b + 4 - orbits, and is refused
+    # everywhere else: odd b at r = 1 and 3, even b at r = 4, and orders
+    # S4 does not have
+    assert CYCLE_TYPES[4] == {1: ((1, 1, 1, 1),), 2: ((2, 2), (2, 1, 1)), 3: ((3, 1),), 4: ((4,),)}
     for r in range(1, 5):
         for b in range(41):
             old = _node_orbit_count_literal(r, b)
             if (b + 4 - old) % 2 == 0:
-                assert node_orbit_count(r, b) == old, (r, b)
+                assert len(node_cycle_type(r, b)) == old, (r, b)
             else:
-                with pytest.raises(ClassifyError, match=f"order {r} .* at b={b}$"):
-                    node_orbit_count(r, b)
+                with pytest.raises(ClassifyError, match=f"order {r} on 4 .* at b={b}$"):
+                    node_cycle_type(r, b)
     for r in (0, 5):
         for b in range(41):
             with pytest.raises(ClassifyError):
-                node_orbit_count(r, b)
+                node_cycle_type(r, b)
+
+
+def test_node_cycle_type_on_three_sheets():
+    # the residual of a disc component has 3 sheets: S3 has one type per
+    # order, kept where b + 3 - orbits is even, and no element of order 4
+    assert CYCLE_TYPES[3] == {1: ((1, 1, 1),), 2: ((2, 1),), 3: ((3,),)}
+    for b in range(41):
+        for r, cycle in ((1, (1, 1, 1)), (2, (2, 1)), (3, (3,))):
+            if (b + 3 - len(cycle)) % 2 == 0:
+                assert node_cycle_type(r, b, sheets=3) == cycle, (r, b)
+            else:
+                with pytest.raises(ClassifyError, match=f"order {r} on 3 .* at b={b}$"):
+                    node_cycle_type(r, b, sheets=3)
+        with pytest.raises(ClassifyError):
+            node_cycle_type(4, b, sheets=3)
+    assert node_cycle_type(2, 9, sheets=3) == (2, 1)
+    assert node_cycle_type(3, 8, sheets=3) == (3,)
+
+
+def test_diagram_items_match_the_recorded_diagrams():
+    # the derived items have the drawn (r, a) and the drawn contacts of
+    # the main curve, in the drawn order except on item 4, which lists
+    # sigma last while the derivation lists it first (as items 3, 6, 9 do)
+    items = diagram_items(table1())
+    assert sorted(items) == sorted(RECORDED_DIAGRAM_ITEMS) == list(range(1, 14))
+    for n, item in items.items():
+        recorded = RECORDED_DIAGRAM_ITEMS[n]
+        assert (item.r, item.a) == (recorded.r, recorded.a), n
+        assert sorted(item.attach) == sorted(recorded.attach), n
+        assert (item.attach == recorded.attach) is (n != 4), n
+    assert items[4].attach[0] == ("sigma", 1)
+
+
+def _row(graph_type, r, v, m, disc=False):
+    """A synthetic Table 1 row whose two components are both (v, m)."""
+    return Table1Row(1, graph_type, r, v, v, m, m, 2, 2, disc, disc)
+
+
+def test_diagram_items_refuse_sheets_the_rule_does_not_place():
+    # type 2 has b = 9: at r = 2 the node is (2,1,1), two fixed sheets,
+    # and C.sigma = 3 - 2 = 1 is integral, so neither sits at sigma(0);
+    # type 1 has b = 12 and 6: (2,2) has no fixed sheet, yet
+    # C.sigma = 5/2 - 2 is not integral; and C.sigma = 1 - 2 is negative
+    half = Fraction(1, 2)
+    for row in (_row(2, 2, half, Fraction(3)), _row(1, 2, half, Fraction(5, 2)),
+                _row(1, 2, half, Fraction(1))):
+        with pytest.raises(ClassifyError, match="fixed sheets"):
+            diagram_items([row])
+    # a component of genus 6, or with integral a, gives no item
+    assert diagram_items([_row(1, 2, half, Fraction(5, 2))._replace(g1=6, g2=0)]) == {}
+    assert diagram_items([_row(1, 2, Fraction(1), Fraction(3))]) == {}
 
 
 def test_dual_route_genus():
@@ -595,7 +651,7 @@ def test_r_options_are_s4_orders_with_integral_genera():
     # counts and a genus (integral, >= -1) for both components; only
     # type 1's exclusion of r = 3 is not derived
     derived = {
-        t: tuple(r for r in ORBIT_COUNTS
+        t: tuple(r for r in CYCLE_TYPES[4]
                  if all((r * b) % 6 == 0 and _genus_or_none(component_genus, r, b) is not None
                         for b in pair))
         for t, pair in classify._branch_pairs().items()

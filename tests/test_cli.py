@@ -512,6 +512,23 @@ def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):
     assert digest.hexdigest() == _PIN_SHA256
 
 
+# Every diagrams run: the 13 items and one that does not exist, at each
+# stage and in each format.
+_DIAGRAM_CASES = [
+    ["diagrams", "--item", str(n), "--stage", s, "--format", f]
+    for n in [*range(1, 14), 99] for s in ("left", "right") for f in ("txt", "dot", "json")
+]
+_DIAGRAM_SHA256 = "0ad68570cd21d16e5809608ead9cb293085005396f92abb8be81dee74bc03511"
+
+
+def test_diagrams_outputs_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _DIAGRAM_CASES:
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert len(_DIAGRAM_CASES) == 84
+    assert digest.hexdigest() == _DIAGRAM_SHA256
+
+
 # Help, usage errors, and argv that parse only by argparse's own rules: a
 # repeated option, a negative value after a space, a value after "=" that
 # begins with "-".

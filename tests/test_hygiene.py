@@ -269,7 +269,7 @@ def test_recorded_markers_pinned():
                 assert re.fullmatch(r"\s*# recorded: \S.* — \S.*", line), (module, k)
                 assert k + 1 in starts, (module, k)
                 markers.append((module, k))
-    assert len(markers) == 15
+    assert len(markers) == 14
 
 
 def _module_level(tree: ast.AST):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbiquint
+from orbiquint.classify import diagram_items, table1
 from orbiquint.covergraphs import rh_ramification
 from orbiquint.resolve import (
-    DIAGRAM_ITEMS,
     Chain,
     CurveConfig,
     Edge,
@@ -26,6 +26,9 @@ from orbiquint.resolve import (
     hj_reconstruct,
     pa_hirzebruch,
 )
+
+# the diagram items, derived from Table 1
+DIAGRAM_ITEMS = diagram_items(table1())
 
 
 def test_hj_examples():
