@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -60,6 +60,8 @@ class Table1Row(NamedTuple):
     g2: int
     disc1: bool  # component is the disjoint union of the directrix and a residual
     disc2: bool
+    b1: int  # branch points on the first component
+    b2: int
 
 
 def _branch_pairs() -> dict[int, tuple[int, int]]:
@@ -152,46 +154,54 @@ def table1() -> list[Table1Row]:
             for k1, k2, rel1, rel2 in _twist_pairs(r, b1, b2):
                 rows.append(Table1Row(
                     len(rows) + 1, t, r, Fraction(k1, r), Fraction(k2, r),
-                    rel1.m, rel2.m, g1, g2, rel1.disc, rel2.disc,
+                    rel1.m, rel2.m, g1, g2, rel1.disc, rel2.disc, b1, b2,
                 ))
     return rows
 
 
-def _main_curve_contacts(r: int, a: Fraction, m: Fraction, disc: bool, b: int) -> AttachSpec:
-    """Where the main curve C of a component meets the resolved central
-    fiber, as DiagramItem.attach lists it.
+def _main_curve_contacts(r: int, k: int, m_num: int, m_den: int, disc: bool,
+                         b: int) -> AttachSpec:
+    """Where the main curve C of a component with twist a = k/r and m =
+    m_num/m_den meets the resolved central fiber, as DiagramItem.attach
+    lists it.
 
     The node monodromy acts on C's sheets over the node: 4, or 3 on the
     residual of a disc component, which misses sigma.  C.sigma is m - 4a,
-    or 0 on a residual, and floor(C.sigma) points of C lie on sigma.  One
-    fixed sheet sits at sigma(0), on s1, exactly when C.sigma is not an
-    integer; each free orbit meets F once; a remaining fixed sheet sits at
-    tau(0), on the last t.  More than one remaining fixed sheet, fewer
-    than none, or a negative C.sigma is refused."""
-    c_sigma = Fraction(0) if disc else m - 4 * a
+    or 0 on a residual, read in integers as n/d, and floor(C.sigma) points
+    of C lie on sigma.  One fixed sheet sits at sigma(0), on s1, exactly
+    when C.sigma is not an integer; each free orbit meets F once; a
+    remaining fixed sheet sits at tau(0), on the last t.  More than one
+    remaining fixed sheet, fewer than none, or a negative C.sigma is
+    refused."""
+    n, d = (0, 1) if disc else (m_num * r - 4 * k * m_den, m_den * r)
     cycle = node_cycle_type(r, b, 3 if disc else 4)
-    on_s1 = c_sigma.denominator > 1
+    on_s1 = n % d != 0
     at_tau = cycle.count(1) - on_s1
-    if at_tau not in (0, 1) or c_sigma < 0:
-        raise ClassifyError(f"r={r}, a={a}, m={m}: C.sigma = {c_sigma}, "
-                            f"{at_tau} fixed sheets at tau(0)")
-    last_t = f"t{len(orbiquint.resolve.hj_expand(r, int(r * a) % r).ints)}"
-    return tuple([("sigma", 1)] * floor(c_sigma) + [("s1", 1)] * on_s1
+    if at_tau not in (0, 1) or n < 0:
+        raise ClassifyError(f"r={r}, a={Fraction(k, r)}, m={Fraction(m_num, m_den)}: "
+                            f"C.sigma = {Fraction(n, d)}, {at_tau} fixed sheets at tau(0)")
+    last_t = f"t{len(orbiquint.resolve.hj_expand(r, k % r).ints)}"
+    return tuple([("sigma", 1)] * (n // d) + [("s1", 1)] * on_s1
                  + [("F", 1)] * cycle.count(r) + [(last_t, 1)] * at_tau)
 
 
 def diagram_items(rows: list[Table1Row]) -> dict[int, DiagramItem]:
     """The resolution-contraction diagram items: one per distinct Table 1
     component (r, a = |v|, m, disc, b) with non-integral a and genus 1 to
-    5, numbered as in the paper, by (ceil(a), r, a, m)."""
-    pairs = _branch_pairs()
+    5, numbered as in the paper, by (ceil(a), r, a, m).  Components are
+    keyed in integers, by k = r*a and m's numerator and denominator; m is
+    ordered by its numerator over the common denominator."""
     components = {
-        (row.r, abs(v), m, disc, b) for row in rows
-        for v, m, g, disc, b in zip((row.v1, row.v2), (row.m1, row.m2), (row.g1, row.g2),
-                                    (row.disc1, row.disc2), pairs[row.graph_type])
+        (row.r, abs(v.numerator) * row.r // v.denominator, m.numerator, m.denominator, disc, b)
+        for row in rows
+        for v, m, g, disc, b in ((row.v1, row.m1, row.g1, row.disc1, row.b1),
+                                 (row.v2, row.m2, row.g2, row.disc2, row.b2))
         if v.denominator > 1 and 1 <= g <= 5}
-    return {n: orbiquint.resolve.DiagramItem(c[0], c[1], _main_curve_contacts(*c))
-            for n, c in enumerate(sorted(components, key=lambda c: (ceil(c[1]), c)), 1)}
+    den = lcm(*[c[3] for c in components])
+    order = sorted(components, key=lambda c: (-(-c[1] // c[0]), c[0], c[1], c[2] * den // c[3],
+                                              c[4], c[5]))
+    return {n: orbiquint.resolve.DiagramItem(c[0], Fraction(c[1], c[0]), _main_curve_contacts(*c))
+            for n, c in enumerate(order, 1)}
 
 
 # ---------------------------------------------------------------------------

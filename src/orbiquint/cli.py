@@ -224,12 +224,13 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
     arts = sorted(golden_artifacts().items())
     report: list[str] = []
     for name, gen in arts:
-        path = root / name
-        if not path.is_file():
+        try:  # bytes, so no line ending is translated
+            with open(os.path.join(root, name), "rb") as f:
+                actual = f.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             report.append(f"{name}: missing file")
             continue
         expected = gen()
-        actual = path.read_bytes()  # bytes, so no line ending is translated
         if actual == expected.encode():
             report.append(f"{name}: ok")
             continue
@@ -555,9 +556,10 @@ def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
     """The namespace that ``build_parser().parse_args(argv)`` returns, for
     argv that it reads without help or error and by rules simple enough to
     repeat here: a subcommand, then each of its options at most once,
-    spelled in full, as ``--name=value`` or as ``--name value`` with a
-    value that does not begin with "-".  None for any other argv, which is
-    left to argparse, so that its help and error texts stay its own."""
+    spelled in full, as ``--name=value`` with a value other than "--" or
+    as ``--name value`` with a value that does not begin with "-".  None
+    for any other argv, which is left to argparse, so that its help and
+    error texts stay its own."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     fn, options = _SUBCOMMANDS[argv[0]]
@@ -566,7 +568,7 @@ def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
     while k < len(argv):
         flag, eq, value = argv[k].partition("=")
         name = flag[2:]
-        if flag[:2] != "--" or name not in options or name in given:
+        if flag[:2] != "--" or name not in options or name in given or value == "--":
             return None
         if eq:
             k += 1
@@ -603,7 +605,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # argparse strips a bare "--" value, as in --out=--, and stores []
+        stripped = [name for name, value in vars(args).items() if value == []]
+        if stripped:
+            parser.error(f"argument --{stripped[0]}: expected one argument, not '--'")
     try:
         text, status = args.fn(args)
         # written inside the try: an unwritable --out exits 1, not a traceback

@@ -130,10 +130,6 @@ PAIR_PARTITIONS: tuple[frozenset[frozenset[int]], ...] = tuple(
 )
 
 
-def s4_elements() -> list[Perm]:
-    return [Perm(p) for p in itertools.permutations(range(1, 5))]
-
-
 def _cycle_types(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Each element order of S_n, with the cycle types (cycle lengths,
     longest first) of its elements on n sheets."""

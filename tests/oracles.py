@@ -6,17 +6,23 @@ two-torsion twist at a pair of points flips it, normalizing an orbinode
 whose automorphism acts nontrivially keeps it.  The package decides
 parities from section classes instead (``parity.section_parity``).
 
-D4 = Stab({{1,2},{3,4}}) inside S4 and its block swap (criterion 7).
+The 24 elements of S4, D4 = Stab({{1,2},{3,4}}) inside S4 and its block
+swap (criterion 7).
 
 The 13 diagram items as the paper draws them, which
-``classify.diagram_items`` derives from Table 1.
+``classify.diagram_items`` derives from Table 1, and the Fraction route to
+where the main curve meets the central fiber, which the package reads in
+integers (``classify._main_curve_contacts``).
 """
 
+import itertools
 from fractions import Fraction
+from math import floor
 
+from orbiquint.classify import ClassifyError, node_cycle_type
 from orbiquint.parity import ParityError
-from orbiquint.recillas import Perm, PermError, s4_elements
-from orbiquint.resolve import DiagramItem
+from orbiquint.recillas import Perm, PermError
+from orbiquint.resolve import DiagramItem, hj_expand
 
 
 class ParityState:
@@ -40,6 +46,10 @@ def orbinode_normalize(state: ParityState) -> ParityState:
     """Push forward through the normalization of an orbinode whose
     automorphism acts nontrivially: h^0 is unchanged."""
     return ParityState(state.h0_mod2)
+
+
+def s4_elements() -> list[Perm]:
+    return [Perm(p) for p in itertools.permutations(range(1, 5))]
 
 
 _BLOCKS = ({1, 2}, {3, 4})
@@ -74,3 +84,20 @@ RECORDED_DIAGRAM_ITEMS = {
     12: DiagramItem(3, Fraction(4, 3), (("F", 1),)),
     13: DiagramItem(3, Fraction(5, 3), (("F", 1),)),
 }
+
+
+def fraction_main_curve_contacts(r, a, m, disc, b):
+    """Where the main curve C of the component (r, a, m, disc, b) meets the
+    resolved central fiber, with C.sigma = m - 4a (0 on the residual of a
+    disc component) as a Fraction; classify._main_curve_contacts reads the
+    same rule in integers."""
+    c_sigma = Fraction(0) if disc else m - 4 * a
+    cycle = node_cycle_type(r, b, 3 if disc else 4)
+    on_s1 = c_sigma.denominator > 1
+    at_tau = cycle.count(1) - on_s1
+    if at_tau not in (0, 1) or c_sigma < 0:
+        raise ClassifyError(f"r={r}, a={a}, m={m}: C.sigma = {c_sigma}, "
+                            f"{at_tau} fixed sheets at tau(0)")
+    last_t = f"t{len(hj_expand(r, int(r * a) % r).ints)}"
+    return tuple([("sigma", 1)] * floor(c_sigma) + [("s1", 1)] * on_s1
+                 + [("F", 1)] * cycle.count(r) + [(last_t, 1)] * at_tau)

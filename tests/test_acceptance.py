@@ -28,7 +28,6 @@ from orbiquint.recillas import (
     induced_on_partitions,
     induced_on_transpositions,
     recillas_character_check,
-    s4_elements,
     tetragonal_to_trigonal,
 )
 from orbiquint.resolve import (
@@ -43,7 +42,9 @@ from orbiquint.resolve import (
     pa_hirzebruch,
 )
 
-from oracles import ParityState, blocks_swapped, d4_elements, epsilon_twist, orbinode_normalize
+from oracles import (
+    ParityState, blocks_swapped, d4_elements, epsilon_twist, orbinode_normalize, s4_elements,
+)
 
 GOLDEN = Path(cli.__file__).parent / "golden"
 # the diagram items, derived from Table 1

@@ -6,7 +6,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, strategies as st
 
-from orbiquint import classify
+from orbiquint import classify, covergraphs
 from orbiquint.classify import (
     ClassifyError,
     Mark,
@@ -39,12 +39,12 @@ from orbiquint.classify import (
     type7_row_parity,
     type7_section_parities,
 )
-from orbiquint.covergraphs import R_OPTIONS, enumerate_boundary_types, rh_ramification
+from orbiquint.covergraphs import R_OPTIONS, BaseShape, enumerate_boundary_types, rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity, SectionClass, section_parity, tail_section_contribution
 from orbiquint.recillas import CYCLE_TYPES
 
-from oracles import RECORDED_DIAGRAM_ITEMS
+from oracles import RECORDED_DIAGRAM_ITEMS, fraction_main_curve_contacts
 
 
 def test_table1_shape():
@@ -143,8 +143,10 @@ def test_diagram_items_match_the_recorded_diagrams():
 
 
 def _row(graph_type, r, v, m, disc=False):
-    """A synthetic Table 1 row whose two components are both (v, m)."""
-    return Table1Row(1, graph_type, r, v, v, m, m, 2, 2, disc, disc)
+    """A synthetic Table 1 row whose two components are both (v, m), with
+    the branch counts of its graph type."""
+    b1, b2 = classify._branch_pairs()[graph_type]
+    return Table1Row(1, graph_type, r, v, v, m, m, 2, 2, disc, disc, b1, b2)
 
 
 def test_diagram_items_refuse_sheets_the_rule_does_not_place():
@@ -160,6 +162,35 @@ def test_diagram_items_refuse_sheets_the_rule_does_not_place():
     # a component of genus 6, or with integral a, gives no item
     assert diagram_items([_row(1, 2, half, Fraction(5, 2))._replace(g1=6, g2=0)]) == {}
     assert diagram_items([_row(1, 2, Fraction(1), Fraction(3))]) == {}
+
+
+def _contacts_or_refusal(route, *args):
+    try:
+        return route(*args)
+    except ClassifyError as exc:
+        return str(exc)
+
+
+def test_main_curve_contacts_match_the_fraction_route():
+    # the integer route gives the Fraction route's attach tuple, or its
+    # refusal word for word, over r = 1..4, k coprime to r with k/r <= 3,
+    # b = 0..40 and both disc values, with m on the branch relation and
+    # off it by -1, -1/2, 1/3 and 1/2 (as _row(2, 2, 1/2, 3) is off it)
+    outcomes = set()
+    for r in range(1, 5):
+        for k in (k for k in range(3 * r + 1) if gcd(k, r) == 1):
+            a = Fraction(k, r)
+            for b in range(41):
+                on = tetragonal_branch_relation(a, b).m
+                for m in (on + d for d in (0, -1, Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2))):
+                    for disc in (False, True):
+                        want = _contacts_or_refusal(fraction_main_curve_contacts,
+                                                    r, a, m, disc, b)
+                        got = _contacts_or_refusal(classify._main_curve_contacts, r, k,
+                                                   m.numerator, m.denominator, disc, b)
+                        assert got == want, (r, a, m, disc, b)
+                        outcomes.add(type(want))
+    assert outcomes == {tuple, str}
 
 
 def test_dual_route_genus():
@@ -595,20 +626,24 @@ def test_model_lookup_p_omitted_only_for_p4_labels():
 
 
 def test_verify_golden_derives_each_table_once_per_call(monkeypatch):
-    # one verify_golden call builds Table 1 once and each of the four c1
-    # and nine c2 local-model lists at most once; table1.tsv, theorem.json
-    # and the model artifacts read those copies
+    # one verify_golden call builds Table 1 once, its branch pairs once
+    # (one degree split per shape I-III), and each of the four c1 and nine
+    # c2 local-model lists at most once; table1.tsv, theorem.json, the
+    # diagram items and the model artifacts read those copies
     from orbiquint.cli import _golden_dir, verify_golden
 
-    calls = {"table1": [], "c1": [], "c2": []}
-    for key, name in (("table1", "table1"), ("c1", "enumerate_c1_models"),
-                      ("c2", "enumerate_c2_models")):
-        build = getattr(classify, name)
-        monkeypatch.setattr(classify, name, lambda *a, build=build, log=calls[key]:
+    calls = {"table1": [], "splits": [], "c1": [], "c2": []}
+    for key, module, name in (("table1", classify, "table1"),
+                              ("splits", covergraphs, "degree_splits"),
+                              ("c1", classify, "enumerate_c1_models"),
+                              ("c2", classify, "enumerate_c2_models")):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, build=build, log=calls[key]:
                             log.append(a) or build(*a))
     assert verify_golden(_golden_dir())[0]
     first = {key: len(log) for key, log in calls.items()}
     assert first["table1"] == 1 and first["c1"] <= 4 and first["c2"] <= 9
+    assert [shape for shape, _ in calls["splits"]] == [BaseShape.I, BaseShape.II, BaseShape.III]
     # nothing is kept between calls: the second call does the same work
     assert verify_golden(_golden_dir())[0]
     assert {key: len(log) for key, log in calls.items()} == {

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbiquint import cli, covergraphs
 from orbiquint.cli import build_parser, golden_artifacts, main, verify_golden
@@ -265,6 +265,26 @@ def test_verify_golden_detects_edit(tmp_path, capsys):
     assert "theorem.json: missing file" in out
 
 
+def test_verify_golden_reports_unreadable_paths_as_missing(tmp_path):
+    # a directory at a file's path, a dangling symlink, and a file where
+    # the diagrams directory should be: each artifact there is missing
+    root = tmp_path / "golden"
+    shutil.copytree(GOLDEN, root)
+    (root / "table2.tsv").unlink()
+    (root / "table2.tsv").mkdir()
+    (root / "theorem.json").unlink()
+    (root / "theorem.json").symlink_to(tmp_path / "nowhere.json")
+    shutil.rmtree(root / "diagrams")
+    (root / "diagrams").write_text("")
+    ok, report = verify_golden(root)
+    assert not ok
+    missing = [line for line in report if not line.endswith(": ok")]
+    assert missing == sorted(
+        f"{name}: missing file" for name in
+        ["table2.tsv", "theorem.json", *(f"diagrams/item{k:02d}.txt" for k in range(1, 14))])
+    assert len(report) == 19
+
+
 def test_verify_golden_missing_dir(capsys):
     code, _, err = run(capsys, "verify-golden", "--golden", "/no/such/dir")
     assert code == 1
@@ -288,6 +308,19 @@ def test_unwritable_out_is_a_domain_error(tmp_path, capsys):
         assert (code, out) == (1, "") and err.startswith(f"error ({cls}): ")
         code, out, err = run(capsys, "table1", "--format", "json", "--out", str(path))
         assert (code, out) == (1, "") and json.loads(err)["error"]["code"] == cls
+
+
+def test_bare_double_dash_value_is_a_usage_error(tmp_path, monkeypatch):
+    # argparse strips a bare "--" value to []; main refuses it with exit 2
+    # rather than writing a file named "--" or failing in the handler
+    monkeypatch.chdir(tmp_path)
+    for argv in (["table1", "--out=--", "--format", "md"],
+                 ["coarse", "--a=--", "--r", "2", "--r", "2"],
+                 ["verify-golden", "--golden=--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["md", "json"])
@@ -640,6 +673,7 @@ _PARSER = build_parser()
 
 @settings(max_examples=400, deadline=None)
 @given(_argvs())
+@example(["table1", "--out=--", "--format", "md"])
 def test_argv_reader_agrees_with_argparse(argv):
     # wherever the reader returns a namespace, argparse returns the same
     args = cli._read_argv(argv)

@@ -13,11 +13,10 @@ from orbiquint.recillas import (
     induced_on_transpositions,
     parse_perm,
     recillas_character_check,
-    s4_elements,
     tetragonal_to_trigonal,
 )
 
-from oracles import blocks_swapped, d4_elements
+from oracles import blocks_swapped, d4_elements, s4_elements
 
 perm_st = st.permutations(range(1, 5)).map(lambda p: Perm(tuple(p)))
 
