@@ -494,7 +494,14 @@ class ModelComponent(NamedTuple):
 
 
 class Provenance(NamedTuple):
-    """Singular model: curve of class n*s + m*F on F_l with A-singularities."""
+    """Singular model: curve of class n*s + m*F on F_l with A-singularities.
+
+    _entry derives it in integers from the family, the node local, the
+    entry's l and whether a component switches sides.  A side-switching
+    model has its family's class in _MODEL_CLASSES.  Any other has n = 4
+    and m = 2l plus the family's offset: 4s + (1+2l)F for c1, 4s + (2+2l)F
+    for c2, with p_a as in Hartshorne, Algebraic Geometry, V.2.  The
+    singularity is one A_{local-1}, except where a template splits it."""
 
     l: int
     n: int
@@ -530,6 +537,10 @@ class LocalModelEntry(NamedTuple):
     def validate(self) -> None:
         if self.half_edge_total() != 4:
             raise ClassifyError(f"{self.family} {self.label}: half-edges != 4")
+        switches = any([c.side for c in self.components])
+        if switches != (self.sigmaA2 is None) or switches != (self.sigmaB2 is None):
+            raise ClassifyError(f"{self.family} {self.label}: sigma^2 must exist exactly "
+                                "when no component switches sides")
         resolve, p = orbiquint.resolve, self.provenance
         delta = sum(resolve.delta_invariant(k) for k in p.sings)
         pa = arithmetic_genus([c.genus for c in self.components], delta)
@@ -539,13 +550,26 @@ class LocalModelEntry(NamedTuple):
         self.sigma_halves()
 
 
-def _entry(family, label, tag, param, comps, sA, sB, prov) -> LocalModelEntry:
+# Each family's m - 2l on a model with no side-switching component, and
+# the class (l, n, m) of a model with one; validate() checks both against
+# the components by genus arithmetic.
+_MODEL_CLASSES = {"c1": (1, (2, 2, 4)), "c2": (2, (2, 3, 6))}
+
+
+def _entry(family, local, label, tag, param, comps, l=None, sA=None, sB=None,
+           sings=None) -> LocalModelEntry:
+    """A validated entry at node local `local`.  l and the sigma^2 pair are
+    written only for a model with no side-switching component, and sings
+    only where a template splits the A_{local-1} point; the Provenance is
+    derived from them."""
+    components = tuple(ModelComponent(*c) for c in comps)
+    offset, switched = _MODEL_CLASSES[family]
+    l, n, m = switched if any([c.side for c in components]) else (l, 4, offset + 2 * l)
     e = LocalModelEntry(
-        family, label, tag, param,
-        tuple(ModelComponent(*c) for c in comps),
+        family, label, tag, param, components,
         None if sA is None else frac(sA),
         None if sB is None else frac(sB),
-        Provenance(*prov),
+        Provenance(l, n, m, sings or (local - 1,)),
     )
     e.validate()
     return e
@@ -565,100 +589,64 @@ def _require_local(family: str, name: str, value: int) -> None:
 
 def enumerate_c1_models(i: int) -> list[LocalModelEntry]:
     """Local models of the degree-6 main component at a node of local
-    degree i; fiberwise degree-4 curve of class 4s + (1+2l)F."""
+    degree i, each labelled and tagged "i.k", with no param.
+
+    Each entry writes its components, and its l and sigma^2 pair when no
+    component switches sides.  _entry derives the rest: the class
+    4s + (1+2l)F, or the side-switching class of _MODEL_CLASSES, and the
+    singularity A_{i-1}, which template 2.2 splits into A_0 and A_0."""
     _require_local("c1", "i", i)
-    A = i - 1
     # only list i is built: each Fraction constant costs a Python-level call
-    # recorded: c1 model list — no singularity analysis is implemented; validate() checks genera
+    # recorded: c1 model list — which labels exist, their components and sigma^2; class, singularities and sigma^2's presence are derived
     if i == 1:
-        data = [
-            ("1.1", None, [(0, (2,), (1, 1))], Fraction(-1, 2), 0, (0, 4, 1, (A,))),
-            ("1.2", None, [(0, (), (1,)), (1, (2,), (1,))], Fraction(1, 2), -1,
-             (1, 4, 3, (A,))),
-            ("1.3", None, [(1, (), (), (4,))], None, None, (2, 2, 4, (A,))),
-        ]
+        data = [("1.1", [(0, (2,), (1, 1))], 0, Fraction(-1, 2), 0),
+                ("1.2", [(0, (), (1,)), (1, (2,), (1,))], 1, Fraction(1, 2), -1),
+                ("1.3", [(1, (), (), (4,))])]
     elif i == 2:
-        data = [
-            ("2.1", None, [(0, (1,)), (0, (1,), (1, 1))], -1, 0, (0, 4, 1, (A,))),
-            ("2.2", None, [(0, (2,), (2,))], Fraction(-1, 2), Fraction(-1, 2),
-             (0, 4, 1, (0, 0))),
-            ("2.3", None, [(0, (), (), (2, 2))], None, None, (2, 2, 4, (A,))),
-        ]
+        data = [("2.1", [(0, (1,)), (0, (1,), (1, 1))], 0, -1, 0),
+                ("2.2", [(0, (2,), (2,))], 0, Fraction(-1, 2), Fraction(-1, 2), (0, 0)),
+                ("2.3", [(0, (), (), (2, 2))])]
     elif i == 3:
-        data = [
-            ("3.1", None, [(0, (), (1,)), (0, (2,), (1,))], Fraction(-1, 2), 1,
-             (1, 4, 3, (A,))),
-            ("3.2", None, [(0, (), (), (4,))], None, None, (2, 2, 4, (A,))),
-        ]
+        data = [("3.1", [(0, (), (1,)), (0, (2,), (1,))], 1, Fraction(-1, 2), 1),
+                ("3.2", [(0, (), (), (4,))])]
     else:  # i == 4: model_locals("c1") is range(1, 5)
-        data = [
-            ("4.1", None, [(0, (1,)), (0, (1,), (1,)), (0, (), (1,))], 1, 1,
-             (0, 4, 1, (A,))),
-            ("4.2", None, [(0, (), (), (2,)), (0, (), (), (2,))], None, None,
-             (2, 2, 4, (A,))),
-        ]
-    return [_entry("c1", lab, lab, par, c, sA, sB, pr)
-            for lab, par, c, sA, sB, pr in data]
+        data = [("4.1", [(0, (1,)), (0, (1,), (1,)), (0, (), (1,))], 0, 1, 1),
+                ("4.2", [(0, (), (), (2,)), (0, (), (), (2,))])]
+    return [_entry("c1", i, label, label, None, comps, *rest) for label, comps, *rest in data]
 
 
 def enumerate_c2_models(j: int) -> list[LocalModelEntry]:
     """Local models of the degree-12 main component at a node of local
-    degree j; fiberwise degree-4 curve of class 4s + (2+2l)F."""
+    degree j = 2p + 1 or 2p, each with param p.
+
+    Each entry writes its label, tag and components, and its l and sigma^2
+    pair when no component switches sides.  _entry derives the rest: the
+    class 4s + (2+2l)F, or the side-switching class of _MODEL_CLASSES, and
+    the singularity A_{j-1}, which templates 2.11 and 2.12 split into
+    A_{j-2} and A_0."""
     _require_local("c2", "j", j)
-    out = []
-    # recorded: c2 model list — no singularity analysis is implemented; validate() checks genera
+    p, half = j // 2, Fraction(1, 2)
+    # recorded: c2 model list — which labels exist, their components and sigma^2; class, singularities and sigma^2's presence are derived
     if j % 2:  # j = 2p + 1
-        p = (j - 1) // 2
-        A = j - 1
-        if p <= 3:
-            out.append(_entry(
-                "c2", "2.1", "odd1", p, [(3 - p, (2,), (1, 1))],
-                p + Fraction(1, 2), 1, (0, 4, 2, (A,))))
-            out.append(_entry(
-                "c2", "2.2", "odd2", p, [(3 - p, (2,), (1, 1))],
-                p - Fraction(1, 2), 0, (0, 4, 2, (A,))))
-        out.append(_entry(
-            "c2", "2.3", "odd3", p, [(4 - p, (2,), (1,)), (0, (), (1,))],
-            p - Fraction(1, 2), 0, (2, 4, 6, (A,))))
-        out.append(_entry(
-            "c2", "2.4", "odd4", p, [(4 - p, (), (), (4,))],
-            None, None, (2, 3, 6, (A,))))
+        data = [("2.1", "odd1", [(3 - p, (2,), (1, 1))], 0, p + half, 1),
+                ("2.2", "odd2", [(3 - p, (2,), (1, 1))], 0, p - half, 0)] if p <= 3 else []
+        data += [("2.3", "odd3", [(4 - p, (2,), (1,)), (0, (), (1,))], 2, p - half, 0),
+                 ("2.4", "odd4", [(4 - p, (), (), (4,))])]
     else:  # j = 2p
-        p = j // 2
-        A = j - 1
-        if p <= 3:
-            out.append(_entry(
-                "c2", "2.5", "even1", p, [(3 - p, (1, 1), (1, 1))],
-                p + 1, 1, (0, 4, 2, (A,))))
-            out.append(_entry(
-                "c2", "2.6", "even2", p, [(3 - p, (1, 1), (1, 1))],
-                p, 0, (0, 4, 2, (A,))))
-        out.append(_entry(
-            "c2", "2.7", "even3", p, [(4 - p, (1, 1), (1,)), (0, (), (1,))],
-            p, 0, (2, 4, 6, (A,))))
+        data = [("2.5", "even1", [(3 - p, (1, 1), (1, 1))], 0, p + 1, 1),
+                ("2.6", "even2", [(3 - p, (1, 1), (1, 1))], 0, p, 0)] if p <= 3 else []
+        data.append(("2.7", "even3", [(4 - p, (1, 1), (1,)), (0, (), (1,))], 2, p, 0))
         if p == 4:
             pair = [(0, (1,), (1,)), (0, (1,), (1,))]
-            out.append(_entry("c2", "2.8", "even4", p, pair, 1, 1, (0, 4, 2, (A,))))
-            out.append(_entry("c2", "2.9", "even5", p, pair, 0, 0, (0, 4, 2, (A,))))
-            out.append(_entry(
-                "c2", "2.10", "even6", p,
-                [(0, (1,)), (1, (1,), (1,)), (0, (), (1,))],
-                0, 0, (0, 4, 2, (A,))))
-        out.append(_entry(
-            "c2", "2.11", "even7", p, [(4 - p, (2,), (2,))],
-            p - Fraction(3, 2), Fraction(3, 2), (1, 4, 4, (A - 1, 0))))
-        out.append(_entry(
-            "c2", "2.12", "even7.5", p, [(4 - p, (2,), (2,))],
-            p - Fraction(1, 2), Fraction(1, 2), (1, 4, 4, (A - 1, 0))))
-        out.append(_entry(
-            "c2", "2.13", "even8", p, [(4 - p, (), (), (2, 2))],
-            None, None, (2, 3, 6, (A,))))
+            data += [("2.8", "even4", pair, 0, 1, 1), ("2.9", "even5", pair, 0, 0, 0),
+                     ("2.10", "even6", [(0, (1,)), (1, (1,), (1,)), (0, (), (1,))], 0, 0, 0)]
+        # 2.11 and 2.12 split the A_{j-1} point into A_{j-2} and A_0
+        data += [(label, tag, [(4 - p, (2,), (2,))], 1, p - s, s, (j - 2, 0))
+                 for label, tag, s in (("2.11", "even7", Fraction(3, 2)), ("2.12", "even7.5", half))]
+        data.append(("2.13", "even8", [(4 - p, (), (), (2, 2))]))
         if p == 4:
-            out.append(_entry(
-                "c2", "2.14", "even9", p,
-                [(1, (), (), (2,)), (0, (), (), (2,))],
-                None, None, (2, 3, 6, (A,))))
-    return out
+            data.append(("2.14", "even9", [(1, (), (), (2,)), (0, (), (), (2,))]))
+    return [_entry("c2", j, label, tag, p, comps, *rest) for label, tag, comps, *rest in data]
 
 
 # Each family's local-model lists, keyed by family ("c1", "c2") and node local.

@@ -19,6 +19,7 @@ value after a space that begins with "-".
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -219,15 +220,34 @@ def golden_artifacts() -> dict[str, Callable[[], str]]:
     return arts
 
 
+# O_NONBLOCK opens a named pipe without waiting for a writer, so fstat can
+# refuse it; a flag the platform lacks is 0
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _read_regular(path: str) -> Optional[bytes]:
+    """The bytes of the regular file at path, opened once and checked by
+    fstat; None for anything else (nothing, a dangling link, a directory,
+    a named pipe, a device)."""
+    try:
+        fd = os.open(path, _READ_FLAGS)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        return None
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return None
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))  # to the end of the file
+    finally:
+        os.close(fd)
+
+
 def verify_golden(root: Path) -> tuple[bool, list[str]]:
     """Recompute every golden artifact and report differences."""
     arts = sorted(golden_artifacts().items())
     report: list[str] = []
     for name, gen in arts:
-        try:  # bytes, so no line ending is translated
-            with open(os.path.join(root, name), "rb") as f:
-                actual = f.read()
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        actual = _read_regular(os.path.join(root, name))  # bytes: no line ending is translated
+        if actual is None:
             report.append(f"{name}: missing file")
             continue
         expected = gen()

@@ -95,13 +95,19 @@ class Perm(_PermFields):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in nontrivial)
 
 
+# Cycles of points separated by one comma, with whitespace around it
+# allowed, or by whitespace alone.  A run of whitespace has one way to
+# match a separator, so refusing a string takes linear time.
+CYCLE_NOTATION = r"(\(\s*\d+((?:\s*,\s*|\s+)\d+)*\s*\))+"
+
+
 def parse_perm(text: str) -> Perm:
     """Parse cycle notation on {1..4}: "(1 2 3)(4)" and "(1,2,3)" both
     accepted; a point outside 1..4 is refused."""
     text = text.strip()
     if text in ("id", "()", "e", ""):
         return Perm.identity()
-    if not re.fullmatch(r"(\(\s*\d+(\s*[,\s]\s*\d+)*\s*\))+", text):
+    if not re.fullmatch(CYCLE_NOTATION, text):
         raise PermError(f"malformed cycle notation: {text!r}")
     cycles = []
     for body in re.findall(r"\(([^()]*)\)", text):

@@ -9,6 +9,10 @@ parities from section classes instead (``parity.section_parity``).
 The 24 elements of S4, D4 = Stab({{1,2},{3,4}}) inside S4 and its block
 swap (criterion 7).
 
+The cycle-notation pattern ``recillas.parse_perm`` used before its
+separator was rewritten to backtrack in linear time; the two must accept
+the same strings.
+
 The 13 diagram items as the paper draws them, which
 ``classify.diagram_items`` derives from Table 1, and the Fraction route to
 where the main curve meets the central fiber, which the package reads in
@@ -65,6 +69,11 @@ def blocks_swapped(pi: Perm) -> bool:
     if pi.n != 4 or {pi(1), pi(2)} not in _BLOCKS:
         raise PermError("blocks_swapped needs an element of D4 = Stab({{1,2},{3,4}})")
     return {pi(1), pi(2)} == {3, 4}
+
+
+# The separator's three parts overlap on whitespace, so a refused string
+# with a long run of it backtracks in quadratic time.
+CYCLE_NOTATION_REFERENCE = r"(\(\s*\d+(\s*[,\s]\s*\d+)*\s*\))+"
 
 
 # Each item's (r, a) and the points where the main curve meets the central

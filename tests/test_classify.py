@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -570,14 +571,39 @@ def test_model_locals_are_the_shape_iv_ranges():
 
 
 def test_local_model_half_edges_and_genus():
-    for i in range(1, 5):
-        for e in enumerate_c1_models(i):
-            assert e.half_edge_total() == 4
-            e.validate()
-    for j in range(1, 10):
-        for e in enumerate_c2_models(j):
-            assert e.half_edge_total() == 4
-            e.validate()
+    # over all 54 entries, the rules the derived Provenance rests on: a
+    # component switches sides exactly when sigma^2 is absent and n < 4,
+    # and then (l, n, m) is (2, 2, 4) for c1 and (2, 3, 6) for c2;
+    # otherwise n = 4 and m = 1 + 2l for c1, 2 + 2l for c2.  The one
+    # singularity is A_{local-1} but on three templates, which give
+    # (A_{local-2}, A_0) at even locals: c1 2.2 and c2 2.11, 2.12
+    from orbiquint import cli
+
+    models = local_models()
+    entries = [(family, k, e) for family, lists in models.items()
+               for k, es in lists.items() for e in es]
+    assert len(entries) == 54
+    split = 0
+    for family, k, e in entries:
+        assert e.half_edge_total() == 4
+        e.validate()
+        l, n, m, sings = e.provenance
+        switches = any(c.side for c in e.components)
+        assert (e.sigmaA2 is None) == (e.sigmaB2 is None) == switches == (n < 4)
+        if switches:
+            assert (l, n, m) == {"c1": (2, 2, 4), "c2": (2, 3, 6)}[family]
+        else:
+            assert (n, m) == (4, {"c1": 1, "c2": 2}[family] + 2 * l)
+        if (family, e.label) in {("c1", "2.2"), ("c2", "2.11"), ("c2", "2.12")}:
+            assert k % 2 == 0 and sings == (k - 2, 0)
+            split += 1
+        else:
+            assert sings == (k - 1,)
+    assert split == 9
+    # the derived entries are the ones the golden model lists record
+    golden = Path(cli.__file__).parent / "golden"
+    assert cli.gen_c1_models_json(models) == (golden / "c1_models.json").read_text()
+    assert cli.gen_c2_models_json(models) == (golden / "c2_models.json").read_text()
 
 
 def test_c1_first_entries():
@@ -656,6 +682,14 @@ def test_validate_recomputes_genus():
     bad = e._replace(components=(e.components[0]._replace(genus=1),) + e.components[1:])
     with pytest.raises(ClassifyError, match="arithmetic genus"):
         bad.validate()
+    # sigma^2 exists exactly when no component switches sides: moving a
+    # component's half-edges to the switching side (their total stays 4),
+    # or dropping a sigma^2, is refused before the genus is compared
+    first, *rest = e.components
+    switched = e._replace(components=(first._replace(top=(), side=first.top), *rest))
+    for bad in (switched, e._replace(sigmaA2=None), e._replace(sigmaB2=None)):
+        with pytest.raises(ClassifyError, match=r"c1 2\.1: sigma\^2 must exist exactly"):
+            bad.validate()
 
 
 def test_validate_refuses_a_sigma_square_outside_half_integers():
@@ -697,12 +731,17 @@ def test_r_options_are_s4_orders_with_integral_genera():
 
 def test_table_parities():
     lookup = classify._model_lookup(local_models())
+    counts = []
     for k, row in enumerate(TABLE2_ROWS, 1):
         assert type7_row_parity(row, k, lookup) is Parity.ODD
         parities = type7_section_parities(row, lookup)
         assert parities  # an integral section always exists
         if k not in PARITY_UNCONFIRMED_ROWS:
             assert Parity.ODD in parities
+        counts.append((parities.count(Parity.ODD), parities.count(Parity.EVEN)))
+    # (odd, even) glued sections per Table 2 row, from the models' sigma^2
+    assert counts == [(4, 4), (2, 2), (4, 4), (6, 2), (4, 4), (4, 4),
+                      (6, 6), (12, 0), (12, 0), (8, 0), (8, 0), (0, 4)]
     for row in TABLE3_ROWS:
         assert type7_row_parity(row, None, lookup) is Parity.MOOT
     assert PARITY_UNCONFIRMED_ROWS == frozenset({12})

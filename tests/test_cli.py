@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orbiquint import cli, covergraphs
-from orbiquint.cli import build_parser, golden_artifacts, main, verify_golden
+from orbiquint.cli import build_parser, golden_artifacts, main
 
 
 GOLDEN = Path(cli.__file__).parent / "golden"
@@ -266,8 +266,10 @@ def test_verify_golden_detects_edit(tmp_path, capsys):
 
 
 def test_verify_golden_reports_unreadable_paths_as_missing(tmp_path):
-    # a directory at a file's path, a dangling symlink, and a file where
-    # the diagrams directory should be: each artifact there is missing
+    # a directory at a file's path, a dangling symlink, a file where the
+    # diagrams directory should be, and a named pipe where the platform has
+    # them: each artifact there is missing.  A child runs the check, so a
+    # read that waits on the pipe fails at the timeout instead of hanging
     root = tmp_path / "golden"
     shutil.copytree(GOLDEN, root)
     (root / "table2.tsv").unlink()
@@ -276,12 +278,16 @@ def test_verify_golden_reports_unreadable_paths_as_missing(tmp_path):
     (root / "theorem.json").symlink_to(tmp_path / "nowhere.json")
     shutil.rmtree(root / "diagrams")
     (root / "diagrams").write_text("")
-    ok, report = verify_golden(root)
-    assert not ok
+    names = ["table2.tsv", "theorem.json", *(f"diagrams/item{k:02d}.txt" for k in range(1, 14))]
+    if hasattr(os, "mkfifo"):
+        (root / "table1.tsv").unlink()
+        os.mkfifo(root / "table1.tsv")
+        names.append("table1.tsv")
+    p = _python("-m", "orbiquint.cli", "verify-golden", "--golden", str(root))
+    assert (p.returncode, p.stderr) == (1, "")
+    report = p.stdout.splitlines()
     missing = [line for line in report if not line.endswith(": ok")]
-    assert missing == sorted(
-        f"{name}: missing file" for name in
-        ["table2.tsv", "theorem.json", *(f"diagrams/item{k:02d}.txt" for k in range(1, 14))])
+    assert missing == sorted(f"{name}: missing file" for name in names)
     assert len(report) == 19
 
 
@@ -379,6 +385,15 @@ def test_exponent_notation_refused_at_once(argv, fmt):
         assert json.loads(p.stderr)["error"]["code"] == "ValueError"
     else:
         assert p.stderr.startswith("error (ValueError): ")
+
+
+def test_recillas_refuses_a_long_whitespace_run_at_once(capsys):
+    # a refused cycle notation backtracks in linear time: 100,000 spaces
+    # inside one cycle, near the length one argv string can hold
+    start = time.perf_counter()
+    code, out, err = run(capsys, "recillas", "--monodromy", "(1" + " " * 100_000 + "x)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "") and err.startswith("error (PermError): malformed cycle notation")
 
 
 def test_resolve_accepts_r_at_bound(capsys):

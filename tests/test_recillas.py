@@ -1,9 +1,11 @@
+import re
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orbiquint.recillas import (
+    CYCLE_NOTATION,
     PAIR_PARTITIONS,
     TRANSPOSITIONS,
     Perm,
@@ -16,7 +18,7 @@ from orbiquint.recillas import (
     tetragonal_to_trigonal,
 )
 
-from oracles import blocks_swapped, d4_elements, s4_elements
+from oracles import CYCLE_NOTATION_REFERENCE, blocks_swapped, d4_elements, s4_elements
 
 perm_st = st.permutations(range(1, 5)).map(lambda p: Perm(tuple(p)))
 
@@ -49,6 +51,27 @@ def test_perm_parsing():
         parse_perm("(1 1)")
     with pytest.raises(PermError):
         parse_perm("(1 2)(2 3)")
+
+
+# Strings over the notation's characters "(),1234x", space and tab: drawn
+# char by char, or as cycles of points and separators, valid or not, which
+# reach accepted strings more often.
+_separators = st.sampled_from(["", " ", "\t", ",", " , ", ",\t ", ",,", "  ", "(", ")"])
+_cycles = st.tuples(
+    _separators, st.lists(st.tuples(st.sampled_from(["1", "2", "34", "x"]), _separators),
+                          min_size=1, max_size=4),
+).map(lambda t: "(" + t[0] + "".join(point + sep for point, sep in t[1]) + ")")
+_notation_texts = st.one_of(st.text("(),1234x \t", max_size=24),
+                            st.lists(_cycles, min_size=1, max_size=3).map("".join))
+
+
+@given(_notation_texts)
+@example("(1 2)(3,4)")
+@example("( 1 ,\t2 \t)(3  4)")
+@example("(1 ,, 2)")
+def test_cycle_notation_accepts_what_the_reference_accepts(text):
+    assert ((re.fullmatch(CYCLE_NOTATION, text) is None)
+            == (re.fullmatch(CYCLE_NOTATION_REFERENCE, text) is None))
 
 
 @pytest.mark.parametrize("text, point", [
