@@ -148,8 +148,6 @@ def table1() -> list[Table1Row]:
     rows: list[Table1Row] = []
     for t, (b1, b2) in _branch_pairs().items():
         for r in R_OPTIONS[t]:
-            if (r * b1) % 6 or (r * b2) % 6:
-                continue
             g1, g2 = component_genus(r, b1), component_genus(r, b2)
             for k1, k2, rel1, rel2 in _twist_pairs(r, b1, b2):
                 rows.append(Table1Row(
@@ -587,32 +585,35 @@ def _require_local(family: str, name: str, value: int) -> None:
         raise ClassifyError(f"{family} models need 1 <= {name} <= {locals_[-1]}")
 
 
+# The c1 entries at each node local i: (label, components, then l and the
+# sigma^2 pair when no component switches sides, then the split sings).
+# recorded: c1 model list — which labels exist, their components and sigma^2; class, singularities and sigma^2's presence are derived
+_C1_MODEL_DATA = {
+    1: (("1.1", [(0, (2,), (1, 1))], 0, Fraction(-1, 2), 0),
+        ("1.2", [(0, (), (1,)), (1, (2,), (1,))], 1, Fraction(1, 2), -1),
+        ("1.3", [(1, (), (), (4,))])),
+    2: (("2.1", [(0, (1,)), (0, (1,), (1, 1))], 0, -1, 0),
+        ("2.2", [(0, (2,), (2,))], 0, Fraction(-1, 2), Fraction(-1, 2), (0, 0)),
+        ("2.3", [(0, (), (), (2, 2))])),
+    3: (("3.1", [(0, (), (1,)), (0, (2,), (1,))], 1, Fraction(-1, 2), 1),
+        ("3.2", [(0, (), (), (4,))])),
+    4: (("4.1", [(0, (1,)), (0, (1,), (1,)), (0, (), (1,))], 0, 1, 1),
+        ("4.2", [(0, (), (), (2,)), (0, (), (), (2,))])),
+}
+
+
 def enumerate_c1_models(i: int) -> list[LocalModelEntry]:
     """Local models of the degree-6 main component at a node of local
     degree i, each labelled and tagged "i.k", with no param.
 
-    Each entry writes its components, and its l and sigma^2 pair when no
-    component switches sides.  _entry derives the rest: the class
-    4s + (1+2l)F, or the side-switching class of _MODEL_CLASSES, and the
-    singularity A_{i-1}, which template 2.2 splits into A_0 and A_0."""
+    Each entry of _C1_MODEL_DATA writes its components, and its l and
+    sigma^2 pair when no component switches sides.  _entry derives the
+    rest: the class 4s + (1+2l)F, or the side-switching class of
+    _MODEL_CLASSES, and the singularity A_{i-1}, which template 2.2
+    splits into A_0 and A_0."""
     _require_local("c1", "i", i)
-    # only list i is built: each Fraction constant costs a Python-level call
-    # recorded: c1 model list — which labels exist, their components and sigma^2; class, singularities and sigma^2's presence are derived
-    if i == 1:
-        data = [("1.1", [(0, (2,), (1, 1))], 0, Fraction(-1, 2), 0),
-                ("1.2", [(0, (), (1,)), (1, (2,), (1,))], 1, Fraction(1, 2), -1),
-                ("1.3", [(1, (), (), (4,))])]
-    elif i == 2:
-        data = [("2.1", [(0, (1,)), (0, (1,), (1, 1))], 0, -1, 0),
-                ("2.2", [(0, (2,), (2,))], 0, Fraction(-1, 2), Fraction(-1, 2), (0, 0)),
-                ("2.3", [(0, (), (), (2, 2))])]
-    elif i == 3:
-        data = [("3.1", [(0, (), (1,)), (0, (2,), (1,))], 1, Fraction(-1, 2), 1),
-                ("3.2", [(0, (), (), (4,))])]
-    else:  # i == 4: model_locals("c1") is range(1, 5)
-        data = [("4.1", [(0, (1,)), (0, (1,), (1,)), (0, (), (1,))], 0, 1, 1),
-                ("4.2", [(0, (), (), (2,)), (0, (), (), (2,))])]
-    return [_entry("c1", i, label, label, None, comps, *rest) for label, comps, *rest in data]
+    return [_entry("c1", i, label, label, None, comps, *rest)
+            for label, comps, *rest in _C1_MODEL_DATA[i]]
 
 
 def enumerate_c2_models(j: int) -> list[LocalModelEntry]:

@@ -198,25 +198,24 @@ def gen_diagram_txt(item: DiagramItem) -> str:
     return item.contract().to_text()
 
 
-def golden_artifacts() -> dict[str, Callable[[], str]]:
-    """Each golden artifact's generator.  Table 1, the local-model lists
-    and the diagram items are derived here, once per call, and every
-    generator that reads them shares that copy; nothing is kept between
-    calls."""
+def golden_artifacts() -> dict[str, str]:
+    """Each golden artifact's text.  Table 1, the local-model lists and
+    the diagram items are derived here, once per call, and every generator
+    that reads them shares that copy; nothing is kept between calls."""
     from . import classify
 
     rows = classify.table1()
     models = classify.local_models()
-    arts: dict[str, Callable[[], str]] = {
-        "table1.tsv": lambda: gen_table1_tsv(rows),
-        "table2.tsv": gen_table2_tsv,
-        "table3.tsv": gen_table3_tsv,
-        "theorem.json": lambda: gen_theorem_json(rows, models),
-        "c1_models.json": lambda: gen_c1_models_json(models),
-        "c2_models.json": lambda: gen_c2_models_json(models),
+    arts = {
+        "table1.tsv": gen_table1_tsv(rows),
+        "table2.tsv": gen_table2_tsv(),
+        "table3.tsv": gen_table3_tsv(),
+        "theorem.json": gen_theorem_json(rows, models),
+        "c1_models.json": gen_c1_models_json(models),
+        "c2_models.json": gen_c2_models_json(models),
     }
     for k, item in classify.diagram_items(rows).items():
-        arts[f"diagrams/item{k:02d}.txt"] = lambda item=item: gen_diagram_txt(item)
+        arts[f"diagrams/item{k:02d}.txt"] = gen_diagram_txt(item)
     return arts
 
 
@@ -245,12 +244,11 @@ def verify_golden(root: Path) -> tuple[bool, list[str]]:
     """Recompute every golden artifact and report differences."""
     arts = sorted(golden_artifacts().items())
     report: list[str] = []
-    for name, gen in arts:
+    for name, expected in arts:
         actual = _read_regular(os.path.join(root, name))  # bytes: no line ending is translated
         if actual is None:
             report.append(f"{name}: missing file")
             continue
-        expected = gen()
         if actual == expected.encode():
             report.append(f"{name}: ok")
             continue

@@ -101,6 +101,16 @@ class Perm(_PermFields):
 CYCLE_NOTATION = r"(\(\s*\d+((?:\s*,\s*|\s+)\d+)*\s*\))+"
 
 
+def _point(digits: str) -> int:
+    """The point a run of decimal digits (of any script) names.  Its value
+    is read digit by digit and compared as text, so a run longer than
+    int() converts is refused like any other point outside 1..4."""
+    value = "".join([str(int(c)) for c in digits]).lstrip("0") or "0"
+    if value not in ("1", "2", "3", "4"):
+        raise PermError(f"point {value} out of range 1..4")
+    return int(value)
+
+
 def parse_perm(text: str) -> Perm:
     """Parse cycle notation on {1..4}: "(1 2 3)(4)" and "(1,2,3)" both
     accepted; a point outside 1..4 is refused."""
@@ -111,7 +121,7 @@ def parse_perm(text: str) -> Perm:
         raise PermError(f"malformed cycle notation: {text!r}")
     cycles = []
     for body in re.findall(r"\(([^()]*)\)", text):
-        cyc = [int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
+        cyc = [_point(t) for t in re.split(r"[,\s]+", body.strip()) if t]
         if len(cyc) != len(set(cyc)):
             raise PermError(f"repeated point in cycle: {body!r}")
         cycles.append(cyc)

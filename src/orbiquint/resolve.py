@@ -256,16 +256,10 @@ def build_coarse_fiber_config(
         schain = hj_expand(r, (-ra) % r).ints
         tchain = hj_expand(r, ra % r).ints
         vertices.append(Vertex("sigma", -ceil(a), Role.DIRECTRIX))
-        path = ["sigma"]
-        for i, b in enumerate(schain, 1):
-            vertices.append(Vertex(f"s{i}", -b, Role.FIBER))
-            path.append(f"s{i}")
+        vertices += [Vertex(f"s{i}", -b, Role.FIBER) for i, b in enumerate(schain, 1)]
         vertices.append(Vertex("F", -1, Role.FIBER))
-        path.append("F")
-        for i, b in enumerate(tchain, 1):
-            vertices.append(Vertex(f"t{i}", -b, Role.FIBER))
-            path.append(f"t{i}")
-        edges.extend(Edge(v, w, 1) for v, w in zip(path, path[1:]))
+        vertices += [Vertex(f"t{i}", -b, Role.FIBER) for i, b in enumerate(tchain, 1)]
+        edges.extend(Edge(v.id, w.id, 1) for v, w in zip(vertices, vertices[1:]))
 
     if attach_spec:
         vertices.append(Vertex("C", 0, Role.MAIN))
@@ -296,9 +290,7 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     Each curve's branches are fixed when the table is built (a blow-down
     moves branches between points but makes none), so the points on the
     contracted curve are those its branch set meets, and only that
-    curve's contacts are dropped.  The main-curve contact is summed
-    only when more than one curve is eligible, and the chain position is
-    read only when that contact ties.  Vertices keep their order, and
+    curve's contacts are dropped.  Vertices keep their order, and
     edges come out point by point, in the order the points were made.
     """
 
@@ -339,11 +331,10 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
         eligible = [u for u in alive if self_int[u] == -1 and u != main]
         if not eligible:
             break
-        if len(eligible) > 1:  # the chain position decides only a tie
-            contacts = [main_contact(u) for u in eligible]
-            low = min(contacts)
-            eligible = [u for u, c in zip(eligible, contacts) if c == low]
-        vid = eligible[0] if len(eligible) == 1 else min(eligible, key=chain_rank)
+        if len(eligible) == 1:
+            vid = eligible[0]
+        else:
+            vid = min(eligible, key=lambda u: (main_contact(u), chain_rank(u)))
 
         # Merge the points on v (see the module docstring); d[i] is the
         # contact of surviving branch i with v, taken out of i's contacts

@@ -396,6 +396,13 @@ def test_recillas_refuses_a_long_whitespace_run_at_once(capsys):
     assert (code, out) == (1, "") and err.startswith("error (PermError): malformed cycle notation")
 
 
+def test_recillas_refuses_a_point_longer_than_int_converts(capsys):
+    # a point's range is read from its digits, so a point of 5,000 digits
+    # (beyond int()'s default 4,300-digit limit) is a PermError like (5 1)
+    code, out, err = run(capsys, "recillas", "--monodromy", "(" + "1" * 5000 + " 2)")
+    assert (code, out) == (1, "") and err.startswith("error (PermError): point 111")
+
+
 def test_resolve_accepts_r_at_bound(capsys):
     code, out, _ = run(capsys, "resolve", "--r", str(10**6), "--q", "1")
     assert (code, out) == (0, "[1000000]\n")
@@ -409,8 +416,7 @@ def test_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_golden_artifacts_deterministic():
-    for name, gen in golden_artifacts().items():
-        assert gen() == gen(), name
+    assert golden_artifacts() == golden_artifacts()
 
 
 def _python(*argv):
