@@ -1,6 +1,6 @@
 """Entry point for ``python -m orbiquint``; same subcommands as the cli module."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

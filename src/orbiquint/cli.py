@@ -7,7 +7,9 @@ ORBIQUINT_GOLDEN environment variable).
 
 Each subcommand returns its text and exit status and writes nothing;
 `main` alone writes the text to stdout or to `--out`, and turns domain
-errors into exit status 1 with a message on stderr.
+errors into exit status 1 with a message on stderr.  `main` returns the
+status and never exits; `run`, the process entry, ends the process with
+it, without the interpreter's teardown.
 
 One table, `_SUBCOMMANDS`, holds each subcommand's handler and options.
 `main` first reads argv itself from that table; argparse, built from the
@@ -18,6 +20,8 @@ value after a space that begins with "-".
 
 from __future__ import annotations
 
+import _thread
+import atexit
 import os
 import stat
 import sys
@@ -634,6 +638,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # written inside the try: an unwritable --out exits 1, not a traceback
         if args.out is not None:
             Path(args.out).write_text(text)
+        elif sys.stdout is None:
+            # the process started with its stdout closed
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
     except _DOMAIN_ERRORS as exc:
@@ -648,5 +655,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     return status
 
 
+def run() -> None:
+    """The process entry: `python -m orbiquint`, `python -m orbiquint.cli`
+    and the installed `orbiquint` script.  When `main` returns a status,
+    the exit handlers run, stdout and stderr are flushed and the process
+    ends with `os._exit`, skipping the interpreter's teardown of every
+    module the child imported.  An exception, argparse's SystemExit, a
+    flush that raises, a live thread other than the main one, or an
+    interpreter without `atexit._run_exitfuncs` leaves the exit to the
+    interpreter, as `raise SystemExit(main())` does."""
+    status = main()
+    run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
+    if run_exitfuncs is not None and not _thread._count():
+        run_exitfuncs()  # also unregisters them, so none runs twice
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except Exception:
+            pass  # the interpreter flushes again and reports the failure
+        else:
+            os._exit(status)
+    raise SystemExit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

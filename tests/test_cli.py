@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -419,12 +420,16 @@ def test_golden_artifacts_deterministic():
     assert golden_artifacts() == golden_artifacts()
 
 
-def _python(*argv):
+def _python(*argv, env=None, **streams):
+    """A child interpreter with src first on its path; stdout and stderr
+    are captured unless streams says otherwise."""
     src = str(Path(cli.__file__).parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
+    env = dict(os.environ if env is None else env)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, *argv], env=env, text=True, timeout=60,
+                          **streams)
 
 
 def test_python_m_entry_points():
@@ -493,6 +498,90 @@ def test_subcommands_skip_costly_imports():
     assert p.returncode == 0, p.stderr
     assert len({argv[0] for argv in _FRACTION_FREE_ARGVS + _OTHER_ARGVS}) == 10
     assert p.stdout == "[] []\n"
+
+
+# The exit that run() skips: the interpreter's own, after teardown.
+_SLOW_EXIT = "import sys; from orbiquint.cli import main; raise SystemExit(main(sys.argv[1:]))"
+# Children whose stdout is block-buffered, as it is by default, so that
+# output a child leaves unflushed is lost and shows.
+_BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_entry_exit_changes_no_output(tmp_path):
+    # a child that ends through run() has the exit status, stdout, stderr
+    # and --out bytes of one the interpreter tears down; the cases take the
+    # two -m entries in turn, which keeps the child count down
+    cases = [*_FRACTION_FREE_ARGVS, *_OTHER_ARGVS,
+             *(["coarse", "--r", "2", "--a", "1/0", "--format", f] for f in ("md", "json")),
+             ["coarse", "--r", "2"], ["--help"],
+             ["table1", "--format", "tsv", "--out", "{out}"]]
+
+    def child(job):
+        k, entry = job
+        out = tmp_path / f"{k}-{entry[-1]}.txt"
+        p = _python(*entry, *(a.format(out=out) for a in cases[k]), env=_BUFFERED_ENV)
+        return p.returncode, p.stdout, p.stderr, out.read_bytes() if out.exists() else None
+
+    fast = (["-m", "orbiquint.cli"], ["-m", "orbiquint"])
+    runs = [(k, entry) for k in range(len(cases)) for entry in (fast[k % 2], ["-c", _SLOW_EXIT])]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(child, runs))
+    for argv, fast_run, slow_run in zip(cases, results[::2], results[1::2]):
+        assert fast_run == slow_run, argv
+    assert [r[0] for r in results[-10::2]] == [1, 1, 2, 0, 0]
+    assert results[-2][3] == (GOLDEN / "table1.tsv").read_bytes()
+
+
+def test_entry_runs_exit_handlers_once():
+    # a handler registered before the module runs, writing to the buffered
+    # stdout: run() calls it once, then flushes what it wrote
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: sys.stdout.write('bye\\n'))\n"
+              "sys.argv = ['orbiquint', 'resolve', '--r', '3', '--q', '2']\n"
+              "runpy.run_module('orbiquint.cli', run_name='__main__')\n")
+    p = _python("-c", script, env=_BUFFERED_ENV)
+    assert (p.returncode, p.stdout, p.stderr) == (0, "[2,2]\nbye\n", "")
+
+
+def test_entry_exit_waits_for_a_live_thread():
+    # a non-main thread still running when main returns: run() leaves the
+    # exit to the interpreter, which waits for the thread to finish
+    script = ("import runpy, sys, threading, time\n"
+              "def late():\n"
+              "    time.sleep(0.2)\n"
+              "    sys.stdout.write('late\\n')\n"
+              "threading.Thread(target=late).start()\n"
+              "sys.argv = ['orbiquint', 'resolve', '--r', '3', '--q', '2']\n"
+              "runpy.run_module('orbiquint.cli', run_name='__main__')\n")
+    p = _python("-c", script, env=_BUFFERED_ENV)
+    assert (p.returncode, p.stdout, p.stderr) == (0, "[2,2]\nlate\n", "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_entry_exit_on_a_broken_pipe_matches_the_interpreters(unbuffered):
+    # stdout a pipe with no reader: unbuffered, the write fails inside main
+    # (exit 1); buffered, a short text fails only at the flush, which run()
+    # leaves to the interpreter (exit 120, "Exception ignored")
+    env = dict(_BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else _BUFFERED_ENV
+    for argv in (["resolve", "--r", "3", "--q", "2"],
+                 ["boundary-graphs", "--d", "3", "--format", "json"]):
+        results = []
+        for entry in (["-m", "orbiquint.cli"], ["-c", _SLOW_EXIT]):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                p = _python(*entry, *argv, stdout=w, env=env)
+            finally:
+                os.close(w)
+            results.append((p.returncode, p.stderr))
+        assert results[0] == results[1], argv
+        assert results[0][0] in (1, 120) and "BrokenPipeError" in results[0][1]
+
+
+def test_closed_stdout_is_a_domain_error():
+    p = _python("-m", "orbiquint.cli", "resolve", "--r", "3", "--q", "2",
+                stdout=None, preexec_fn=lambda: os.close(1))
+    assert (p.returncode, p.stderr) == (1, "error (OSError): stdout is closed\n")
 
 
 def test_table1_text_skips_json_resolve_and_parity():
