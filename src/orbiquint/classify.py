@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 import orbiquint
 
@@ -48,20 +49,11 @@ class ClassifyError(ValueError):
 # Table 1: the one-node types (1)-(5)
 
 
-class Table1Row(NamedTuple):
-    row: int
-    graph_type: int
-    r: int
-    v1: Fraction  # signed bundle degree on the first component
-    v2: Fraction
-    m1: Fraction
-    m2: Fraction
-    g1: int
-    g2: int
-    disc1: bool  # component is the disjoint union of the directrix and a residual
-    disc2: bool
-    b1: int  # branch points on the first component
-    b2: int
+# row, graph_type, r: int; v1, v2: Fraction, the signed bundle degree on
+# each component; m1, m2: Fraction; g1, g2: int; disc1, disc2: bool, the
+# component is the disjoint union of the directrix and a residual; b1, b2:
+# int, the branch points on each component
+Table1Row = namedtuple("Table1Row", "row graph_type r v1 v2 m1 m2 g1 g2 disc1 disc2 b1 b2")
 
 
 def _branch_pairs() -> dict[int, tuple[int, int]]:
@@ -224,22 +216,16 @@ class Mark(enum.Enum):
     TANGENT_THIRD_POINT = "TangentLineThirdPoint"
 
 
-class VertexDesc(NamedTuple):
-    genus: int
-    tags: frozenset[Tag] = frozenset()
-    marks: frozenset[Mark] = frozenset()
+# genus: int; tags: frozenset[Tag]; marks: frozenset[Mark]
+VertexDesc = namedtuple("VertexDesc", "genus tags marks", defaults=(frozenset(), frozenset()))
 
 
-class _StableCurveDescFields(NamedTuple):
-    vertices: tuple[VertexDesc, ...]
-    edges: tuple[tuple[int, int], ...]  # index pairs; (i, i) is a loop
-
-
-class StableCurveDesc(_StableCurveDescFields):
+class StableCurveDesc(namedtuple("StableCurveDesc", "vertices edges")):
     """A stable curve as its dual graph: one vertex per component, with
     its genus and what is known of its tags and marked points, and one
     edge per node as a pair of vertex indices; (i, i) is a loop, a node
-    of component i with itself."""
+    of component i with itself.  vertices: tuple[VertexDesc, ...];
+    edges: tuple[tuple[int, int], ...]."""
 
     __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__'s check
@@ -365,10 +351,8 @@ def match(curve: StableCurveDesc, main_lacks: frozenset[Tag] = frozenset()) -> l
     return hits
 
 
-class DivisorRecord(NamedTuple):
-    theorem_index: int
-    desc: StableCurveDesc
-    sources: tuple[str, ...]
+# theorem_index: int; desc: StableCurveDesc; sources: tuple[str, ...]
+DivisorRecord = namedtuple("DivisorRecord", "theorem_index desc sources")
 
 
 def _records(pairs: Iterable[tuple[int, str]]) -> list[DivisorRecord]:
@@ -484,38 +468,31 @@ def classify_type_6() -> list[DivisorRecord]:
 # Local models at the tail nodes (types (7) and (8))
 
 
-class ModelComponent(NamedTuple):
-    genus: int
-    top: tuple[int, ...] = ()  # attaching multiplicities on the A side
-    bottom: tuple[int, ...] = ()  # on the B side
-    side: tuple[int, ...] = ()  # when the monodromy switches the sides
+# genus: int; top, bottom: tuple[int, ...], the attaching multiplicities on
+# the A side and on the B side; side: tuple[int, ...], those of a component
+# whose monodromy switches the sides
+ModelComponent = namedtuple("ModelComponent", "genus top bottom side", defaults=((), (), ()))
 
 
-class Provenance(NamedTuple):
-    """Singular model: curve of class n*s + m*F on F_l with A-singularities.
-
-    _entry derives it in integers from the family, the node local, the
-    entry's l and whether a component switches sides.  A side-switching
-    model has its family's class in _MODEL_CLASSES.  Any other has n = 4
-    and m = 2l plus the family's offset: 4s + (1+2l)F for c1, 4s + (2+2l)F
-    for c2, with p_a as in Hartshorne, Algebraic Geometry, V.2.  The
-    singularity is one A_{local-1}, except where a template splits it."""
-
-    l: int
-    n: int
-    m: int
-    sings: tuple[int, ...]  # A_k indices
+# Singular model: curve of class n*s + m*F on F_l with A-singularities;
+# l, n, m: int; sings: tuple[int, ...], the A_k indices.  _entry derives it
+# in integers from the family, the node local, the entry's l and whether a
+# component switches sides.  A side-switching model has its family's class
+# in _MODEL_CLASSES.  Any other has n = 4 and m = 2l plus the family's
+# offset: 4s + (1+2l)F for c1, 4s + (2+2l)F for c2, with p_a as in
+# Hartshorne, Algebraic Geometry, V.2.  The singularity is one A_{local-1},
+# except where a template splits it.
+Provenance = namedtuple("Provenance", "l n m sings")
 
 
-class LocalModelEntry(NamedTuple):
-    family: str  # "c1" | "c2"
-    label: str  # e.g. "1.1" within c1, "2.3" within c2
-    tag: str
-    param: Optional[int]  # p where applicable
-    components: tuple[ModelComponent, ...]
-    sigmaA2: Optional[Fraction]
-    sigmaB2: Optional[Fraction]
-    provenance: Provenance
+class LocalModelEntry(namedtuple("LocalModelEntry", "family label tag param components "
+                                                    "sigmaA2 sigmaB2 provenance")):
+    """A local model: family: str, "c1" or "c2"; label: str, e.g. "1.1"
+    within c1, "2.3" within c2; tag: str; param: Optional[int], p where
+    applicable; components: tuple[ModelComponent, ...]; sigmaA2, sigmaB2:
+    Optional[Fraction]; provenance: Provenance."""
+
+    __slots__ = ()
 
     def half_edge_total(self) -> int:
         return sum(
@@ -694,12 +671,10 @@ def _model_lookup(models: LocalModels) -> ModelLookup:
 # Type (7): the two combination tables
 
 
-class Type7Row(NamedTuple):
-    c1: tuple[str, ...]  # c1 entry labels (a trailing ' marks the flip)
-    c2: str
-    c2_p: Optional[int]
-    tail_genera: tuple[int, ...]  # (g1, g2) for trivial G, (g,) otherwise
-    theorem_index: int
+# c1: tuple[str, ...], c1 entry labels (a trailing ' marks the flip); c2:
+# str; c2_p: Optional[int]; tail_genera: tuple[int, ...], (g1, g2) for
+# trivial G, (g,) otherwise; theorem_index: int
+Type7Row = namedtuple("Type7Row", "c1 c2 c2_p tail_genera theorem_index")
 
 
 # Divisors of type (7) with trivial intermediate double cover.

@@ -21,7 +21,7 @@ one-node splits: full profiles make each main degree a multiple of the
 lcm of the parts over its marked points, matching node degrees split the
 tail's degree among the mains, and redundant tails fill each main's
 remaining node fiber.  Every record is a tuple, hashed and compared in
-C: graphs, families, components and node edges are ``NamedTuple``s,
+C: graphs, families, components and node edges are ``namedtuple``s,
 copied with ``_replace``, and a ramification profile is a tuple of its
 parts whose one constructor sorts them.  Memoised constructors build each
 distinct component, edge and profile once, and the graphs of an
@@ -42,9 +42,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from math import lcm
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from . import jsontext
 
@@ -119,14 +119,12 @@ class RamProfile(tuple):
         return sum(self) - len(self)
 
 
-class Component(NamedTuple):
-    id: str
-    side: str  # "main" | "tail"
-    degree: int
-    genus: int
-    redundant: bool
-    profiles: tuple[tuple[str, RamProfile], ...]  # over marked points on its side
-    beta: int  # moving branch points on this component
+class Component(namedtuple("Component", "id side degree genus redundant profiles beta")):
+    """id: str; side: str, "main" or "tail"; degree, genus: int; redundant:
+    bool; profiles: tuple[tuple[str, RamProfile], ...], over the marked
+    points on its side; beta: int, the moving branch points on it."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,10 +138,10 @@ class Component(NamedTuple):
         }
 
 
-class NodeEdge(NamedTuple):
-    main_id: str
-    tail_id: str
-    local_degree: int
+class NodeEdge(namedtuple("NodeEdge", "main_id tail_id local_degree")):
+    """main_id, tail_id: str; local_degree: int."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"main": self.main_id, "tail": self.tail_id, "local": self.local_degree}
@@ -185,14 +183,13 @@ def _graph_template(d: int, shape: BaseShape, type_index: Optional[int],
         ("params", "components", "edges"))
 
 
-class CoverGraph(NamedTuple):
-    d: int
-    shape: BaseShape
-    components: tuple[Component, ...]
-    node_edges: tuple[NodeEdge, ...]
-    type_index: Optional[int] = None
-    params: tuple[int, ...] = ()
-    r_options: tuple[int, ...] = ()
+class CoverGraph(namedtuple("CoverGraph", "d shape components node_edges type_index params "
+                                          "r_options", defaults=(None, (), ()))):
+    """d: int; shape: BaseShape; components: tuple[Component, ...];
+    node_edges: tuple[NodeEdge, ...]; type_index: Optional[int]; params,
+    r_options: tuple[int, ...]."""
+
+    __slots__ = ()
 
     # -- accessors ----------------------------------------------------------
 
@@ -286,11 +283,9 @@ class CoverGraph(NamedTuple):
             after_components, f"[\n{edges}\n  ]" if edges else "[]", end))
 
 
-class BoundaryType(NamedTuple):
-    type_index: int
-    shape: BaseShape
-    param_ranges: tuple[tuple[int, int], ...]  # inclusive (lo, hi) per parameter
-    graphs: tuple[CoverGraph, ...]
+# type_index: int; shape: BaseShape; param_ranges: tuple[tuple[int, int],
+# ...], an inclusive (lo, hi) per parameter; graphs: tuple[CoverGraph, ...]
+BoundaryType = namedtuple("BoundaryType", "type_index shape param_ranges graphs")
 
 
 def families_json(families: Iterable[BoundaryType]) -> str:
@@ -683,7 +678,7 @@ def _skeleton(
         tail_edges += red_edges
     # the table, not the tail_marked property: a dict hit runs no Python frame
     tail = _make_component("E", "tail", sum(locals_), _TAIL_MARKED[shape], locals_, False)
-    # tuple.__new__ skips the NamedTuple's Python-level __new__ (it checks nothing)
+    # tuple.__new__ skips the namedtuple's Python-level __new__ (it checks nothing)
     return tuple.__new__(CoverGraph, (d, shape, (*mains, tail, *tails),
                                       (*edges, *tail_edges), type_index, params, r_options))
 

@@ -10,9 +10,10 @@ here is exact rational arithmetic; no floating point is ever used.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Union
+from typing import Union
 
 FracLike = Union[int, Fraction, str]
 
@@ -32,18 +33,14 @@ def frac(x: FracLike) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-class BranchRelation(NamedTuple):
-    m: Fraction
-    disc: bool  # a = b/6: the curve is the directrix plus a disjoint residual
+# m: Fraction; disc: bool, a = b/6: the curve is the directrix plus a
+# disjoint residual
+BranchRelation = namedtuple("BranchRelation", "m disc")
 
 
-class _CQSDataFields(NamedTuple):
-    r: int
-    q: int
-
-
-class CQSData(_CQSDataFields):
-    """A cyclic quotient singularity 1/r(1, q), canonicalized; r=1 is smooth."""
+class CQSData(namedtuple("CQSData", "r q")):
+    """A cyclic quotient singularity 1/r(1, q), canonicalized; r=1 is
+    smooth.  r, q: int."""
 
     __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__'s check
@@ -59,10 +56,8 @@ class CQSData(_CQSDataFields):
         return self.r == 1 or self.q == 0
 
 
-class CoarseSingularities(NamedTuple):
-    at_sigma: CQSData
-    at_tau: CQSData
-    fiber_multiplicity: int
+# at_sigma, at_tau: CQSData; fiber_multiplicity: int
+CoarseSingularities = namedtuple("CoarseSingularities", "at_sigma at_tau fiber_multiplicity")
 
 
 def adjunction_degree(n: int, m: FracLike, a: FracLike) -> Fraction:

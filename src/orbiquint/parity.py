@@ -9,8 +9,9 @@ degeneration of F0, an odd one of F1.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .orbiscroll import FracLike, frac
 
@@ -41,26 +42,27 @@ def half_units(x: FracLike) -> int:
     raise ParityError(f"piece {x} is not in (1/2)Z")
 
 
-class _SectionClassFields(NamedTuple):
-    pieces: tuple[Fraction, ...]
+class SectionClass(namedtuple("SectionClass", "pieces")):
+    """Self-intersection pieces of a section through a scroll degeneration,
+    pieces: tuple[Fraction, ...]; each piece lies in (1/2)Z and the total
+    must be an integer.  The total is summed from the pieces when read, in
+    integer half units (`halves`), so the tuple, and with it equality,
+    hashing and the repr, holds only the pieces; `total` is that sum as a
+    Fraction."""
 
-
-class SectionClass(_SectionClassFields):
-    """Self-intersection pieces of a section through a scroll degeneration;
-    each piece lies in (1/2)Z and the total must be an integer.  The total
-    is summed once here, in integer half units (`halves`), and kept
-    outside the tuple, so equality, hashing and the repr use only the
-    pieces; `total` is that sum as a Fraction."""
-
+    __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__'s check
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, pieces: Sequence[FracLike]) -> SectionClass:
         pieces = tuple(frac(p) for p in pieces)
-        halves = sum([half_units(p) for p in pieces])
-        self = super().__new__(cls, pieces)
-        self.halves = halves
-        return self
+        for p in pieces:  # each in (1/2)Z, or a ParityError
+            half_units(p)
+        return super().__new__(cls, pieces)
+
+    @property
+    def halves(self) -> int:
+        return sum([half_units(p) for p in self.pieces])
 
     @property
     def total(self) -> Fraction:

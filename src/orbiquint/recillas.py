@@ -22,20 +22,18 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class PermError(ValueError):
     pass
 
 
-class _PermFields(NamedTuple):
-    images: tuple[int, ...]
-
-
-class Perm(_PermFields):
-    """A permutation of {1..n}, stored as the image tuple (1-based)."""
+class Perm(namedtuple("Perm", "images")):
+    """A permutation of {1..n}, stored as the image tuple (1-based):
+    images: tuple[int, ...]."""
 
     __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__'s check
@@ -181,10 +179,8 @@ def induced_on_transpositions(sigma: Perm) -> Perm:
     return _induced(sigma, TRANSPOSITIONS)
 
 
-class FixCounts(NamedTuple):
-    fix4: int
-    fix3: int
-    fix6: int
+# fix4, fix3, fix6: int
+FixCounts = namedtuple("FixCounts", "fix4 fix3 fix6")
 
 
 def fix_counts(sigma: Perm) -> FixCounts:
@@ -204,9 +200,9 @@ def recillas_character_check(sigma: Perm) -> bool:
     return 1 + c.fix6 == c.fix3 + c.fix4
 
 
-class CorrespondenceData(NamedTuple):
-    trigonal: tuple[Perm, ...]  # induced actions on the 3 pair-partitions
-    double: tuple[Perm, ...]  # induced actions on the 6 transpositions
+# trigonal: tuple[Perm, ...], the induced actions on the 3 pair-partitions;
+# double: tuple[Perm, ...], those on the 6 transpositions
+CorrespondenceData = namedtuple("CorrespondenceData", "trigonal double")
 
 
 def tetragonal_to_trigonal(mon: Sequence[Perm]) -> CorrespondenceData:

@@ -35,11 +35,18 @@ from __future__ import annotations
 
 import enum
 import itertools
-from fractions import Fraction
+from collections import namedtuple
 from math import ceil, gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .orbiscroll import FracLike, coarse_singularities, frac
+import orbiquint
+
+if TYPE_CHECKING:
+    from .orbiscroll import FracLike
+
+# orbiscroll is read as an attribute of the package (orbiquint.orbiscroll),
+# which loads it, and fractions with it, on first use (PEP 562): the chains,
+# the genus arithmetic and the blow-down load neither.
 
 
 class ResolveError(ValueError):
@@ -50,12 +57,9 @@ class ResolveError(ValueError):
 # Hirzebruch-Jung chains
 
 
-class _ChainFields(NamedTuple):
-    ints: tuple[int, ...]
-
-
-class Chain(_ChainFields):
-    """Self-intersection chain b_1..b_k of a minimal CQS resolution."""
+class Chain(namedtuple("Chain", "ints")):
+    """Self-intersection chain b_1..b_k of a minimal CQS resolution:
+    ints: tuple[int, ...]."""
 
     __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__'s check
@@ -101,9 +105,9 @@ class Role(enum.Enum):
     MAIN = "MainCurve"
 
 
-# Vertex and Edge are __slots__ classes, not NamedTuples: config_isomorphic
+# Vertex and Edge are __slots__ classes, not tuple records: config_isomorphic
 # reads their fields inside its permutation loop, and a slot read costs
-# about a quarter of a NamedTuple field read.
+# about a quarter of a namedtuple field read.
 class Vertex:
     __slots__ = ("id", "self_int", "role")
 
@@ -244,8 +248,9 @@ def build_coarse_fiber_config(
     the sigma-side chain instead also satisfies Zariski's lemma, but
     builds the mirror image of the fan's fiber.
     """
-    a = frac(a)
-    sings = coarse_singularities(r, a)
+    orbiscroll = orbiquint.orbiscroll
+    a = orbiscroll.frac(a)
+    sings = orbiscroll.coarse_singularities(r, a)
     vertices: list[Vertex] = []
     edges: list[Edge] = []
 
@@ -408,16 +413,15 @@ def geometric_genus(pa: int, ks: Iterable[int]) -> int:
 # The resolution-contraction diagram items
 
 
-class DiagramItem(NamedTuple):
+class DiagramItem(namedtuple("DiagramItem", "r a attach")):
     """Left-hand side of a resolution-contraction diagram: the central
     fiber of the resolved coarse scroll F_a over P^1(r-th root of 0),
     with the main curve attached at the listed (vertex, multiplicity)
     points.  classify.diagram_items derives the paper's 13 items from
-    the Table 1 components and their node monodromy."""
+    the Table 1 components and their node monodromy.  r: int; a:
+    Fraction; attach: tuple[tuple[str, int], ...]."""
 
-    r: int
-    a: Fraction
-    attach: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
     def build(self) -> CurveConfig:
         return build_coarse_fiber_config(self.r, self.a, self.attach)

@@ -459,21 +459,21 @@ def test_submodule_import_is_lazy():
 
 
 # A run of each subcommand in each of its formats, an error path among
-# them; recillas and boundary-graphs come first, as the two that build no
-# Fraction.
+# them; recillas, boundary-graphs, resolve and genus come first, as the
+# four that build no Fraction.
 _FRACTION_FREE_ARGVS = [
     *(["recillas", "--monodromy", "(1 2 3);(1 2)(3 4)", "--format", f] for f in ("md", "json")),
     *(["boundary-graphs", "--d", "3", "--format", f] for f in ("md", "json", "dot")),
+    *(["resolve", "--r", "7", "--q", q, "--format", f] for q in ("3", "7") for f in ("md", "json")),
+    *(["genus", "--l", "1", "--n", "4", "--m", "5", "--ak=2", "--format", f]
+      for f in ("md", "json")),
 ]
 _OTHER_ARGVS = [
     *(["table1", "--format", f] for f in ("md", "tsv", "json")),
-    *(["resolve", "--r", "7", "--q", q, "--format", f] for q in ("3", "7") for f in ("md", "json")),
     *(["coarse", "--r", "3", "--a=2/3", "--format", f] for f in ("md", "json")),
     *(["diagrams", "--item", "7", "--format", f] for f in ("txt", "dot", "json")),
     *(["parity", "--pieces=-3/2,1,0", "--format", f] for f in ("md", "json")),
     *(["classify", "--type", "all", "--format", f] for f in ("md", "tsv", "json")),
-    *(["genus", "--l", "1", "--n", "4", "--m", "5", "--ak=2", "--format", f]
-      for f in ("md", "json")),
     *(["verify-golden", "--format", f] for f in ("md", "json")),
 ]
 

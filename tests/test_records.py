@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+import orbiquint
+from orbiquint import classify, covergraphs, orbiscroll, recillas
 from orbiquint.classify import ClassifyError, StableCurveDesc, VertexDesc
 from orbiquint.orbiscroll import CQSData
 from orbiquint.parity import ParityError, SectionClass
 from orbiquint.recillas import Perm, PermError
-from orbiquint.resolve import Chain, CurveConfig, Edge, ResolveError, Role, Vertex
+from orbiquint.resolve import Chain, CurveConfig, Edge, ResolveError, Role, Vertex, hj_expand
 
 _A, _B = Vertex("a", -1, Role.FIBER), Vertex("b", 0, Role.MAIN)
 _GENUS_1 = VertexDesc(1)
@@ -68,3 +70,42 @@ def test_checked_record_construction_paths(cls):
     for attempt in attempts:
         with pytest.raises(error):
             attempt()
+
+
+def _tuple_records() -> list[tuple]:
+    """One instance of each tuple record class of the package, read off
+    what the package computes."""
+    rows = classify.table1()
+    models = classify.local_models()
+    entry = models["c2"][2][0]
+    family = covergraphs.enumerate_boundary_types(3)[0]
+    graph = family.graphs[0]
+    sigma = Perm.from_cycles([(1, 2, 3)])
+    singularities = orbiscroll.coarse_singularities(5, "2/5")
+    return [
+        rows[0], classify.THEOREM_DESCRIPTIONS[4], classify.THEOREM_DESCRIPTIONS[4].vertices[0],
+        classify.theorem_divisors(rows, models)[0], entry, entry.components[0],
+        entry.provenance, classify.TABLE2_ROWS[0],
+        family, graph, graph.components[0], graph.node_edges[0], graph.components[0].profiles[0][1],
+        orbiscroll.tetragonal_branch_relation(Fraction(1, 3), 6), singularities,
+        singularities.at_sigma,
+        sigma, recillas.fix_counts(sigma), recillas.tetragonal_to_trigonal([sigma]),
+        hj_expand(7, 3), classify.diagram_items(rows)[1], SectionClass([1, "1/2", "1/2"]),
+    ]
+
+
+def test_tuple_records_copy_and_pickle():
+    # every tuple record class of the package comes back from copy,
+    # deepcopy and pickle as an equal instance of its class, and holds no
+    # __dict__: a subclass of a namedtuple base that leaves out
+    # __slots__ = () gains one
+    records = _tuple_records()
+    classes = {obj for name in orbiquint.__all__ if name != "__version__"
+               for obj in vars(getattr(orbiquint, name)).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__.startswith("orbiquint.")}
+    assert sorted(map(repr, {type(r) for r in records})) == sorted(map(repr, classes))
+    for record in records:
+        made = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+        assert [(type(r), r) for r in made] == [(type(record), record)] * 3
+        assert not hasattr(record, "__dict__"), type(record)
