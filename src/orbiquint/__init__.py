@@ -12,7 +12,7 @@ Modules:
   cli         -- command-line front end
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,10 @@ __all__ = [
 
 def __getattr__(name: str):
     # Submodules load on first use (PEP 562), so importing one module, or
-    # the package itself, does not pay for the other seven.
+    # the package itself, does not pay for the other seven.  __import__,
+    # unlike importlib.import_module, goes through the import statement's
+    # path, so `python -X importtime` logs the module.
     if name in __all__:
-        return importlib.import_module(f".{name}", __name__)
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -395,7 +395,7 @@ def cmd_diagrams(args) -> tuple[str, int]:
             "config",
             [(v.id, f"{v.id} ({v.self_int})", shapes.get(v.role, "circle"))
              for v in config.vertices],
-            sorted((e.v, e.w, e.mult) for e in config.edges),
+            sorted(config.edges),
         ), 0
     if args.format == "json":
         return _json_dump({

@@ -105,49 +105,21 @@ class Role(enum.Enum):
     MAIN = "MainCurve"
 
 
-# Vertex and Edge are __slots__ classes, not tuple records: config_isomorphic
-# reads their fields inside its permutation loop, and a slot read costs
-# about a quarter of a namedtuple field read.
-class Vertex:
-    __slots__ = ("id", "self_int", "role")
-
-    def __init__(self, id: str, self_int: int, role: Role) -> None:
-        self.id = id
-        self.self_int = self_int
-        self.role = role
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.self_int, self.role) == (other.id, other.self_int, other.role)
-
-    def __repr__(self) -> str:
-        return f"Vertex(id={self.id!r}, self_int={self.self_int!r}, role={self.role!r})"
+# id: str; self_int: int; role: Role
+Vertex = namedtuple("Vertex", "id self_int role")
+# v, w: str (vertex ids); mult: int
+Edge = namedtuple("Edge", "v w mult")
 
 
-class Edge:
-    __slots__ = ("v", "w", "mult")
+class CurveConfig(namedtuple("CurveConfig", "vertices edges")):
+    """Dual graph of a curve configuration; edges form a multiset.
+    vertices: list[Vertex]; edges: list[Edge]."""
 
-    def __init__(self, v: str, w: str, mult: int) -> None:
-        self.v = v
-        self.w = w
-        self.mult = mult
+    __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__'s check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.v, self.w, self.mult) == (other.v, other.w, other.mult)
-
-    def __repr__(self) -> str:
-        return f"Edge(v={self.v!r}, w={self.w!r}, mult={self.mult!r})"
-
-
-class CurveConfig:
-    """Dual graph of a curve configuration; edges form a multiset."""
-
-    __slots__ = ("vertices", "edges")
-
-    def __init__(self, vertices: list[Vertex], edges: list[Edge]) -> None:
+    def __new__(cls, vertices: list[Vertex], edges: list[Edge]) -> CurveConfig:
         ids = [v.id for v in vertices]
         if len(set(ids)) != len(ids):
             raise ResolveError("duplicate vertex ids")
@@ -162,25 +134,13 @@ class CurveConfig:
                 raise ResolveError("edge multiplicities must be >= 1")
             if e.v not in idset or e.w not in idset:
                 raise ResolveError(f"edge references unknown vertex: {e}")
-        self.vertices = vertices
-        self.edges = edges
-
-    def __reduce__(self) -> tuple:
-        # copies and pickles call the constructor, so none skips the check
-        return CurveConfig, (self.vertices, self.edges)
-
-    def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
+        return super().__new__(cls, vertices, edges)
 
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
         lines = [f"v {v.id} {v.self_int} {v.role.value}" for v in self.vertices]
-        for e in sorted(self.edges, key=lambda e: (e.v, e.w, e.mult)):
-            lines.append(f"e {e.v} {e.w} {e.mult}")
+        lines += [f"e {e.v} {e.w} {e.mult}" for e in sorted(self.edges)]
         return "\n".join(lines) + "\n"
 
 
@@ -193,7 +153,8 @@ def config_isomorphic(c1: CurveConfig, c2: CurveConfig) -> bool:
     def sig(v: Vertex) -> tuple:
         return (v.role.value, v.self_int)
 
-    if sorted(map(sig, c1.vertices)) != sorted(map(sig, c2.vertices)):
+    sig2 = {v.id: sig(v) for v in c2.vertices}
+    if sorted(map(sig, c1.vertices)) != sorted(sig2.values()):
         return False
 
     def edge_multiset(c: CurveConfig, mapping: dict[str, str]) -> list:
@@ -203,17 +164,15 @@ def config_isomorphic(c1: CurveConfig, c2: CurveConfig) -> bool:
         )
 
     target = edge_multiset(c2, {})
-    ids2 = [v.id for v in c2.vertices]
-    for perm in itertools.permutations(ids2):
+    for perm in itertools.permutations(sig2):
         mapping = {}
-        ok = True
         for v1, id2 in zip(c1.vertices, perm):
-            if sig(v1) != sig(c2.vertex(id2)):
-                ok = False
+            if sig(v1) != sig2[id2]:
                 break
             mapping[v1.id] = id2
-        if ok and edge_multiset(c1, mapping) == target:
-            return True
+        else:
+            if edge_multiset(c1, mapping) == target:
+                return True
     return False
 
 
@@ -395,9 +354,10 @@ def delta_invariant(k: int) -> int:
 
 def pa_hirzebruch(l: int, n: int, m: int) -> int:
     """Arithmetic genus of a curve in |n sigma + m F| on the Hirzebruch
-    surface F_l: (n-1)(m-1) - l n(n-1)/2."""
-    if l < 0 or n < 0:
-        raise ResolveError("need l, n >= 0")
+    surface F_l: (n-1)(m-1) - l n(n-1)/2.  Here sigma^2 = -l, so the
+    classes holding a curve are those with n, m >= 0, other than 0."""
+    if l < 0 or n < 0 or m < 0 or n == m == 0:
+        raise ResolveError(f"no curve in {n} sigma + {m} F on F_{l}: need l, n, m >= 0, n + m > 0")
     return (n - 1) * (m - 1) - l * n * (n - 1) // 2
 
 

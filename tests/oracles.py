@@ -17,6 +17,10 @@ The 13 diagram items as the paper draws them, which
 ``classify.diagram_items`` derives from Table 1, and the Fraction route to
 where the main curve meets the central fiber, which the package reads in
 integers (``classify._main_curve_contacts``).
+
+The isomorphism test of curve configurations as first written, which
+``resolve.config_isomorphic`` must agree with: every bijection of vertex
+ids, each image vertex found by a scan of the vertex list.
 """
 
 import itertools
@@ -26,7 +30,7 @@ from math import floor
 from orbiquint.classify import ClassifyError, node_cycle_type
 from orbiquint.parity import ParityError
 from orbiquint.recillas import Perm, PermError
-from orbiquint.resolve import DiagramItem, hj_expand
+from orbiquint.resolve import CurveConfig, DiagramItem, Vertex, hj_expand
 
 
 class ParityState:
@@ -110,3 +114,42 @@ def fraction_main_curve_contacts(r, a, m, disc, b):
     last_t = f"t{len(hj_expand(r, int(r * a) % r).ints)}"
     return tuple([("sigma", 1)] * floor(c_sigma) + [("s1", 1)] * on_s1
                  + [("F", 1)] * cycle.count(r) + [(last_t, 1)] * at_tau)
+
+
+def config_vertex(c: CurveConfig, vid: str) -> Vertex:
+    """The vertex of c with id vid, by a scan of the vertex list."""
+    return next(v for v in c.vertices if v.id == vid)
+
+
+def brute_config_isomorphic(c1: CurveConfig, c2: CurveConfig) -> bool:
+    """Whether some bijection of vertex ids carries c1 onto c2, matching
+    roles, self-intersections and the multiset of (edge ends,
+    multiplicity)."""
+    if len(c1.vertices) != len(c2.vertices) or len(c1.edges) != len(c2.edges):
+        return False
+
+    def sig(v: Vertex) -> tuple:
+        return (v.role.value, v.self_int)
+
+    if sorted(map(sig, c1.vertices)) != sorted(map(sig, c2.vertices)):
+        return False
+
+    def edge_multiset(c: CurveConfig, mapping: dict) -> list:
+        return sorted(
+            (*sorted((mapping.get(e.v, e.v), mapping.get(e.w, e.w))), e.mult)
+            for e in c.edges
+        )
+
+    target = edge_multiset(c2, {})
+    ids2 = [v.id for v in c2.vertices]
+    for perm in itertools.permutations(ids2):
+        mapping = {}
+        ok = True
+        for v1, id2 in zip(c1.vertices, perm):
+            if sig(v1) != sig(config_vertex(c2, id2)):
+                ok = False
+                break
+            mapping[v1.id] = id2
+        if ok and edge_multiset(c1, mapping) == target:
+            return True
+    return False

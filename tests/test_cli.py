@@ -187,6 +187,16 @@ def test_genus(capsys):
     assert data["pa"] == 6 and data["genus"] == 5
 
 
+@pytest.mark.parametrize("n, m", [("1", "-5"), ("0", "0"), ("-1", "3")])
+def test_genus_refuses_classes_without_a_curve(capsys, n, m):
+    # on F_l the classes holding a curve are n sigma + m F with n, m >= 0,
+    # other than 0; a negative m or the zero class has no genus to print
+    for fmt in ("md", "json"):
+        code, out, err = run(capsys, "genus", "--l", "0", "--n", n, "--m", m, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "ResolveError" in err and "no curve" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["recillas", "--monodromy", "(1 2);"],
     ["recillas", "--monodromy", ";"],
@@ -498,6 +508,16 @@ def test_subcommands_skip_costly_imports():
     assert p.returncode == 0, p.stderr
     assert len({argv[0] for argv in _FRACTION_FREE_ARGVS + _OTHER_ARGVS}) == 10
     assert p.stdout == "[] []\n"
+
+
+def test_importtime_logs_lazily_loaded_modules():
+    # the package's __getattr__ loads a submodule through the import
+    # statement's path, which -X importtime logs; importlib.import_module
+    # would load it unlogged
+    p = _python("-X", "importtime", "-c", "import orbiquint; orbiquint.classify")
+    assert p.returncode == 0, p.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in p.stderr.splitlines()}
+    assert {"orbiquint", "orbiquint.classify", "orbiquint.covergraphs"} <= logged
 
 
 # The exit that run() skips: the interpreter's own, after teardown.

@@ -196,18 +196,10 @@ def _record_fields(tree: ast.AST) -> dict[str, list[str]]:
     """The records a module declares, by name, with their fields: each
     ``namedtuple("X", "f g ...")`` call, as an assignment's value or as a
     class's base (a record with methods or a checking __new__ subclasses
-    it), and each class with a nonempty __slots__."""
-    records = {}
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "namedtuple":
-            records[ast.literal_eval(n.args[0])] = ast.literal_eval(n.args[1]).split()
-        elif isinstance(n, ast.ClassDef):
-            slots = [name for s in n.body if isinstance(s, ast.Assign)
-                     and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets)
-                     for name in ast.literal_eval(s.value)]
-            if slots:
-                records[n.name] = slots
-    return records
+    it)."""
+    return {ast.literal_eval(n.args[0]): ast.literal_eval(n.args[1]).split()
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "namedtuple"}
 
 
 def test_package_record_fields_are_read():
@@ -228,7 +220,7 @@ def test_package_record_fields_are_read():
 def test_package_does_not_import_dataclasses():
     # the import of dataclasses alone costs a CLI child 10-13 ms (it loads
     # inspect, ast, dis and tokenize), and each decorated class about 1 ms
-    # more; package records are tuple or __slots__ records instead
+    # more; package records are collections.namedtuple records instead
     imports = [
         (module, n.lineno)
         for module, tree in _package_trees().items()

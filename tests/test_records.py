@@ -38,35 +38,20 @@ _CHECKED = {
 }
 
 
-def _forged(cls, fields):
-    """An instance holding fields its constructor refuses, built past the
-    constructor, as a stand-in for a copy or pickle of a bad record."""
-    if issubclass(cls, tuple):
-        return tuple.__new__(cls, fields)
-    record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        setattr(record, name, value)
-    return record
-
-
 @pytest.mark.parametrize("cls", list(_CHECKED), ids=lambda cls: cls.__name__)
 def test_checked_record_construction_paths(cls):
     good, view, want, bad, error = _CHECKED[cls]
     record = cls(*good)
-    made = [record, copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
-    if hasattr(cls, "_make"):
-        made.append(cls._make(good))
-    if hasattr(cls, "_replace"):
-        made.append(record._replace(**dict(zip(cls._fields, good))))
+    made = [record, copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+            cls._make(good), record._replace(**dict(zip(cls._fields, good)))]
     assert [(type(r), view(r)) for r in made] == [(cls, want)] * len(made)
 
-    attempts = [lambda: cls(*bad)]
-    attempts += [lambda f=f: f(_forged(cls, bad)) for f in
+    attempts = [lambda: cls(*bad), lambda: cls._make(bad),
+                lambda: record._replace(**dict(zip(cls._fields, bad)))]
+    # a record built past its constructor, holding the refused fields,
+    # stands in for a copy or pickle of a bad record
+    attempts += [lambda f=f: f(tuple.__new__(cls, bad)) for f in
                  (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)))]
-    if hasattr(cls, "_make"):
-        attempts.append(lambda: cls._make(bad))
-    if hasattr(cls, "_replace"):
-        attempts.append(lambda: record._replace(**dict(zip(cls._fields, bad))))
     for attempt in attempts:
         with pytest.raises(error):
             attempt()
@@ -81,6 +66,8 @@ def _tuple_records() -> list[tuple]:
     family = covergraphs.enumerate_boundary_types(3)[0]
     graph = family.graphs[0]
     sigma = Perm.from_cycles([(1, 2, 3)])
+    item = classify.diagram_items(rows)[1]
+    config = item.contract()
     singularities = orbiscroll.coarse_singularities(5, "2/5")
     return [
         rows[0], classify.THEOREM_DESCRIPTIONS[4], classify.THEOREM_DESCRIPTIONS[4].vertices[0],
@@ -90,7 +77,8 @@ def _tuple_records() -> list[tuple]:
         orbiscroll.tetragonal_branch_relation(Fraction(1, 3), 6), singularities,
         singularities.at_sigma,
         sigma, recillas.fix_counts(sigma), recillas.tetragonal_to_trigonal([sigma]),
-        hj_expand(7, 3), classify.diagram_items(rows)[1], SectionClass([1, "1/2", "1/2"]),
+        hj_expand(7, 3), item, SectionClass([1, "1/2", "1/2"]),
+        config, config.vertices[0], config.edges[0],
     ]
 
 

@@ -27,6 +27,8 @@ from orbiquint.resolve import (
     pa_hirzebruch,
 )
 
+from oracles import brute_config_isomorphic, config_vertex
+
 # the diagram items, derived from Table 1
 DIAGRAM_ITEMS = diagram_items(table1())
 
@@ -67,6 +69,11 @@ def test_delta_and_genus():
     assert pa_hirzebruch(1, 4, 5) == 6
     assert pa_hirzebruch(0, 4, 2) == 3
     assert pa_hirzebruch(2, 2, 4) == 1
+    assert pa_hirzebruch(1, 0, 5) == -4  # five disjoint fibers
+    # sigma^2 = -l: no class with m < 0, and the zero class, holds a curve
+    for l, n, m in ((0, 1, -5), (0, 0, 0), (2, 3, -1), (1, -1, 2), (-1, 1, 1)):
+        with pytest.raises(ResolveError):
+            pa_hirzebruch(l, n, m)
     assert geometric_genus(6, [2]) == 5
     with pytest.raises(ResolveError):
         geometric_genus(1, [4])
@@ -81,15 +88,15 @@ def test_build_coarse_fiber_config():
     cfg = build_coarse_fiber_config(2, Fraction(1, 2), (("F", 1),))
     ids = {v.id for v in cfg.vertices}
     assert ids == {"sigma", "s1", "F", "t1", "C"}
-    assert cfg.vertex("sigma").self_int == -1
-    assert cfg.vertex("s1").self_int == -2
-    assert cfg.vertex("F").self_int == -1
-    assert cfg.vertex("t1").self_int == -2
+    assert config_vertex(cfg, "sigma").self_int == -1
+    assert config_vertex(cfg, "s1").self_int == -2
+    assert config_vertex(cfg, "F").self_int == -1
+    assert config_vertex(cfg, "t1").self_int == -2
 
     # integral twist: smooth coarse space, single 0-fiber
     cfg = build_coarse_fiber_config(1, 2)
     assert [v.id for v in cfg.vertices] == ["F"]
-    assert cfg.vertex("F").self_int == 0
+    assert config_vertex(cfg, "F").self_int == 0
 
     with pytest.raises(ResolveError):
         build_coarse_fiber_config(2, Fraction(1, 2), (("nope", 1),))
@@ -174,6 +181,35 @@ def test_diagram_items_contract():
         [Edge("sigma", "s1", 1), Edge("C", "s1", 3)],
     )
     assert config_isomorphic(got, expected)
+
+
+@st.composite
+def _fiber_pairs(draw) -> tuple[CurveConfig, CurveConfig, CurveConfig]:
+    """A fiber configuration for r <= 5, a = k/r <= 2, with 1-3
+    attachments of the main curve; a shuffled presentation of it; and a
+    partner with one of those contacts moved to any fiber vertex."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=2 * r).filter(
+        lambda k: k % r == 0 or gcd(r, k) == 1))
+    ids = [v.id for v in build_coarse_fiber_config(r, Fraction(k, r)).vertices]
+    point = st.tuples(st.sampled_from(ids), st.sampled_from((1, 1, 2)))
+    attach = draw(st.lists(point, min_size=1, max_size=3))
+    j = draw(st.integers(min_value=0, max_value=len(attach) - 1))
+    moved = attach[:j] + [(draw(st.sampled_from(ids)), attach[j][1])] + attach[j + 1:]
+    c = build_coarse_fiber_config(r, Fraction(k, r), attach)
+    shuffled = CurveConfig(draw(st.permutations(c.vertices)), draw(st.permutations(c.edges)))
+    return c, shuffled, build_coarse_fiber_config(r, Fraction(k, r), moved)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fiber_pairs())
+def test_config_isomorphic_matches_brute_force(configs):
+    c, shuffled, partner = configs
+    pairs = [(c, shuffled), (contract_minus_ones(c), contract_minus_ones(shuffled)),
+             (c, partner)]
+    got = [config_isomorphic(x, y) for x, y in pairs]
+    assert got == [brute_config_isomorphic(x, y) for x, y in pairs]
+    assert got[:2] == [True, True]
 
 
 def test_contract_presentation_independence():
@@ -429,7 +465,8 @@ def test_sigma_side_matches_toric_fan():
         f = _fan_fiber_ray(r, a)
         ring = [(-1, ceil(a))] + _hull_rays((0, 1), f) + [_hull_rays(f, (0, -1))[1]]
         config = build_coarse_fiber_config(r, a)
-        sides = [config.vertex("sigma").self_int, *_chain(config, "s"), config.vertex("F").self_int]
+        sides = [config_vertex(config, "sigma").self_int, *_chain(config, "s"),
+                 config_vertex(config, "F").self_int]
         assert _fan_self_ints(ring) == sides, (r, a)
 
 

@@ -11,9 +11,10 @@ it alone.  A round starts one child of each row per source tree, the
 trees taking turns to go first; the table gives each row's median over
 the rounds, in ms, one column per tree.
 
-Unlike `python -X importtime`, which prints no line for a module loaded
-through the package's `__getattr__` (`importlib.import_module`), every
-module gets its row.  Given two trees (a parent checkout's src and this
+`python -X importtime` logs each module too, but from one process, so a
+module's line holds whatever it happens to load first; here every module
+gets its own row, net of what it loads, as a median over fresh children.
+Given two trees (a parent checkout's src and this
 one's), the columns are a before/after comparison; the children
 alternate, so drift on the host falls on both.  Run from the repository
 root:
