@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 import orbiquint
 
 from . import covergraphs
-from .covergraphs import R_OPTIONS, BaseShape, rh_ramification, unreached
+from .covergraphs import R_OPTIONS, rh_ramification, unreached
 from .orbiscroll import (
     BranchRelation, adjunction_degree, frac, smooth_twist, tetragonal_branch_relation,
 )
@@ -58,11 +58,11 @@ Table1Row = namedtuple("Table1Row", "row graph_type r v1 v2 m1 m2 g1 g2 disc1 di
 
 def _branch_pairs() -> dict[int, tuple[int, int]]:
     """Branch-count pairs (b1, b2) per graph type (t), from the t-th
-    one-node degree split of shapes I-III in order; the first component
-    has more branch points."""
-    splits = [split for shape in (BaseShape.I, BaseShape.II, BaseShape.III)
-              for split in covergraphs.degree_splits(shape, 18)]
-    return {t: (max(split), min(split)) for t, split in enumerate(splits, 1)}
+    one-node degree split of shapes I-III in order, all read from one
+    run of ``_one_node_types``; the first component has more branch
+    points."""
+    return {t: (max(split), min(split))
+            for t, (_, split, _) in enumerate(covergraphs._one_node_types(18), 1)}
 
 
 def node_cycle_type(r: int, b: int, sheets: int = 4) -> tuple[int, ...]:

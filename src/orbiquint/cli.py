@@ -496,6 +496,14 @@ def cmd_genus(args) -> tuple[str, int]:
     from . import resolve
 
     pa = resolve.pa_hirzebruch(args.l, args.n, args.m)
+    # with n = 0 or m = 0 the class holds only unions of fibers, of
+    # sections, or multiples of sigma: from two parts on, no curve is
+    # connected and reduced, so its genus is not a curve's
+    if min(args.n, args.m) == 0 and max(args.n, args.m) >= 2:
+        parts = (f"{args.m} disjoint fibers" if args.n == 0 else
+                 f"{args.n} disjoint sections" if args.l == 0 else f"{args.n} times sigma")
+        raise resolve.ResolveError(f"{args.n} sigma + {args.m} F on F_{args.l} is {parts}, "
+                                   "not a connected reduced curve")
     sings = [int(t) for t in _split_list(args.ak, ",")] if args.ak is not None else []
     g = resolve.geometric_genus(pa, sings)
     if args.format == "json":

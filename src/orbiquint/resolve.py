@@ -238,6 +238,18 @@ def build_coarse_fiber_config(
 # ---------------------------------------------------------------------------
 # Blow-down
 
+# recorded: resolution-contraction diagrams — they need this tie-break; none is stated
+def _chain_rank(vid: str) -> tuple:
+    """Position along the resolution chain from the directrix end, read
+    from the canonical ids sigma, s1.., F, t1..; the id comes last."""
+    for group, prefix in enumerate(("sigma", "s", "F", "t")):
+        if vid.startswith(prefix):
+            digits = vid[len(prefix):]
+            if not digits or digits.isdecimal():  # decimal digits of any script
+                return (group, int(digits or 0), vid)
+    return (4, 0, vid)
+
+
 def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     """Repeatedly blow down eligible (-1)-curves until none remain.
 
@@ -251,78 +263,86 @@ def contract_minus_ones(config: CurveConfig) -> CurveConfig:
     docstring).  The main curve's self-intersection entry is not tracked
     (the source diagrams never label it); it stays as given.
 
-    Each curve's branches are fixed when the table is built (a blow-down
+    Each curve's branches are listed when the table is built (a blow-down
     moves branches between points but makes none), so the points on the
-    contracted curve are those its branch set meets, and only that
-    curve's contacts are dropped.  Vertices keep their order, and
-    edges come out point by point, in the order the points were made.
+    contracted curve are those its branches meet, and only that curve's
+    contacts are dropped.  Each step sums every other curve's
+    self-intersection gain in one pass over the merged point's branches.
+    Vertices keep their order, and edges come out point by point, in the
+    order the points were made.
     """
-
-    # recorded: resolution-contraction diagrams — they need this tie-break; none is stated
-    def chain_rank(vid: str) -> tuple:
-        for group, prefix in enumerate(("sigma", "s", "F", "t")):
-            if vid.startswith(prefix):
-                digits = vid[len(prefix):]
-                if not digits or digits.isdecimal():  # decimal digits of any script
-                    return (group, int(digits or 0), vid)
-        return (4, 0, vid)
-
-    def main_contact(u: str) -> int:
-        return sum([contact[i].get(j, 0) for i in branches[u] for j in on_main])
-
-    order = {v.id: i for i, v in enumerate(config.vertices)}
-    self_int = {v.id: v.self_int for v in config.vertices}
-    main = next((v.id for v in config.vertices if v.role is Role.MAIN), None)
+    # per vertex id: its position, its self-intersection, its branches
+    # (below) and, until it is contracted, the vertex
+    order, self_int, branches, alive, main = {}, {}, {}, {}, None
+    for k, v in enumerate(config.vertices):
+        u = v.id
+        order[u], self_int[u], branches[u], alive[u] = k, v.self_int, [], v
+        if v.role is Role.MAIN:
+            main = u
 
     # The branch table (see the module docstring); each edge starts as a
-    # point with two branches, branches[u] holds curve u's branches, and
+    # point with two branches, branches[u] lists curve u's branches, and
     # contact[i][j] = contact[j][i] is the contact of branches i and j.
     curve: list[str] = []
     points: list[list[int]] = []
     contact: list[dict[int, int]] = []
-    branches: dict[str, set[int]] = {vid: set() for vid in order}
     for e in config.edges:
         i = len(curve)
         curve += [e.v, e.w]
-        branches[e.v].add(i)
-        branches[e.w].add(i + 1)
+        branches[e.v].append(i)
+        branches[e.w].append(i + 1)
         points.append([i, i + 1])
         contact += [{i + 1: e.mult}, {i: e.mult}]
-    on_main = branches[main] if main is not None else set()
+    on_main = branches[main] if main is not None else []
 
-    alive = {v.id: v for v in config.vertices}
     while True:
         eligible = [u for u in alive if self_int[u] == -1 and u != main]
         if not eligible:
             break
-        if len(eligible) == 1:
-            vid = eligible[0]
-        else:
-            vid = min(eligible, key=lambda u: (main_contact(u), chain_rank(u)))
+        vid = eligible[0]
+        if len(eligible) > 1:
+            # least contact with the main curve, then chain position; the
+            # chain rank ends with the id, so the least key names the curve
+            keys = []
+            for u in eligible:
+                c = 0
+                for i in branches[u]:
+                    for j in on_main:
+                        c += contact[i].get(j, 0)
+                keys.append((c, *_chain_rank(u)))
+            vid = min(keys)[-1]
 
-        # Merge the points on v (see the module docstring); d[i] is the
-        # contact of surviving branch i with v, taken out of i's contacts
-        # as it is read (v's own branches are never read again).
-        on_v = branches[vid]
-        kept = []
-        d: dict[int, int] = {}
+        # Merge the points on v (see the module docstring): each surviving
+        # branch i joins the merged point with d, its contact with v, which
+        # is taken out of i's contacts as it is read (v's own branches are
+        # never read again).
+        on_v = set(branches[vid])
+        kept, merged = [], []
         for p in points:
             if on_v.isdisjoint(p):
                 kept.append(p)
                 continue
             for i in p:
                 if i not in on_v:
-                    d[i] = sum([contact[i].pop(k, 0) for k in p if k in on_v])
-        merged = list(d)
-        for a, i in enumerate(merged):
-            for j in merged[a + 1:]:
-                c = contact[i].get(j, 0) + d[i] * d[j]
+                    ci = contact[i]
+                    d = 0
+                    for k in p:
+                        if k in on_v:
+                            d += ci.pop(k, 0)
+                    merged.append((i, d))
+        gain: dict[str, int] = {}
+        for a, (i, d) in enumerate(merged):
+            b, ci = curve[i], contact[i]
+            gain[b] = gain.get(b, 0) + d
+            for j, e in merged[a + 1:]:
+                c = ci.get(j, 0) + d * e
                 if c:
-                    contact[i][j] = contact[j][i] = c
-        kept.append(merged)
+                    ci[j] = contact[j][i] = c
+        kept.append([i for i, _ in merged])
         points = kept
-        for b in {curve[i] for i in merged} - {main}:
-            self_int[b] += sum(d[i] for i in merged if curve[i] == b) ** 2
+        gain.pop(main, None)
+        for b, g in gain.items():
+            self_int[b] += g * g
         del alive[vid]
 
     vertices = [Vertex(u, self_int[u], v.role) for u, v in alive.items()]

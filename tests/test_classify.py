@@ -40,7 +40,7 @@ from orbiquint.classify import (
     type7_row_parity,
     type7_section_parities,
 )
-from orbiquint.covergraphs import R_OPTIONS, BaseShape, enumerate_boundary_types, rh_ramification
+from orbiquint.covergraphs import R_OPTIONS, enumerate_boundary_types, rh_ramification
 from orbiquint.orbiscroll import tetragonal_branch_relation
 from orbiquint.parity import Parity, SectionClass, section_parity, tail_section_contribution
 from orbiquint.recillas import CYCLE_TYPES
@@ -652,15 +652,16 @@ def test_model_lookup_p_omitted_only_for_p4_labels():
 
 
 def test_verify_golden_derives_each_table_once_per_call(monkeypatch):
-    # one verify_golden call builds Table 1 once, its branch pairs once
-    # (one degree split per shape I-III), and each of the four c1 and nine
-    # c2 local-model lists at most once; table1.tsv, theorem.json, the
-    # diagram items and the model artifacts read those copies
+    # one verify_golden call builds Table 1 once, its branch pairs from one
+    # run of the one-node split derivation (shapes I-III together), and
+    # each of the four c1 and nine c2 local-model lists at most once;
+    # table1.tsv, theorem.json, the diagram items and the model artifacts
+    # read those copies
     from orbiquint.cli import _golden_dir, verify_golden
 
     calls = {"table1": [], "splits": [], "c1": [], "c2": []}
     for key, module, name in (("table1", classify, "table1"),
-                              ("splits", covergraphs, "degree_splits"),
+                              ("splits", covergraphs, "_one_node_types"),
                               ("c1", classify, "enumerate_c1_models"),
                               ("c2", classify, "enumerate_c2_models")):
         build = getattr(module, name)
@@ -669,11 +670,12 @@ def test_verify_golden_derives_each_table_once_per_call(monkeypatch):
     assert verify_golden(_golden_dir())[0]
     first = {key: len(log) for key, log in calls.items()}
     assert first["table1"] == 1 and first["c1"] <= 4 and first["c2"] <= 9
-    assert [shape for shape, _ in calls["splits"]] == [BaseShape.I, BaseShape.II, BaseShape.III]
+    assert calls["splits"] == [(18,)]
     # nothing is kept between calls: the second call does the same work
     assert verify_golden(_golden_dir())[0]
     assert {key: len(log) for key, log in calls.items()} == {
         key: 2 * n for key, n in first.items()}
+    assert calls["splits"] == [(18,), (18,)]
 
 
 def test_validate_recomputes_genus():

@@ -197,6 +197,23 @@ def test_genus_refuses_classes_without_a_curve(capsys, n, m):
         assert "ResolveError" in err and "no curve" in err
 
 
+@pytest.mark.parametrize("l, n, m, parts", [
+    ("1", "0", "5", "5 disjoint fibers"), ("0", "0", "2", "2 disjoint fibers"),
+    ("0", "2", "0", "2 disjoint sections"), ("2", "3", "0", "3 times sigma"),
+])
+def test_genus_refuses_disconnected_classes(capsys, l, n, m, parts):
+    # n = 0 with m >= 2, or m = 0 with n >= 2, holds no connected reduced
+    # curve; the error names the class instead of its negative genus
+    for fmt in ("md", "json"):
+        code, out, err = run(capsys, "genus", "--l", l, "--n", n, "--m", m, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert f"{n} sigma + {m} F on F_{l} is {parts}" in err and "negative" not in err
+    # one fiber, or one section, is a curve of genus 0
+    for n, m in (("0", "1"), ("1", "0")):
+        code, out, _ = run(capsys, "genus", "--l", l, "--n", n, "--m", m)
+        assert (code, out) == (0, "pa 0, geometric genus 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["recillas", "--monodromy", "(1 2);"],
     ["recillas", "--monodromy", ";"],
@@ -655,7 +672,7 @@ _PIN_CASES = [
     *(["table1", "--format", f, "--out", "/nonexistent/dir/x.tsv"]
       for f in ("md", "json")),
 ]
-_PIN_SHA256 = "e4d838f3686c30343a96514b30c15607cd0c62954fda5f35bf0fc334ec456fa4"
+_PIN_SHA256 = "a45d8b214177b4aa3c82a573ebd134e4badfead26382a3a287a201b27a322797"
 
 
 def test_cli_outputs_pinned(tmp_path, capsys, monkeypatch):

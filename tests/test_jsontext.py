@@ -99,3 +99,10 @@ def test_dumps_without_the_c_accelerator():
     p = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                        capture_output=True, text=True, timeout=60)
     assert (p.returncode, p.stdout, p.stderr) == (0, "True True\n", "")
+
+
+@pytest.mark.parametrize("name", ["theorem.json", "c1_models.json", "c2_models.json"])
+def test_golden_json_round_trips_through_the_writer(name):
+    # the shipped bytes, parsed and written again, without classify
+    text = (Path(jsontext.__file__).parent / "golden" / name).read_bytes().decode()
+    assert dumps(json.loads(text)) + "\n" == text

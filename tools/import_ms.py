@@ -5,7 +5,11 @@ after everything its import loads (the package, its sibling modules and
 the standard library) is imported first, so the row is that module's own
 cost; `all modules` imports every module of the package after only the
 standard-library modules they load, so it is the package's whole cost
-with `fractions` and the rest of the standard library already paid.  A
+with `fractions` and the rest of the standard library already paid.
+Before its timer starts, each child also looks up a module name that no
+`sys.path` entry holds, which builds the path finder of every entry; so
+no row, the `orbiquint` row with nothing to pre-import included, pays
+that set-up, and each reads only its own cost.  A
 module's dependencies are read once per tree, from a child that imports
 it alone.  A round starts one child of each row per source tree, the
 trees taking turns to go first; the table gives each row's median over
@@ -43,6 +47,10 @@ _TIMED = """\
 import sys, time
 for name in {deps!r}:
     __import__(name)
+# looking up a name that no sys.path entry holds builds every entry's
+# path finder, so the timed import pays none of that set-up
+for finder in sys.meta_path:
+    finder.find_spec("_orbiquint_no_such_module", None)
 t0 = time.perf_counter()
 for name in {targets!r}:
     __import__(name)
