@@ -412,14 +412,6 @@ def _one_node_types(
     return out
 
 
-def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
-    """Unordered two-component main degree splits for shapes I-III, as
-    ``_one_node_types`` derives them, less the recorded exclusions."""
-    if shape is BaseShape.IV:
-        raise ShapeError("degree_splits applies to shapes I-III")
-    return [split for s, split, _ in _one_node_types(total_degree) if s is shape]
-
-
 # ---------------------------------------------------------------------------
 # Graph assembly
 

@@ -21,6 +21,9 @@ integers (``classify._main_curve_contacts``).
 The isomorphism test of curve configurations as first written, which
 ``resolve.config_isomorphic`` must agree with: every bijection of vertex
 ids, each image vertex found by a scan of the vertex list.
+
+The one-node degree splits of shapes I-III (criterion 4), read off the
+one-node types the enumerator builds.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from fractions import Fraction
 from math import floor
 
 from orbiquint.classify import ClassifyError, node_cycle_type
+from orbiquint.covergraphs import BaseShape, ShapeError, _one_node_types
 from orbiquint.parity import ParityError
 from orbiquint.recillas import Perm, PermError
 from orbiquint.resolve import CurveConfig, DiagramItem, Vertex, hj_expand
@@ -153,3 +157,12 @@ def brute_config_isomorphic(c1: CurveConfig, c2: CurveConfig) -> bool:
         if ok and edge_multiset(c1, mapping) == target:
             return True
     return False
+
+
+def degree_splits(shape: BaseShape, total_degree: int) -> list[tuple[int, int]]:
+    """Unordered two-component main degree splits for shapes I-III, as
+    ``covergraphs._one_node_types`` derives them, less the recorded
+    exclusions."""
+    if shape is BaseShape.IV:
+        raise ShapeError("degree_splits applies to shapes I-III")
+    return [split for s, split, _ in _one_node_types(total_degree) if s is shape]

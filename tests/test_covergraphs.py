@@ -22,12 +22,13 @@ from orbiquint.covergraphs import (
     branch_count_tail,
     check_cover,
     complete_redundant,
-    degree_splits,
     enumerate_boundary_types,
     generic_branch_count,
     perturbations,
     tail_moduli_filter,
 )
+
+from oracles import degree_splits
 
 
 def beta_total(g):

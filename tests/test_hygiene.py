@@ -235,9 +235,9 @@ def test_package_records_are_not_typing_namedtuples():
     # a typing.NamedTuple class turns each field annotation into a
     # ForwardRef, which compile()s it: with the package's 21 tuple records
     # built that way, a fresh import of every module (standard library
-    # preloaded, tools/import_ms.py, Python 3.11.7, 2-vCPU host) took
-    # 12.9 ms against 8.1 ms with collections.namedtuple, which builds the
-    # same classes underneath
+    # preloaded but for what json loads, tools/compare.py imports, Python
+    # 3.11.7, 2-vCPU host) took 12.9 ms against 8.1 ms with
+    # collections.namedtuple, which builds the same classes underneath
     derived = [
         (module, n.name)
         for module, tree in _package_trees().items()
